@@ -266,11 +266,11 @@ def cmd_wells(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, budget: bool = False) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--budget", type=int, default=None, help="brute-force candidate cap")
     p.add_argument("--bound", type=int, default=None, help="group order bound override")
-    p.add_argument("--workers", type=int, default=1)
+    if budget:
+        p.add_argument("--budget", type=int, default=None, help="brute-force candidate cap")
 
 
 def _add_module_flags(p: argparse.ArgumentParser) -> None:
@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all Rota-Baxter operators")
     p.add_argument("--group", required=True)
     p.add_argument("--stream", action="store_true", help="one operator JSON per line")
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -307,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="compute H2 of a module")
     _add_module_flags(p)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("classify", help="classify abelian extensions vs H2")
     _add_module_flags(p)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("split", help="build a split extension from (mu, g)")
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_module_flags(p)
     p.add_argument("--tau", default=None, help="2-cochain JSON file")
     p.add_argument("--g", default=None, help="1-cochain JSON file")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_wells)
 
     return parser
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
             command=args.command,
             format=args.format,
             workers=getattr(args, "workers", 1),
-            budget=args.budget,
+            budget=getattr(args, "budget", None),
             bound=args.bound,
         )
         return args.func(args)

@@ -105,9 +105,6 @@ class RBModule:
     def act(self, h: int, y: int) -> int:
         return self.action[h][y]
 
-    def ri_of(self, y: int) -> int:
-        return self.ri[y]
-
     def iadd(self, a: int, b: int) -> int:
         return self.I.table[a][b]
 
@@ -352,7 +349,7 @@ def _require_rb_automorphisms(m: RBModule) -> None:
         raise ValueError("combined complex needs every mu_h to commute with R_I")
 
 
-def _middle_sign(n: int, m: RBModule, term: Cochain) -> Cochain:
+def _middle_sign(n: int, term: Cochain) -> Cochain:
     return term if (n + 1) % 2 == 0 else term.neg()
 
 
@@ -362,39 +359,24 @@ def delta_rb(element):
     Degree 1 maps to (delta f, bar f - R_I g, partial g); the middle term uses
     the minus variant, which is the one making the complex square to zero.
     """
-    if len(element) == 2:
-        f, g = element
-        m = f.module
-        _require_rb_automorphisms(m)
-        if f.arity != 1 or g.arity != 1:
-            raise ValueError("degree-1 element must be a pair of 1-cochains")
-        return (delta(f), bar(f).sub(ri_after(g)), partial(g))
-    f, g, h = element
-    m = f.module
-    _require_rb_automorphisms(m)
-    n = f.arity
-    if n < 2 or g.arity != n - 1 or h.arity != n:
-        raise ValueError("triple must have arities (n, n-1, n) with n >= 2")
-    middle = partial(g).add(_middle_sign(n, m, bar(f).sub(ri_after(h))))
-    return (delta(f), middle, partial(h))
+    return partial_rb(element)
 
 
 def partial_rb(element, sigma=None):
-    """Like delta_rb but the third slot uses the sigma-twisted circle coboundary."""
+    """Like delta_rb but the third slot uses the sigma-twisted circle coboundary;
+    the default sigma_h = mu_{R_H(h)} gives delta_rb itself."""
     if len(element) == 2:
         f, g = element
-        m = f.module
-        _require_rb_automorphisms(m)
+        _require_rb_automorphisms(f.module)
         if f.arity != 1 or g.arity != 1:
             raise ValueError("degree-1 element must be a pair of 1-cochains")
         return (delta(f), bar(f).sub(ri_after(g)), partial_circ(g, sigma))
     f, g, h = element
-    m = f.module
-    _require_rb_automorphisms(m)
+    _require_rb_automorphisms(f.module)
     n = f.arity
     if n < 2 or g.arity != n - 1 or h.arity != n:
         raise ValueError("triple must have arities (n, n-1, n) with n >= 2")
-    middle = partial(g).add(_middle_sign(n, m, bar(f).sub(ri_after(h))))
+    middle = partial(g).add(_middle_sign(n, bar(f).sub(ri_after(h))))
     return (delta(f), middle, partial_circ(h, sigma))
 
 

@@ -5,12 +5,18 @@ Extension carriers are always H x I with pair index h*|I| + y, group law
 (h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) + mu_{h2}(y1) + y2) and operator
 R(h,y) = (R_H(h), g(h) + R_I(mu_{R_H(h)}(y))) (conjugation-twisted when the
 kernel is non-abelian).  Builders verify everything they construct.
+
+Two extensions (or triplets) are equivalent when they differ by a change of
+section s -> s.theta with theta: H -> I, theta(e) = e.  Equivalence classes
+are therefore computed as theta-orbits: one pass over the members, taking
+the orbit of each member not yet classified.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import (
     AutomorphismGroup,
@@ -38,30 +44,38 @@ class ExtensionError(ValueError):
         self.witness = witness
 
 
-class UnionFind:
-    """Minimal deterministic union-find; the class root is the least index."""
+def _thetas(h: FiniteGroup, i: FiniteGroup, stage: str, budget: int):
+    """Every normalized theta: H -> I (theta[0] = 0), in itertools.product order."""
+    size = i.order ** (h.order - 1)
+    if size > budget:
+        raise BudgetError(f"{stage}: {size} theta maps exceed budget {budget}")
+    for rest in itertools.product(i.elements(), repeat=h.order - 1):
+        yield (0,) + rest
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
+def _orbit_classes(keys: list, orbit) -> list[list[int]]:
+    """Partition members 0..n-1 (member k has hashable key keys[k]) into orbits.
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        lo, hi = (ri, rj) if ri < rj else (rj, ri)
-        self.parent[hi] = lo
-
-    def classes(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return [groups[r] for r in sorted(groups)]
+    orbit(k) yields the keys of k's orbit.  Classes come out ordered by least
+    member, each sorted.  Orbits that leave the member set or overlap would
+    mean the maps do not act as a group, so both raise.
+    """
+    index = {key: k for k, key in enumerate(keys)}
+    seen: set[int] = set()
+    classes = []
+    for k in range(len(keys)):
+        if k in seen:
+            continue
+        members = set()
+        for key in orbit(k):
+            if key not in index:
+                raise AssertionError("an orbit leaves the enumerated set")
+            members.add(index[key])
+        if members & seen:
+            raise AssertionError("two orbits overlap")
+        seen |= members
+        classes.append(sorted(members))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +284,7 @@ def are_equivalent(
     m = e1.module
     h, i = m.H, m.I
     ni = i.order
-    if i.order ** (h.order - 1) > budget:
-        raise BudgetError("equivalence search exceeds budget")
-    for rest in itertools.product(i.elements(), repeat=h.order - 1):
-        theta = (0,) + rest
+    for theta in _thetas(h, i, "extension equivalence", budget):
         images = tuple(
             hh * ni + i.table[y][theta[hh]] for hh in h.elements() for y in i.elements()
         )
@@ -289,20 +300,24 @@ def are_equivalent(
 
 
 def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> dict:
-    """Partition all built extensions by equivalence and compare with |H2|."""
+    """Partition all built extensions into theta-orbits and compare with |H2|.
+
+    The orbit of an extension is the set of pairs read off it through the
+    st-sections h -> (h, theta(h)).
+    """
     from .cohomology import h2_rbe, z2_rbe
 
     z2 = z2_rbe(module, budget)
     exts = [build_abelian_extension(module, p) for p in z2]
-    uf = UnionFind(len(exts))
-    for a in range(len(exts)):
-        for b in range(a + 1, len(exts)):
-            if uf.find(a) == uf.find(b):
-                continue
-            if are_equivalent(exts[a], exts[b]) is not None:
-                uf.union(a, b)
-    classes = uf.classes()
-    reps = [min((z2[i] for i in cls), key=lambda p: p.key()) for cls in classes]
+    h, ni = module.H, module.I.order
+
+    def orbit(k: int):
+        for theta in _thetas(h, module.I, "extension equivalence", DEFAULT_THETA_BUDGET):
+            section = GroupMap(h, exts[k].E, tuple(hh * ni + theta[hh] for hh in h.elements()))
+            yield extract_cocycle(exts[k], section).key()
+
+    classes = _orbit_classes([p.key() for p in z2], orbit)
+    reps = [z2[cls[0]] for cls in classes]  # z2 is sorted by key
     h2 = h2_rbe(module, budget)
     return {
         "num_classes": len(classes),
@@ -529,6 +544,31 @@ def extract_triplet(ext: GeneralExtension, section: GroupMap | None = None) -> T
     return Triplet(mu, tau, g)
 
 
+def _shift_triplet(
+    t: Triplet, theta, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator
+) -> Triplet:
+    """t read through the section shifted by theta: triplets_equivalent's
+    relations, solved for t2."""
+    h, i = h_rb.group, i_rb.group
+    mul, inv, rh = i.table, i.inverses, h_rb.images
+    mu = tuple(
+        tuple(mul[mul[inv[theta[a]]][t.mu[a][y]]][theta[a]] for y in i.elements())
+        for a in h.elements()
+    )
+    tau = tuple(
+        tuple(
+            mul[mul[mul[inv[theta[h.table[a][b]]]][t.tau[a][b]]][t.mu[b][theta[a]]]][theta[b]]
+            for b in h.elements()
+        )
+        for a in h.elements()
+    )
+    g = []
+    for a in h.elements():
+        conj = mul[mul[inv[t.g[a]]][t.mu[rh[a]][theta[a]]]][t.g[a]]
+        g.append(mul[inv[theta[rh[a]]]][mul[t.g[a]][i_rb.images[conj]]])
+    return Triplet(mu, tau, tuple(g))
+
+
 def triplets_equivalent(
     t1: Triplet,
     t2: Triplet,
@@ -543,47 +583,8 @@ def triplets_equivalent(
       tau2(h1,h2) = theta(h1 h2)^-1 tau1(h1,h2) mu1_{h2}(theta(h1)) theta(h2),
       theta(R_H(h)) g2(h) = g1(h) R_I(i_{g1(h)^-1}(mu1_{R_H(h)}(theta(h)))).
     """
-    h, i = h_rb.group, i_rb.group
-    if i.order ** (h.order - 1) > budget:
-        raise BudgetError("triplet equivalence search exceeds budget")
-    rh, ri = h_rb.images, i_rb.images
-    for rest in itertools.product(i.elements(), repeat=h.order - 1):
-        theta = (0,) + rest
-        ok = True
-        for hh in h.elements():
-            ti = i.inverses[theta[hh]]
-            if any(
-                t2.mu[hh][y] != i.table[i.table[ti][t1.mu[hh][y]]][theta[hh]]
-                for y in i.elements()
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        for h1 in h.elements():
-            for h2 in h.elements():
-                lhs = t2.tau[h1][h2]
-                rhs = i.table[
-                    i.table[
-                        i.table[i.inverses[theta[h.table[h1][h2]]]][t1.tau[h1][h2]]
-                    ][t1.mu[h2][theta[h1]]]
-                ][theta[h2]]
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for hh in h.elements():
-            g1h = t1.g[hh]
-            conj = i.table[i.table[i.inverses[g1h]][t1.mu[rh[hh]][theta[hh]]]][g1h]
-            lhs = i.table[theta[rh[hh]]][t2.g[hh]]
-            rhs = i.table[g1h][ri[conj]]
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
+    for theta in _thetas(h_rb.group, i_rb.group, "triplet equivalence", budget):
+        if _shift_triplet(t1, theta, h_rb, i_rb) == t2:
             return theta
     return None
 
@@ -669,12 +670,16 @@ class TripletCensus:
     def num_classes(self) -> int:
         return len(self.classes)
 
+    @cached_property
+    def _class_index(self) -> dict:
+        return {self.triplets[k].key(): ci for ci, cls in enumerate(self.classes) for k in cls}
+
     def class_of(self, t: Triplet) -> int:
-        """Census class index of a valid triplet (searched by equivalence)."""
-        for ci, rep in enumerate(self.representatives):
-            if triplets_equivalent(t, rep, self.h_rb, self.i_rb) is not None:
-                return ci
-        raise ValueError("triplet is not equivalent to any census class")
+        """Census class index of a triplet (the census holds every valid one)."""
+        ci = self._class_index.get(t.key())
+        if ci is None:
+            raise ValueError("triplet is not equivalent to any census class")
+        return ci
 
 
 def h2_alpha(
@@ -715,14 +720,12 @@ def h2_alpha(
                 t = Triplet(mu, tau, (0,) + g_vals)
                 if verify_triplet(t, h_rb, i_rb) is None:
                     valid.append(t)
-    uf = UnionFind(len(valid))
-    for a in range(len(valid)):
-        for b in range(a + 1, len(valid)):
-            if uf.find(a) == uf.find(b):
-                continue
-            if triplets_equivalent(valid[a], valid[b], h_rb, i_rb) is not None:
-                uf.union(a, b)
-    classes = uf.classes()
+
+    def orbit(k: int):
+        for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):
+            yield _shift_triplet(valid[k], theta, h_rb, i_rb).key()
+
+    classes = _orbit_classes([t.key() for t in valid], orbit)
     reps = [min((valid[i] for i in cls), key=lambda t: t.key()) for cls in classes]
     return TripletCensus(h_rb, i_rb, alpha, valid, classes, reps)
 
@@ -736,10 +739,12 @@ def center_module(census: TripletCensus) -> tuple[RBModule, tuple[int, ...]]:
     """The module (Z(I), R_I|_Z) with the action induced by the census.
 
     Returns the module together with the list embedding Z-indices into I.
-    Raises if Z(I) is not invariant under R_I, or if census members disagree
-    on the induced action.
+    Raises if the census is empty, if Z(I) is not invariant under R_I, or if
+    census members disagree on the induced action.
     """
     h_rb, i_rb = census.h_rb, census.i_rb
+    if not census.triplets:
+        raise ValueError("census has no triplets, so it induces no action on Z(I)")
     i = i_rb.group
     z_elems = tuple(center(i))
     z_set = set(z_elems)
@@ -812,11 +817,9 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_TRIPLET_BUDGET) 
     if identity_row != list(range(census.num_classes)):
         raise AssertionError("identity class does not act as the identity")
     # orbit census (transitivity is measured, never asserted)
-    uf = UnionFind(census.num_classes)
-    for row in action_table:
-        for ci, target in enumerate(row):
-            uf.union(ci, target)
-    orbits = len(uf.classes())
+    orbits = len(_orbit_classes(
+        list(range(census.num_classes)), lambda ci: (row[ci] for row in action_table)
+    ))
     return {
         "h2_center_order": h2.order_h2,
         "num_classes": census.num_classes,

@@ -199,3 +199,11 @@ def test_enumerate_stream_golden_s3(capsys):
         '{"group": "S3", "images": [0, 5, 4, 0, 5, 4]}',
         '{"command": "enumerate", "count": 8, "group": "S3"}',
     ]
+
+
+def test_flags_outside_their_subcommands_are_rejected(capsys):
+    code, out, err = run_cli(capsys, "verify", "--group", "S3", "--operator", "zero",
+                             "--workers", "2")
+    assert code == 2 and out == "" and "--workers" in err
+    code, out, err = run_cli(capsys, "enumerate", "--group", "S3", "--budget", "5")
+    assert code == 2 and out == "" and "--budget" in err

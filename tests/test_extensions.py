@@ -522,3 +522,79 @@ def test_central_action_reports_orbits():
     assert report["transitive"] == (report["orbits"] == 1)
     # frozen: 12 classes in orbits of size 4 under the order-4 central action
     assert report["orbits"] == 3
+
+
+# ---------------------------------------------------------------------------
+# equivalence classes as theta-orbits, against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _census_z2(iname, ri=None):
+    z2, igroup = make_group("Z2"), make_group(iname)
+    h_rb = RotaBaxterOperator(z2, (0, 0))
+    i_rb = trivial_operator(igroup) if ri is None else RotaBaxterOperator(igroup, ri)
+    assert rb_witness(igroup, i_rb.images) is None
+    return h2_alpha(h_rb, i_rb, trivial_coupling(z2, igroup))
+
+
+@pytest.mark.parametrize("iname,ri", [("D4", None), ("D4", (0, 2, 2, 2, 0, 0, 2, 0))])
+def test_census_classes_match_pairwise_equivalence(iname, ri):
+    census = _census_z2(iname, ri)
+    assert census.num_classes > 1
+    for a in census.triplets:
+        for b in census.triplets:
+            related = triplets_equivalent(a, b, census.h_rb, census.i_rb) is not None
+            assert related == (census.class_of(a) == census.class_of(b))
+
+
+@pytest.mark.parametrize("iname,ri", [("D4", None), ("D4", (0, 2, 2, 2, 0, 0, 2, 0))])
+def test_shifted_triplets_stay_valid(iname, ri):
+    from rbgroups.extensions import _shift_triplet
+
+    census = _census_z2(iname, ri)
+    h_rb, i_rb = census.h_rb, census.i_rb
+    for t in census.triplets:
+        for y in i_rb.group.elements():
+            moved = _shift_triplet(t, (0, y), h_rb, i_rb)
+            assert verify_triplet(moved, h_rb, i_rb) is None
+            assert triplets_equivalent(t, moved, h_rb, i_rb) is not None
+
+
+def test_classify_representatives_are_h2_representatives():
+    for m in all_modules("Z2", "Z4"):
+        report = classify_abelian(m)
+        assert report["class_representatives"] == [p.to_dict() for p in h2_rbe(m).representatives]
+
+
+def test_class_of_rejects_triplets_outside_the_census():
+    census = _census_z2("D4")
+    t = census.triplets[0]
+    unnormalized = Triplet(t.mu, ((0, 1), t.tau[1]), t.g)
+    with pytest.raises(ValueError, match="not equivalent"):
+        census.class_of(unnormalized)
+
+
+def test_equivalence_budget_names_stage_and_size():
+    census = _census_z2("D4")
+    t = census.triplets[0]
+    with pytest.raises(BudgetError, match="triplet equivalence: 8 theta maps"):
+        triplets_equivalent(t, t, census.h_rb, census.i_rb, budget=1)
+    m = module_zx("Z2", "Z4")
+    ext = build_abelian_extension(m, CocyclePair.zero(m))
+    with pytest.raises(BudgetError, match="extension equivalence: 4 theta maps"):
+        are_equivalent(ext, ext, budget=1)
+
+
+def test_empty_census_central_action_is_a_value_error():
+    z2, d5 = make_group("Z2"), make_group("D5")
+    h_rb = RotaBaxterOperator(z2, (0, 0))
+    i_rb = RotaBaxterOperator(d5, (0, 1, 1, 1, 1, 1, 0, 0, 0, 0))
+    assert rb_witness(d5, i_rb.images) is None
+    mu = (tuple(d5.elements()), (0, 1, 3, 5, 2, 4, 7, 9, 6, 8))
+    alpha = coupling_of(Triplet(mu, ((0, 0), (0, 0)), (0, 0)), z2, d5)
+    census = h2_alpha(h_rb, i_rb, alpha)
+    assert census.triplets == [] and census.num_classes == 0
+    with pytest.raises(ValueError, match="census has no triplets"):
+        center_module(census)
+    with pytest.raises(ValueError, match="census has no triplets"):
+        central_action(census)
