@@ -54,8 +54,6 @@ EXIT_BUDGET = 3
 class JobSpec:
     """A resolved CLI job; budgets must be positive."""
 
-    command: str
-    format: str = "json"
     workers: int = 1
     budget: int | None = None
     bound: int | None = None
@@ -93,6 +91,14 @@ def _resolve_operator(spec: str, group: FiniteGroup) -> RotaBaxterOperator:
     return load_operator(spec, group=group)
 
 
+def _resolve_rb_operator(spec: str, group: FiniteGroup, flag: str) -> RotaBaxterOperator:
+    op = _resolve_operator(spec, group)
+    w = rb_witness(group, op.images)
+    if w is not None:
+        raise ValueError(f"{flag} is not a Rota-Baxter operator (fails at {w})")
+    return op
+
+
 def _resolve_action(spec: str, h: FiniteGroup, igroup: FiniteGroup):
     if spec == "trivial":
         return trivial_action(h, igroup)
@@ -106,10 +112,7 @@ def _resolve_action(spec: str, h: FiniteGroup, igroup: FiniteGroup):
 def _resolve_module(args) -> RBModule:
     h = _resolve_group(args.H, args.bound)
     igroup = _resolve_group(args.I, args.bound)
-    hop = _resolve_operator(args.RH, h)
-    w = rb_witness(h, hop.images)
-    if w is not None:
-        raise ValueError(f"--RH is not a Rota-Baxter operator (fails at {w})")
+    hop = _resolve_rb_operator(args.RH, h, "--RH")
     rop = _resolve_operator(args.RI, igroup)
     action = _resolve_action(args.action, h, igroup)
     witness = rb_module_witness(hop, igroup, rop.images, action)
@@ -222,8 +225,8 @@ def cmd_classify(args) -> int:
 def cmd_split(args) -> int:
     h = _resolve_group(args.H, args.bound)
     igroup = _resolve_group(args.I, args.bound)
-    hop = _resolve_operator(args.RH, h)
-    rop = _resolve_operator(args.RI, igroup)
+    hop = _resolve_rb_operator(args.RH, h, "--RH")
+    rop = _resolve_rb_operator(args.RI, igroup, "--RI")
     mu = _resolve_action(args.action, h, igroup)
     g = _load_map_images(args.g, h, igroup) if args.g else (0,) * h.order
     try:
@@ -340,8 +343,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         JobSpec(
-            command=args.command,
-            format=args.format,
             workers=getattr(args, "workers", 1),
             budget=getattr(args, "budget", None),
             bound=args.bound,

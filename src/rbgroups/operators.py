@@ -95,46 +95,49 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # ---------------------------------------------------------------------------
 #
 # Depth-first assignment of R over elements in index order with R(e) = e
-# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).  After every
-# assignment, each law instance whose lookups are all defined must hold, and
-# instances with R(x), R(y) known force R(x R(x) y R(x)^-1) = R(x) R(y).
+# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).  Invariant after
+# propagation: R(x o y) = R(x) R(y) is known for every pair with R(x), R(y)
+# known, where x o y = x R(x) y R(x)^-1.  So a newly fixed w only creates the
+# pairs (w, y) and (y, w); `trail`, the newly fixed elements, is the worklist.
 
 
 def _propagate(table, inv, values, trail) -> bool:
-    n = len(values)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            rx = values[x]
-            if rx < 0:
+    i = 0
+    while i < len(trail):
+        w = trail[i]
+        i += 1
+        rw = values[w]
+        wrw = table[table[w][rw]]
+        rwi = inv[rw]
+        rw_row = table[rw]
+        for y, ry in enumerate(values):
+            if ry < 0:
                 continue
-            xrx = table[x][rx]
-            rxi = inv[rx]
-            row = table[rx]
-            for y in range(n):
-                ry = values[y]
-                if ry < 0:
-                    continue
-                z = table[table[xrx][y]][rxi]
-                want = row[ry]
-                have = values[z]
-                if have < 0:
-                    values[z] = want
-                    trail.append(z)
-                    changed = True
-                elif have != want:
-                    return False
+            z = table[wrw[y]][rwi]
+            want = rw_row[ry]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
+            z = table[table[table[y][ry]][w]][inv[ry]]
+            want = table[ry][rw]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
     return True
 
 
 def _dfs(table, inv, values, out) -> None:
-    n = len(values)
-    x = next((i for i in range(n) if values[i] < 0), None)
-    if x is None:
+    if -1 not in values:
         out.append(tuple(values))
         return
-    for v in range(n):
+    x = values.index(-1)
+    for v in range(len(values)):
         trail = [x]
         values[x] = v
         if _propagate(table, inv, values, trail):
@@ -148,15 +151,10 @@ def _enumerate_task(args) -> list[tuple[int, ...]]:
     g = FiniteGroup(table, check=False)
     values = [-1] * g.order
     values[0] = 0
+    values[1] = first_value
     out: list[tuple[int, ...]] = []
-    if first_value is not None:
-        trail = [1]
-        values[1] = first_value
-        if _propagate(g.table, g.inverses, values, trail):
-            _dfs(g.table, g.inverses, values, out)
-    else:
-        if _propagate(g.table, g.inverses, values, []):
-            _dfs(g.table, g.inverses, values, out)
+    if _propagate(g.table, g.inverses, values, [0, 1]):
+        _dfs(g.table, g.inverses, values, out)
     return out
 
 

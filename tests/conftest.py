@@ -40,6 +40,60 @@ def brute_force_operators(g):
     return sorted(found)
 
 
+def _fixpoint_propagate(table, inv, values, trail) -> bool:
+    n = len(values)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            rx = values[x]
+            if rx < 0:
+                continue
+            xrx = table[x][rx]
+            rxi = inv[rx]
+            row = table[rx]
+            for y in range(n):
+                ry = values[y]
+                if ry < 0:
+                    continue
+                z = table[table[xrx][y]][rxi]
+                want = row[ry]
+                have = values[z]
+                if have < 0:
+                    values[z] = want
+                    trail.append(z)
+                    changed = True
+                elif have != want:
+                    return False
+    return True
+
+
+def _fixpoint_dfs(table, inv, values, out) -> None:
+    n = len(values)
+    x = next((i for i in range(n) if values[i] < 0), None)
+    if x is None:
+        out.append(tuple(values))
+        return
+    for v in range(n):
+        trail = [x]
+        values[x] = v
+        if _fixpoint_propagate(table, inv, values, trail):
+            _fixpoint_dfs(table, inv, values, out)
+        for t in trail:
+            values[t] = -1
+
+
+def fixpoint_operators(g):
+    """Oracle: the operator search that rescans every pair (x, y) after each
+    assignment until nothing changes, instead of following a worklist."""
+    values = [-1] * g.order
+    values[0] = 0
+    out = []
+    if _fixpoint_propagate(g.table, g.inverses, values, []):
+        _fixpoint_dfs(g.table, g.inverses, values, out)
+    return sorted(out)
+
+
 def anti_actions(h, igroup):
     """All anti-homomorphic actions H -> Aut(I) (identity pinned at e)."""
     aut = automorphisms(igroup)

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import FIXTURES
 
+import rbgroups
 from rbgroups.cli import main
 
 
@@ -114,8 +116,19 @@ def test_split_failure_exit_one(tmp_path, capsys):
         "--H", "Z4", "--I", "Z4",
         "--action", "trivial", "--RH", "id", "--RI", "id", "--g", str(gfile),
     )
-    if code != 0:
-        assert code == 1 and "error" in json.loads(out)
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "(mu, g) violates the split condition: rb-law at (4, 4)"
+    assert data["witness"] == ["rb-law", "(4, 4)"]
+
+
+def test_split_rejects_non_operator_flags(capsys):
+    code, out, err = run_cli(capsys, "split", "--H", "S3", "--I", "Z3", "--RH", "id")
+    assert code == 2 and out == ""
+    assert "--RH is not a Rota-Baxter operator (fails at (1, 2))" in err
+    code, out, err = run_cli(capsys, "split", "--H", "Z2", "--I", "S3", "--RI", "id")
+    assert code == 2 and out == ""
+    assert "--RI is not a Rota-Baxter operator (fails at (1, 2))" in err
 
 
 def test_wells_command(capsys):
@@ -152,6 +165,7 @@ def test_usage_errors(capsys):
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "rbgroups.cli", "enumerate", "--group", "Q8"],
+        cwd=Path(rbgroups.__file__).parents[1],  # finds the package without an install
         capture_output=True,
         text=True,
     )

@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from rbgroups.groups import (
     BudgetError,
+    FiniteGroup,
     GroupMap,
     endomorphisms,
     group_table_witness,
     make_group,
     subgroup_closure,
 )
-from conftest import FIXTURES, brute_force_operators
+from conftest import FIXTURES, brute_force_operators, fixpoint_operators
 from rbgroups.operators import (
     RotaBaxterOperator,
     SkewBrace,
@@ -76,6 +79,33 @@ def test_enumeration_matches_brute_force(name):
     g = make_group(name)
     got = [op.images for op in enumerate_rb_operators(g)]
     assert got == brute_force_operators(g)
+
+
+def _relabelled(g, seed):
+    """g under a seeded permutation p of its indices with p[0] = 0."""
+    rest = list(range(1, g.order))
+    random.Random(seed).shuffle(rest)
+    p = (0, *rest)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in g.elements():
+        for b in g.elements():
+            table[p[a]][p[b]] = p[g.table[a][b]]
+    return FiniteGroup(table, name=f"{g.name}@{seed}")
+
+
+def test_enumeration_matches_fixpoint_oracle():
+    # orders 12-24, past the reach of the brute-force oracle; relabelling
+    # changes the order in which propagation visits elements
+    groups = [make_group(name) for name in ("D6", "Z2xZ6", "D12", "S4", "D4xZ2", "Z2xZ2xZ4")]
+    groups += [_relabelled(make_group(name), seed) for name in ("S4", "D4xZ2") for seed in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for g in groups:
+            got = [op.images for op in enumerate_rb_operators(g, bound=24)]
+            assert got == fixpoint_operators(g), g.name
+        g = groups[-1]
+        got = [op.images for op in enumerate_rb_operators(g, workers=2)]
+        assert got == fixpoint_operators(g)
 
 
 def test_enumeration_is_duplicate_free_and_sorted(d4):
