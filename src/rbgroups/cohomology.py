@@ -1,8 +1,9 @@
 """Cochain complexes for a Rota-Baxter group acting on an abelian one.
 
 Carries the plain (dot) and circle coboundaries, the combined complexes, the
-module condition, the maps Phi1/Phi2, the degree 1..3 total complex with
-d1/d2, and brute-force computation of Z1, Z2, B2 and H2.
+module condition, the maps Phi1/Phi2, and the degree 1..3 total complex
+with d1/d2.  Z1, Z2, B2 and H2 come from scanning flat value vectors against
+d1 and d2 compiled into rows of endomorphisms of I.
 
 Sign conventions (each forced by the cochain-complex property and by the
 extension roundtrip, see the delta/phi2/d1 docstrings): the coboundary's last
@@ -196,9 +197,11 @@ class Cochain:
         return self.add(other.neg())
 
     def _match(self, other: "Cochain") -> None:
-        if self.arity != other.arity or self.module is not other.module:
-            if self.arity != other.arity or self.module.H.order != other.module.H.order:
-                raise ValueError("cochain mismatch")
+        a, b = self.module, other.module
+        if self.arity != other.arity or (
+            a is not b and (a.H.table != b.H.table or a.I.table != b.I.table)
+        ):
+            raise ValueError("cochain mismatch")
 
     def __eq__(self, other) -> bool:
         return (
@@ -504,78 +507,123 @@ def d2_rbe(pair: CocyclePair) -> tuple[Cochain, Cochain]:
     return (delta(tau), Cochain.from_callable(m, 2, beta))
 
 
-def is_one_cocycle(module: RBModule, theta: Cochain) -> bool:
-    p = d1_rbe(theta)
-    return p.tau.is_zero() and p.g.is_zero()
-
-
 def is_two_cocycle(module: RBModule, pair: CocyclePair) -> bool:
     a, b = d2_rbe(pair)
     return a.is_zero() and b.is_zero()
 
 
 # ---------------------------------------------------------------------------
-# Z1, Z2, B2, H2 by brute force
+# Z1, Z2, B2, H2 by scanning flat value vectors
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(module: RBModule, budget: int) -> None:
+def _compile(module: RBModule, width: int, fn) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """fn on value vectors of length width, additive on a valid module, as
+    rows: row o lists (j, e) for each coordinate j whose endomorphism of I,
+    e(y) = fn(y at j, 0 elsewhere)[o], is nonzero; fn(v)[o] sums e(v[j]) over
+    the row.  Probing fn keeps each map's formula written once."""
+    columns = [
+        [fn([0] * j + [y] + [0] * (width - j - 1)) for y in module.I.elements()]
+        for j in range(width)
+    ]
+    rows = []
+    for o in range(len(fn([0] * width))):
+        entries = [(j, tuple(out[o] for out in images)) for j, images in enumerate(columns)]
+        rows.append([(j, e) for j, e in entries if any(e)])
+    return rows
+
+
+def _apply(add, row, v) -> int:
+    total = 0
+    for j, e in row:
+        total = add[total][e[v[j]]]
+    return total
+
+
+def _vadd(add, a, b) -> tuple[int, ...]:
+    return tuple(add[x][y] for x, y in zip(a, b))
+
+
+def _pair(module: RBModule, key) -> CocyclePair:
+    """The pair whose key() is key: the values of tau, then those of g."""
+    k2 = (module.H.order - 1) ** 2
+    tau, g = Cochain.from_vector(module, 2, key[:k2]), Cochain.from_vector(module, 1, key[k2:])
+    return CocyclePair(tau, g)
+
+
+def _verify_closed(module: RBModule, keys, name: str) -> None:
+    keyed = set(keys)
+    for a in keys:
+        for b in keys:
+            if _vadd(module.I.table, a, b) not in keyed:
+                raise AssertionError(f"{name} is not closed under addition")
+
+
+def _d1_scan(module: RBModule, budget: int):
+    """The rows of d1 and every 1-cochain value vector, budget permitting."""
     nh, ni = module.H.order, module.I.order
-    total = ni ** ((nh - 1) ** 2 + (nh - 1))
+    if ni ** (nh - 1) > budget:
+        raise BudgetError("TC^1 space exceeds budget")
+    rows = _compile(module, nh - 1, lambda v: d1_rbe(Cochain.from_vector(module, 1, v)).key())
+    return rows, itertools.product(module.I.elements(), repeat=nh - 1)
+
+
+def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Cochain]:
+    """Kernel of d1: derivations lambda with lambda(R(h)) = R_I(mu_{R(h)}(lambda(h)))."""
+    rows, vectors = _d1_scan(module, budget)
+    add = module.I.table
+    keys = [v for v in vectors if not any(_apply(add, row, v) for row in rows)]
+    _verify_closed(module, keys, "Z1")
+    return [Cochain.from_vector(module, 1, v) for v in keys]
+
+
+def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
+    """All 2-cocycle pairs, sorted by value vector.
+
+    Rows of d2 that read only tau are checked per tau up to the first nonzero
+    one.  Each other row splits into a tau part, evaluated once per surviving
+    tau, and a g part, evaluated once per g; the pair is a cocycle when the
+    parts cancel on every such row.
+    """
+    i, k1 = module.I, module.H.order - 1
+    total = i.order ** (k1 * k1 + k1)
     if total > budget:
         raise BudgetError(
             f"TC^2 space of size {total} exceeds budget {budget}; "
             "membership predicates still work at this size"
         )
 
+    def d2(v):
+        dt, beta = d2_rbe(_pair(module, v))
+        return dt.value_vector() + beta.value_vector()
 
-def _verify_closed(elements, add, name: str) -> None:
-    keyed = {e.key() for e in elements}
-    for a in elements:
-        for b in elements:
-            if add(a, b).key() not in keyed:
-                raise AssertionError(f"{name} is not closed under addition")
-
-
-def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Cochain]:
-    """Kernel of d1: derivations lambda with lambda(R(h)) = R_I(mu_{R(h)}(lambda(h)))."""
-    nh, ni = module.H.order, module.I.order
-    if ni ** (nh - 1) > budget:
-        raise BudgetError("TC^1 space exceeds budget")
-    out = [t for t in enumerate_cochains(module, 1) if is_one_cocycle(module, t)]
-    _verify_closed(out, lambda a, b: a.add(b), "Z1")
-    return out
-
-
-def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
-    """All 2-cocycle pairs, sorted by value vector."""
-    _check_budget(module, budget)
-    out = []
-    for tau in enumerate_cochains(module, 2):
-        dt = delta(tau)
-        if not dt.is_zero():
+    tau_rows, tau_parts, g_parts = [], [], []
+    for row in _compile(module, k1 * k1 + k1, d2):
+        g_part = [(j - k1 * k1, e) for j, e in row if j >= k1 * k1]
+        if g_part:
+            tau_parts.append([(j, e) for j, e in row if j < k1 * k1])
+            g_parts.append(g_part)
+        elif row:
+            tau_rows.append(row)
+    solutions: dict = {}  # g part of d2 -> the g vectors giving it, in scan order
+    for g in itertools.product(i.elements(), repeat=k1):
+        solutions.setdefault(tuple(_apply(i.table, row, g) for row in g_parts), []).append(g)
+    keys = []
+    for tau in itertools.product(i.elements(), repeat=k1 * k1):
+        if any(_apply(i.table, row, tau) for row in tau_rows):
             continue
-        for g in enumerate_cochains(module, 1):
-            pair = CocyclePair(tau, g)
-            if is_two_cocycle(module, pair):
-                out.append(pair)
-    out.sort(key=lambda p: p.key())
-    _verify_closed(out, lambda a, b: a.add(b), "Z2")
-    return out
+        want = tuple(i.inverses[_apply(i.table, row, tau)] for row in tau_parts)
+        keys += [tau + g for g in solutions.get(want, ())]
+    _verify_closed(module, keys, "Z2")
+    return [_pair(module, k) for k in keys]
 
 
 def b2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
     """Image of d1, sorted by value vector."""
-    nh, ni = module.H.order, module.I.order
-    if ni ** (nh - 1) > budget:
-        raise BudgetError("TC^1 space exceeds budget")
-    seen = {}
-    for theta in enumerate_cochains(module, 1):
-        p = d1_rbe(theta)
-        seen.setdefault(p.key(), p)
-    out = [seen[k] for k in sorted(seen)]
-    _verify_closed(out, lambda a, b: a.add(b), "B2")
-    return out
+    rows, vectors = _d1_scan(module, budget)
+    keys = sorted({tuple(_apply(module.I.table, row, v) for row in rows) for v in vectors})
+    _verify_closed(module, keys, "B2")
+    return [_pair(module, k) for k in keys]
 
 
 @dataclass
@@ -610,21 +658,21 @@ def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Resul
     """H2 = Z2/B2 with lexicographically least coset representatives."""
     z2 = z2_rbe(module, budget)
     b2 = b2_rbe(module, budget)
-    z2_keys = {p.key() for p in z2}
-    for b in b2:
-        if b.key() not in z2_keys:
-            raise AssertionError("B2 is not contained in Z2")
+    z2_keys = [p.key() for p in z2]
+    b2_keys = [b.key() for b in b2]
+    if not set(z2_keys).issuperset(b2_keys):
+        raise AssertionError("B2 is not contained in Z2")
     if len(z2) % len(b2) != 0:
         raise AssertionError("|B2| does not divide |Z2|")
+    add = module.I.table
     class_index: dict = {}
     reps = []
-    for p in z2:  # sorted, so the first unseen member of a coset is its least
-        if p.key() in class_index:
+    for p, key in zip(z2, z2_keys):  # sorted, so the first unseen member of a coset is its least
+        if key in class_index:
             continue
         reps.append(p)
-        for b in b2:
-            q = p.add(b)
-            class_index[q.key()] = p
+        for b in b2_keys:
+            class_index[_vadd(add, key, b)] = p
     return H2Result(
         module=module,
         order_z2=len(z2),

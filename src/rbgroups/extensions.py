@@ -95,19 +95,6 @@ class AbelianExtension:
     section: GroupMap
     pair: CocyclePair
 
-    def pair_index(self, h: int, y: int) -> int:
-        return h * self.module.I.order + y
-
-    def split_index(self, e: int) -> tuple[int, int]:
-        return divmod(e, self.module.I.order)
-
-    def kernel_part(self, e: int) -> int:
-        """I-coordinate of an element of the included kernel copy."""
-        h, y = self.split_index(e)
-        if h != 0:
-            raise ValueError(f"element {e} is not in the kernel copy")
-        return y
-
 
 def build_abelian_extension(
     module: RBModule, pair: CocyclePair, check: bool = True
@@ -397,8 +384,8 @@ class GeneralExtension:
     section: GroupMap
 
 
-def _candidate_tables(h_rb, i_rb, mu, tau, g):
-    h, i = h_rb.group, i_rb.group
+def _candidate_table(h: FiniteGroup, i: FiniteGroup, mu, tau) -> list[list[int]]:
+    """Cayley table of H x I under (h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) mu_{h2}(y1) y2)."""
     ni = i.order
     n = h.order * ni
     table = [[0] * n for _ in range(n)]
@@ -410,14 +397,32 @@ def _candidate_tables(h_rb, i_rb, mu, tau, g):
                 for y2 in i.elements():
                     yy = i.table[i.table[tau[h1][h2]][my1]][y2]
                     row[h2 * ni + y2] = h.table[h1][h2] * ni + yy
+    return table
+
+
+def _candidate_operator(h_rb, i_rb, mu, g) -> tuple[int, ...]:
+    """R_E(h,y) = (R_H h, g(h) R_I(i_{g(h)^-1} mu_{R_H h}(y)))."""
+    i = i_rb.group
+    ni = i.order
     r_images = []
-    for hh in h.elements():
+    for hh in h_rb.group.elements():
         ghh = g[hh]
         ghi = i.inverses[ghh]
         for y in i.elements():
             conj = i.table[i.table[ghi][mu[h_rb.images[hh]][y]]][ghh]
             r_images.append(h_rb.images[hh] * ni + i.table[ghh][i_rb.images[conj]])
-    return table, tuple(r_images)
+    return tuple(r_images)
+
+
+def _mu_witness(mu, i: FiniteGroup):
+    """First reason mu is not a family of automorphisms with mu_e = id, or None."""
+    if tuple(mu[0]) != tuple(i.elements()):
+        return ("structural", "mu at identity is not id")
+    for hh, row in enumerate(mu):
+        gm = GroupMap(i, i, tuple(row))
+        if not (is_bijective(gm) and is_homomorphism(gm)):
+            return ("structural", f"mu_{hh} is not an automorphism")
+    return None
 
 
 def verify_triplet(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
@@ -429,23 +434,20 @@ def verify_triplet(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperato
     h, i = h_rb.group, i_rb.group
     if len(t.mu) != h.order or len(t.tau) != h.order or len(t.g) != h.order:
         return ("structural", "shape")
-    if tuple(t.mu[0]) != tuple(i.elements()):
-        return ("structural", "mu at identity is not id")
-    for hh, row in enumerate(t.mu):
-        gm = GroupMap(i, i, tuple(row))
-        if not (is_bijective(gm) and is_homomorphism(gm)):
-            return ("structural", f"mu_{hh} is not an automorphism")
+    w = _mu_witness(t.mu, i)
+    if w is not None:
+        return w
     for hh in h.elements():
         if t.tau[0][hh] != 0 or t.tau[hh][0] != 0:
             return ("structural", f"tau not normalized at {hh}")
     if t.g[0] != 0:
         return ("structural", "g(identity) != identity")
-    table, r_images = _candidate_tables(h_rb, i_rb, t.mu, t.tau, t.g)
+    table = _candidate_table(h, i, t.mu, t.tau)
     w = group_table_witness(table)
     if w is not None:
         return ("group:" + w[0], w[1])
     e_group = FiniteGroup(table, name="candidate", check=False)
-    w = rb_witness(e_group, r_images)
+    w = rb_witness(e_group, _candidate_operator(h_rb, i_rb, t.mu, t.g))
     if w is not None:
         return ("rb-law", w)
     return None
@@ -459,12 +461,12 @@ def build_triplet_extension(
         raise ExtensionError(f"not an associated triplet: {w[0]} at {w[1]}", witness=w)
     h, i = h_rb.group, i_rb.group
     ni = i.order
-    table, r_images = _candidate_tables(h_rb, i_rb, t.mu, t.tau, t.g)
+    table = _candidate_table(h, i, t.mu, t.tau)
     labels = None
     if h.labels is not None and i.labels is not None:
         labels = [f"({h.label(a)},{i.label(b)})" for a in h.elements() for b in i.elements()]
     e_group = FiniteGroup(table, labels=labels, name=f"E({h.name},{i.name})")
-    operator = RotaBaxterOperator(e_group, r_images)
+    operator = RotaBaxterOperator(e_group, _candidate_operator(h_rb, i_rb, t.mu, t.g))
     include = GroupMap(i, e_group, tuple(range(ni)))
     project = GroupMap(e_group, h, tuple(e // ni for e in range(h.order * ni)))
     section = GroupMap(h, e_group, tuple(hh * ni for hh in h.elements()))
@@ -691,8 +693,9 @@ def h2_alpha(
     """Enumerate all associated triplets with coupling alpha, up to equivalence.
 
     Candidates are Inn-coset lifts of alpha at each h (identity pinned at e),
-    crossed with all normalized tau and g; each candidate is verified
-    constructively.
+    crossed with all normalized tau and g.  verify_triplet's checks run where
+    their inputs are fixed: automorphisms once per mu, the group axioms once
+    per (mu, tau) table, the Rota-Baxter law once per g on a table that passed.
     """
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
@@ -711,15 +714,21 @@ def h2_alpha(
     valid: list[Triplet] = []
     for mu_choice in itertools.product(*lifts[1:]):
         mu = (tuple(i.elements()),) + tuple(aut_tables[k] for k in mu_choice)
+        if _mu_witness(mu, i) is not None:
+            continue
         for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
             tau_tab = [[0] * nh for _ in range(nh)]
             for (h1, h2), v in zip(tau_slots, tau_vals):
                 tau_tab[h1][h2] = v
             tau = tuple(tuple(row) for row in tau_tab)
+            table = _candidate_table(h, i, mu, tau)
+            if group_table_witness(table) is not None:
+                continue
+            e_group = FiniteGroup(table, name="candidate", check=False)
             for g_vals in itertools.product(i.elements(), repeat=nh - 1):
-                t = Triplet(mu, tau, (0,) + g_vals)
-                if verify_triplet(t, h_rb, i_rb) is None:
-                    valid.append(t)
+                g = (0,) + g_vals
+                if rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
+                    valid.append(Triplet(mu, tau, g))
 
     def orbit(k: int):
         for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):

@@ -565,13 +565,17 @@ class AutomorphismGroup:
         self.base = base
         self.elements = enumerate_homomorphisms(base, base, bound=bound, bijective_only=True)
         self._index = {f.images: i for i, f in enumerate(self.elements)}
+
+    @cached_property
+    def group(self) -> FiniteGroup:
+        """The composition table, built and verified on first use."""
         k = len(self.elements)
         table = [[0] * k for _ in range(k)]
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
-                prod = tuple(a.images[b.images[x]] for x in base.elements())
+                prod = tuple(a.images[b.images[x]] for x in self.base.elements())
                 table[i][j] = self._index[prod]
-        self.group = FiniteGroup(table, name=f"Aut({base.name})")
+        return FiniteGroup(table, name=f"Aut({self.base.name})")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -228,9 +228,6 @@ class SkewBrace:
     def add_group(self) -> FiniteGroup:
         return FiniteGroup(self.add, name="add")
 
-    def circ_group(self) -> FiniteGroup:
-        return FiniteGroup(self.circ, name="circ")
-
 
 def skew_brace_witness(brace: SkewBrace):
     """First failing axiom of a skew left brace, or None.

@@ -1,10 +1,31 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 
-from rbgroups.groups import automorphisms, endomorphisms, make_group
-from rbgroups.cohomology import RBModule, is_rb_module
+from rbgroups.groups import BudgetError, FiniteGroup, automorphisms, endomorphisms, make_group
+from rbgroups.cohomology import (
+    DEFAULT_COHOMOLOGY_BUDGET,
+    CocyclePair,
+    H2Result,
+    RBModule,
+    d1_rbe,
+    delta,
+    enumerate_cochains,
+    is_rb_module,
+    is_two_cocycle,
+)
+from rbgroups.extensions import (
+    DEFAULT_THETA_BUDGET,
+    DEFAULT_TRIPLET_BUDGET,
+    Triplet,
+    TripletCensus,
+    _orbit_classes,
+    _shift_triplet,
+    _thetas,
+    verify_triplet,
+)
 from rbgroups.operators import enumerate_rb_operators, rb_witness
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -130,3 +151,152 @@ def all_modules(h_name, i_name, require_commuting=False):
                     continue
                 mods.append(m)
     return mods
+
+
+def relabelled(g, seed):
+    """g under a seeded permutation p of its indices with p[0] = 0."""
+    rest = list(range(1, g.order))
+    random.Random(seed).shuffle(rest)
+    p = (0, *rest)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in g.elements():
+        for b in g.elements():
+            table[p[a]][p[b]] = p[g.table[a][b]]
+    return FiniteGroup(table, name=f"{g.name}@{seed}")
+
+
+# ---------------------------------------------------------------------------
+# cohomology oracles: Z1, Z2, B2 and H2 by scanning Cochain objects
+# ---------------------------------------------------------------------------
+
+
+def _bf_verify_closed(elements, add, name: str) -> None:
+    keyed = {e.key() for e in elements}
+    for a in elements:
+        for b in elements:
+            if add(a, b).key() not in keyed:
+                raise AssertionError(f"{name} is not closed under addition")
+
+
+def _is_one_cocycle(theta) -> bool:
+    p = d1_rbe(theta)
+    return p.tau.is_zero() and p.g.is_zero()
+
+
+def brute_force_z1(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle: every 1-cochain, kept when d1 of it vanishes."""
+    nh, ni = module.H.order, module.I.order
+    if ni ** (nh - 1) > budget:
+        raise BudgetError("TC^1 space exceeds budget")
+    out = [t for t in enumerate_cochains(module, 1) if _is_one_cocycle(t)]
+    _bf_verify_closed(out, lambda a, b: a.add(b), "Z1")
+    return out
+
+
+def brute_force_z2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle: every (tau, g) pair, kept when d2 of it vanishes."""
+    nh, ni = module.H.order, module.I.order
+    total = ni ** ((nh - 1) ** 2 + (nh - 1))
+    if total > budget:
+        raise BudgetError(
+            f"TC^2 space of size {total} exceeds budget {budget}; "
+            "membership predicates still work at this size"
+        )
+    out = []
+    for tau in enumerate_cochains(module, 2):
+        dt = delta(tau)
+        if not dt.is_zero():
+            continue
+        for g in enumerate_cochains(module, 1):
+            pair = CocyclePair(tau, g)
+            if is_two_cocycle(module, pair):
+                out.append(pair)
+    out.sort(key=lambda p: p.key())
+    _bf_verify_closed(out, lambda a, b: a.add(b), "Z2")
+    return out
+
+
+def brute_force_b2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle: d1 of every 1-cochain, deduplicated and sorted."""
+    nh, ni = module.H.order, module.I.order
+    if ni ** (nh - 1) > budget:
+        raise BudgetError("TC^1 space exceeds budget")
+    seen = {}
+    for theta in enumerate_cochains(module, 1):
+        p = d1_rbe(theta)
+        seen.setdefault(p.key(), p)
+    out = [seen[k] for k in sorted(seen)]
+    _bf_verify_closed(out, lambda a, b: a.add(b), "B2")
+    return out
+
+
+def brute_force_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle: Z2/B2 from the oracle scans, cosets indexed pair by pair."""
+    z2 = brute_force_z2(module, budget)
+    b2 = brute_force_b2(module, budget)
+    z2_keys = {p.key() for p in z2}
+    for b in b2:
+        if b.key() not in z2_keys:
+            raise AssertionError("B2 is not contained in Z2")
+    if len(z2) % len(b2) != 0:
+        raise AssertionError("|B2| does not divide |Z2|")
+    class_index: dict = {}
+    reps = []
+    for p in z2:
+        if p.key() in class_index:
+            continue
+        reps.append(p)
+        for b in b2:
+            q = p.add(b)
+            class_index[q.key()] = p
+    return H2Result(
+        module=module,
+        order_z2=len(z2),
+        order_b2=len(b2),
+        order_h2=len(z2) // len(b2),
+        representatives=reps,
+        _class_index=class_index,
+    )
+
+
+# ---------------------------------------------------------------------------
+# census oracle: verify_triplet on every (mu, tau, g) candidate
+# ---------------------------------------------------------------------------
+
+
+def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
+    """Oracle: the triplet census with one full verify_triplet per candidate."""
+    h, i = h_rb.group, i_rb.group
+    nh, ni = h.order, i.order
+    lifts = [alpha.coset_members(hh) for hh in h.elements()]
+    if 0 not in lifts[0]:
+        raise ValueError("coupling must be trivial at the identity")
+    total = 1
+    for hh in range(1, nh):
+        total *= len(lifts[hh])
+    total *= ni ** ((nh - 1) ** 2) * ni ** (nh - 1)
+    if total > budget:
+        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
+    aut_tables = [alpha.aut.elements[k].images for k in range(len(alpha.aut.elements))]
+
+    tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
+    valid = []
+    for mu_choice in itertools.product(*lifts[1:]):
+        mu = (tuple(i.elements()),) + tuple(aut_tables[k] for k in mu_choice)
+        for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
+            tau_tab = [[0] * nh for _ in range(nh)]
+            for (h1, h2), v in zip(tau_slots, tau_vals):
+                tau_tab[h1][h2] = v
+            tau = tuple(tuple(row) for row in tau_tab)
+            for g_vals in itertools.product(i.elements(), repeat=nh - 1):
+                t = Triplet(mu, tau, (0,) + g_vals)
+                if verify_triplet(t, h_rb, i_rb) is None:
+                    valid.append(t)
+
+    def orbit(k):
+        for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):
+            yield _shift_triplet(valid[k], theta, h_rb, i_rb).key()
+
+    classes = _orbit_classes([t.key() for t in valid], orbit)
+    reps = [min((valid[i] for i in cls), key=lambda t: t.key()) for cls in classes]
+    return TripletCensus(h_rb, i_rb, alpha, valid, classes, reps)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_modules, anti_actions
+from conftest import (
+    all_modules,
+    anti_actions,
+    brute_force_b2,
+    brute_force_h2,
+    brute_force_z1,
+    brute_force_z2,
+)
 
 from rbgroups.groups import BudgetError, endomorphisms, make_group
 from rbgroups.operators import RotaBaxterOperator
@@ -127,6 +134,21 @@ def test_cochain_serialization_roundtrip():
     back = Cochain.from_dict(m, f.to_dict())
     assert back == f
     assert all(v != 0 for v in f.to_dict()["values"].values())
+
+
+def test_cochain_arithmetic_requires_the_same_groups():
+    # same |H| but a different I: Z4 against Z2xZ2, and Z2 against Z3
+    for a, b in (("Z4", "Z2xZ2"), ("Z2", "Z3")):
+        f = Cochain.from_vector(module_zx("Z2", a), 1, [1])
+        g = Cochain.from_vector(module_zx("Z2", b), 1, [1])
+        with pytest.raises(ValueError, match="cochain mismatch"):
+            f.add(g)
+        with pytest.raises(ValueError, match="cochain mismatch"):
+            g.sub(f)
+    f = Cochain.from_vector(module_zx("Z2", "Z4"), 1, [3])
+    assert f.add(Cochain.from_vector(module_zx("Z2", "Z4"), 1, [3])).values == {(1,): 2}
+    with pytest.raises(ValueError, match="cochain mismatch"):
+        f.add(Cochain.from_vector(module_zx("Z3", "Z4"), 1, [3, 3]))
 
 
 def test_enumerate_cochains_count_and_budget():
@@ -405,6 +427,36 @@ def test_h2_regression_z2_z2():
     m0 = module_zx("Z2", "Z2", ri=(0, 0))
     res0 = h2_rbe(m0)
     assert (res0.order_z2, res0.order_b2, res0.order_h2) == (4, 1, 4)
+
+
+ORACLE_PAIRS = [
+    ("Z2", "Z2"), ("Z2", "Z4"), ("Z3", "Z2"), ("Z2", "Z3"),
+    ("Z4", "Z2"), ("Z3", "Z3"), ("Z2xZ2", "Z2"), ("Z2", "Z2xZ2"),
+]
+
+
+@pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)
+def test_vector_scans_match_cochain_oracles(hname, iname):
+    for m in all_modules(hname, iname):
+        assert [c.key() for c in z1_rbe(m)] == [c.key() for c in brute_force_z1(m)]
+        z2 = z2_rbe(m)
+        assert [p.key() for p in z2] == [p.key() for p in brute_force_z2(m)]
+        assert [p.key() for p in b2_rbe(m)] == [p.key() for p in brute_force_b2(m)]
+        got, want = h2_rbe(m), brute_force_h2(m)
+        assert [p.key() for p in got.representatives] == [p.key() for p in want.representatives]
+        for p in z2:
+            assert got.class_of(p).key() == want.class_of(p).key()
+
+
+def test_scan_budget_refusals_match_oracles():
+    m = module_zx("Z3", "Z2")
+    for scan, oracle in ((z1_rbe, brute_force_z1), (z2_rbe, brute_force_z2),
+                         (b2_rbe, brute_force_b2)):
+        with pytest.raises(BudgetError) as got:
+            scan(m, budget=3)
+        with pytest.raises(BudgetError) as want:
+            oracle(m, budget=3)
+        assert str(got.value) == str(want.value)
 
 
 def test_h2_budget_and_membership_beyond_budget():

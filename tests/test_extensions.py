@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import all_modules
+from conftest import all_modules, brute_force_census, relabelled
 
 from rbgroups.groups import (
     BudgetError,
@@ -529,8 +529,10 @@ def test_central_action_reports_orbits():
 # ---------------------------------------------------------------------------
 
 
-def _census_z2(iname, ri=None):
+def _census_z2(iname, ri=None, seed=None):
     z2, igroup = make_group("Z2"), make_group(iname)
+    if seed is not None:
+        igroup = relabelled(igroup, seed)
     h_rb = RotaBaxterOperator(z2, (0, 0))
     i_rb = trivial_operator(igroup) if ri is None else RotaBaxterOperator(igroup, ri)
     assert rb_witness(igroup, i_rb.images) is None
@@ -598,3 +600,39 @@ def test_empty_census_central_action_is_a_value_error():
         center_module(census)
     with pytest.raises(ValueError, match="census has no triplets"):
         central_action(census)
+
+
+# ---------------------------------------------------------------------------
+# the census against the per-candidate verify_triplet oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_census_matches_oracle(census):
+    want = brute_force_census(census.h_rb, census.i_rb, census.coupling)
+    assert census.triplets == want.triplets
+    assert census.classes == want.classes
+    assert census.representatives == want.representatives
+
+
+@pytest.mark.parametrize(
+    "iname,seed,ri",
+    [(name, seed, None) for name in ("D4", "S3", "Q8", "D5") for seed in (None, 1)]
+    + [("D4", None, (0, 2, 2, 2, 0, 0, 2, 0))],
+)
+def test_census_matches_per_candidate_oracle(iname, seed, ri):
+    census = _census_z2(iname, ri, seed)
+    assert census.triplets
+    _assert_census_matches_oracle(census)
+
+
+@pytest.mark.parametrize("rh", [(0, 0, 0), (0, 1, 2)])
+def test_z3_census_matches_per_candidate_oracle(rh):
+    # Z3 acting on Z2xZ2 through a 3-cycle: mu is not the identity
+    z3, v4 = make_group("Z3"), make_group("Z2xZ2")
+    sigma = (0, 2, 3, 1)
+    mu = (tuple(v4.elements()), sigma, tuple(sigma[y] for y in sigma))
+    alpha = coupling_of(Triplet(mu, ((0, 0, 0),) * 3, (0, 0, 0)), z3, v4)
+    i_rb = RotaBaxterOperator(v4, tuple(v4.elements()))
+    census = h2_alpha(RotaBaxterOperator(z3, rh), i_rb, alpha)
+    assert census.triplets
+    _assert_census_matches_oracle(census)

@@ -1,6 +1,5 @@
 import itertools
 import json
-import random
 import warnings
 
 import pytest
@@ -9,14 +8,13 @@ from hypothesis import strategies as st
 
 from rbgroups.groups import (
     BudgetError,
-    FiniteGroup,
     GroupMap,
     endomorphisms,
     group_table_witness,
     make_group,
     subgroup_closure,
 )
-from conftest import FIXTURES, brute_force_operators, fixpoint_operators
+from conftest import FIXTURES, brute_force_operators, fixpoint_operators, relabelled
 from rbgroups.operators import (
     RotaBaxterOperator,
     SkewBrace,
@@ -81,23 +79,11 @@ def test_enumeration_matches_brute_force(name):
     assert got == brute_force_operators(g)
 
 
-def _relabelled(g, seed):
-    """g under a seeded permutation p of its indices with p[0] = 0."""
-    rest = list(range(1, g.order))
-    random.Random(seed).shuffle(rest)
-    p = (0, *rest)
-    table = [[0] * g.order for _ in range(g.order)]
-    for a in g.elements():
-        for b in g.elements():
-            table[p[a]][p[b]] = p[g.table[a][b]]
-    return FiniteGroup(table, name=f"{g.name}@{seed}")
-
-
 def test_enumeration_matches_fixpoint_oracle():
     # orders 12-24, past the reach of the brute-force oracle; relabelling
     # changes the order in which propagation visits elements
     groups = [make_group(name) for name in ("D6", "Z2xZ6", "D12", "S4", "D4xZ2", "Z2xZ2xZ4")]
-    groups += [_relabelled(make_group(name), seed) for name in ("S4", "D4xZ2") for seed in (1, 2)]
+    groups += [relabelled(make_group(name), seed) for name in ("S4", "D4xZ2") for seed in (1, 2)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for g in groups:
