@@ -1,10 +1,16 @@
-"""Rota-Baxter extensions: abelian (classified by H2), split (semidirect), and
-non-abelian via associated triplets, plus couplings and the central action.
+"""Rota-Baxter extensions of (H, R_H) by (I, R_I), all built from associated
+triplets (mu, tau, g), plus couplings and the central action.
 
-Extension carriers are always H x I with pair index h*|I| + y, group law
-(h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) + mu_{h2}(y1) + y2) and operator
-R(h,y) = (R_H(h), g(h) + R_I(mu_{R_H(h)}(y))) (conjugation-twisted when the
-kernel is non-abelian).  Builders verify everything they construct.
+One `Extension` type and one builder cover every case: an abelian extension
+with 2-cocycle (tau, g) is the triplet (mu, tau, g) with abelian I and
+anti-homomorphic mu, and a split extension is a triplet with tau = 0.
+
+Extension carriers are H x I with pair index h*|I| + y, group law
+(h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) mu_{h2}(y1) y2) and operator
+R(h,y) = (R_H h, g(h) R_I(i_{g(h)^-1} mu_{R_H h}(y))), which for abelian I is
+(R_H h, g(h) + R_I(mu_{R_H h}(y))).  The builder verifies everything it
+constructs, and `extract_triplet` is the one routine that reads a carrier
+back through an st-section.
 
 Two extensions (or triplets) are equivalent when they differ by a change of
 section s -> s.theta with theta: H -> I, theta(e) = e.  Equivalence classes
@@ -79,284 +85,13 @@ def _orbit_classes(keys: list, orbit) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# abelian extensions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AbelianExtension:
-    """A built extension carrier H x I with its operator and structure maps."""
-
-    module: RBModule
-    E: FiniteGroup
-    operator: RotaBaxterOperator
-    include: GroupMap
-    project: GroupMap
-    section: GroupMap
-    pair: CocyclePair
-
-
-def build_abelian_extension(
-    module: RBModule, pair: CocyclePair, check: bool = True
-) -> AbelianExtension:
-    """Construct E(tau, g) from a 2-cocycle pair; raises on a non-cocycle.
-
-    The error message names which of the two cocycle conditions failed and
-    the first tuple where it does.
-    """
-    dt, beta = d2_rbe(pair)
-    if not dt.is_zero():
-        bad = next(t for t, v in sorted(dt.values.items()) if v != 0)
-        raise ExtensionError(
-            f"pair is not a 2-cocycle: group cocycle condition fails at {bad}",
-            witness=("group-cocycle", bad),
-        )
-    if not beta.is_zero():
-        bad = next(t for t, v in sorted(beta.values.items()) if v != 0)
-        raise ExtensionError(
-            f"pair is not a 2-cocycle: operator condition fails at {bad}",
-            witness=("operator-cocycle", bad),
-        )
-    h, i = module.H, module.I
-    ni = i.order
-    n = h.order * ni
-    tau, g = pair.tau, pair.g
-    table = [[0] * n for _ in range(n)]
-    for h1 in h.elements():
-        for y1 in i.elements():
-            row = table[h1 * ni + y1]
-            for h2 in h.elements():
-                my1 = module.act(h2, y1)
-                for y2 in i.elements():
-                    yy = i.table[i.table[tau((h1, h2))][my1]][y2]
-                    row[h2 * ni + y2] = h.table[h1][h2] * ni + yy
-    labels = None
-    if h.labels is not None and i.labels is not None:
-        labels = [f"({h.label(a)},{i.label(b)})" for a in h.elements() for b in i.elements()]
-    e_group = FiniteGroup(table, labels=labels, name=f"E({h.name},{i.name})")
-    r_images = tuple(
-        module.rh[hh] * ni + i.table[g((hh,))][module.ri[module.act(module.rh[hh], y)]]
-        for hh in h.elements()
-        for y in i.elements()
-    )
-    operator = RotaBaxterOperator(e_group, r_images)
-    include = GroupMap(i, e_group, tuple(range(ni)))
-    project = GroupMap(e_group, h, tuple(e // ni for e in range(n)))
-    section = GroupMap(h, e_group, tuple(hh * ni for hh in h.elements()))
-    ext = AbelianExtension(module, e_group, operator, include, project, section, pair)
-    if check:
-        _verify_extension_invariants(ext)
-    return ext
-
-
-def _verify_extension_invariants(ext: AbelianExtension) -> None:
-    m, e = ext.module, ext.E
-    w = rb_witness(e, ext.operator.images)
-    if w is not None:
-        raise AssertionError(f"built operator fails the Rota-Baxter law at {w}")
-    if not is_homomorphism(ext.include) or len(set(ext.include.images)) != m.I.order:
-        raise AssertionError("inclusion is not an injective homomorphism")
-    if not is_homomorphism(ext.project) or set(ext.project.images) != set(m.H.elements()):
-        raise AssertionError("projection is not a surjective homomorphism")
-    kernel = {x for x in e.elements() if ext.project.images[x] == 0}
-    if kernel != set(ext.include.images):
-        raise AssertionError("kernel of projection differs from the included copy")
-    for y in m.I.elements():
-        if ext.operator.images[ext.include.images[y]] != ext.include.images[m.ri[y]]:
-            raise AssertionError("R_E does not restrict to R_I on the kernel")
-    for x in e.elements():
-        if ext.project.images[ext.operator.images[x]] != m.rh[ext.project.images[x]]:
-            raise AssertionError("projection does not intertwine R_E with R_H")
-    for hh in m.H.elements():
-        if ext.project.images[ext.section.images[hh]] != hh:
-            raise AssertionError("canonical section is not a section")
-    if ext.section.images[0] != 0:
-        raise AssertionError("canonical section does not preserve the identity")
-
-
-def is_st_section(ext: AbelianExtension, s: GroupMap) -> bool:
-    return (
-        s.images[0] == 0
-        and all(ext.project.images[s.images[h]] == h for h in ext.module.H.elements())
-    )
-
-
-def st_sections(ext: AbelianExtension):
-    """All set-theoretic sections of the projection fixing the identity."""
-    m = ext.module
-    fibers = [
-        [e for e in ext.E.elements() if ext.project.images[e] == h]
-        for h in m.H.elements()
-    ]
-    for choice in itertools.product(*fibers[1:]):
-        yield GroupMap(m.H, ext.E, (0,) + tuple(choice))
-
-
-def extract_cocycle(ext: AbelianExtension, section: GroupMap | None = None) -> CocyclePair:
-    """Read (tau, g) off an extension through an st-section.
-
-    tau(h1,h2) = s(h1 h2)^-1 s(h1) s(h2) and g(h) is the kernel coordinate of
-    s(R_H(h))^-1 R_E(s(h)).  The result is always a 2-cocycle.
-    """
-    if section is None:
-        section = ext.section
-    if not is_st_section(ext, section):
-        raise ValueError("map is not an st-section of the extension")
-    m, e = ext.module, ext.E
-    inc_inv = {img: y for y, img in enumerate(ext.include.images)}
-    s = section.images
-
-    def kernel_coord(x: int) -> int:
-        if x not in inc_inv:
-            raise AssertionError("expected a kernel element")
-        return inc_inv[x]
-
-    tau = Cochain.from_callable(
-        m,
-        2,
-        lambda h1, h2: kernel_coord(
-            e.table[e.inverses[s[m.H.table[h1][h2]]]][e.table[s[h1]][s[h2]]]
-        ),
-    )
-    g = Cochain.from_callable(
-        m,
-        1,
-        lambda h: kernel_coord(
-            e.table[e.inverses[s[m.rh[h]]]][ext.operator.images[s[h]]]
-        ),
-    )
-    pair = CocyclePair(tau, g)
-    dt, beta = d2_rbe(pair)
-    if not (dt.is_zero() and beta.is_zero()):
-        raise AssertionError("extracted pair is not a 2-cocycle")
-    return pair
-
-
-def recovered_action(ext: AbelianExtension, section: GroupMap | None = None):
-    """The conjugation action mu_h(y) = s(h)^-1 y s(h) read off the extension."""
-    if section is None:
-        section = ext.section
-    m, e = ext.module, ext.E
-    inc_inv = {img: y for y, img in enumerate(ext.include.images)}
-    out = []
-    for h in m.H.elements():
-        sh = section.images[h]
-        row = tuple(
-            inc_inv[e.table[e.table[e.inverses[sh]][ext.include.images[y]]][sh]]
-            for y in m.I.elements()
-        )
-        out.append(row)
-    return tuple(out)
-
-
-def same_module(m1: RBModule, m2: RBModule) -> bool:
-    return (
-        m1.H.table == m2.H.table
-        and m1.rh == m2.rh
-        and m1.I.table == m2.I.table
-        and m1.ri == m2.ri
-        and m1.action == m2.action
-    )
-
-
-def are_equivalent(
-    e1: AbelianExtension, e2: AbelianExtension, budget: int = DEFAULT_THETA_BUDGET
-) -> GroupMap | None:
-    """Fiber-preserving Rota-Baxter isomorphism (h,y) -> (h, y + theta(h)), or None.
-
-    Exhausts all |I|^(|H|-1) candidate theta maps.
-    """
-    if not same_module(e1.module, e2.module):
-        raise ValueError("extensions live over different modules")
-    m = e1.module
-    h, i = m.H, m.I
-    ni = i.order
-    for theta in _thetas(h, i, "extension equivalence", budget):
-        images = tuple(
-            hh * ni + i.table[y][theta[hh]] for hh in h.elements() for y in i.elements()
-        )
-        cand = GroupMap(e1.E, e2.E, images)
-        if not is_homomorphism(cand):
-            continue
-        if all(
-            images[e1.operator.images[x]] == e2.operator.images[images[x]]
-            for x in e1.E.elements()
-        ):
-            return cand
-    return None
-
-
-def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> dict:
-    """Partition all built extensions into theta-orbits and compare with |H2|.
-
-    The orbit of an extension is the set of pairs read off it through the
-    st-sections h -> (h, theta(h)).
-    """
-    from .cohomology import h2_rbe, z2_rbe
-
-    z2 = z2_rbe(module, budget)
-    exts = [build_abelian_extension(module, p) for p in z2]
-    h, ni = module.H, module.I.order
-
-    def orbit(k: int):
-        for theta in _thetas(h, module.I, "extension equivalence", DEFAULT_THETA_BUDGET):
-            section = GroupMap(h, exts[k].E, tuple(hh * ni + theta[hh] for hh in h.elements()))
-            yield extract_cocycle(exts[k], section).key()
-
-    classes = _orbit_classes([p.key() for p in z2], orbit)
-    reps = [z2[cls[0]] for cls in classes]  # z2 is sorted by key
-    h2 = h2_rbe(module, budget)
-    return {
-        "num_classes": len(classes),
-        "h2_order": h2.order_h2,
-        "match": len(classes) == h2.order_h2,
-        "class_representatives": [p.to_dict() for p in reps],
-    }
-
-
-def extension_to_dict(ext) -> dict:
-    """Serialize a built extension: full Cayley table plus (tau, g, mu).
-
-    Works for both AbelianExtension and GeneralExtension.
-    """
-    if isinstance(ext, AbelianExtension):
-        m = ext.module
-        tau = {
-            f"({h1},{h2})": ext.pair.tau((h1, h2))
-            for h1 in m.H.elements()
-            for h2 in m.H.elements()
-            if ext.pair.tau((h1, h2)) != 0
-        }
-        g = {str(h): ext.pair.g((h,)) for h in m.H.elements() if ext.pair.g((h,)) != 0}
-        mu = [list(row) for row in m.action]
-    else:
-        t = ext.triplet
-        tau = {
-            f"({h1},{h2})": v
-            for h1, row in enumerate(t.tau)
-            for h2, v in enumerate(row)
-            if v != 0
-        }
-        g = {str(h): v for h, v in enumerate(t.g) if v != 0}
-        mu = [list(row) for row in t.mu]
-    return {
-        "order": ext.E.order,
-        "table": [list(row) for row in ext.E.table],
-        "operator": list(ext.operator.images),
-        "tau": tau,
-        "g": g,
-        "mu": mu,
-    }
-
-
-# ---------------------------------------------------------------------------
-# general (possibly non-abelian kernel) extensions from triplet data
+# triplets and the one extension builder
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Triplet:
-    """Candidate datum (mu, tau, g) for a non-abelian extension.
+    """Candidate datum (mu, tau, g) for an extension.
 
     mu: per-h automorphism tables of I (not necessarily anti-homomorphic);
     tau: |H| x |H| table of I elements, normalized; g: map H -> I, g(0) = 0.
@@ -371,17 +106,42 @@ class Triplet:
 
 
 @dataclass
-class GeneralExtension:
-    """A built split or triplet extension; same shape as AbelianExtension."""
+class Extension:
+    """A built extension carrier E with its operator and structure maps.
 
-    hgroup: RotaBaxterOperator
-    igroup: RotaBaxterOperator
-    triplet: Triplet
+    Only the carrier is stored.  Its triplet is read off through the
+    canonical section; for abelian I so are the module (I, R_I, mu) and the
+    2-cocycle pair (tau, g) over it.
+    """
+
+    h_rb: RotaBaxterOperator
+    i_rb: RotaBaxterOperator
     E: FiniteGroup
     operator: RotaBaxterOperator
     include: GroupMap
     project: GroupMap
     section: GroupMap
+
+    @cached_property
+    def triplet(self) -> Triplet:
+        return extract_triplet(self)
+
+    @cached_property
+    def module(self) -> RBModule:
+        """The Rota-Baxter module of an abelian kernel; ValueError otherwise."""
+        return RBModule(self.h_rb, self.i_rb.group, self.i_rb.images, self.triplet.mu)
+
+    @cached_property
+    def pair(self) -> CocyclePair:
+        return _triplet_pair(self.module, self.triplet)
+
+
+def _triplet_pair(module: RBModule, t: Triplet) -> CocyclePair:
+    """The cochain pair (tau, g) of a triplet over an abelian kernel."""
+    return CocyclePair(
+        Cochain.from_callable(module, 2, lambda h1, h2: t.tau[h1][h2]),
+        Cochain.from_callable(module, 1, lambda hh: t.g[hh]),
+    )
 
 
 def _candidate_table(h: FiniteGroup, i: FiniteGroup, mu, tau) -> list[list[int]]:
@@ -425,52 +185,118 @@ def _mu_witness(mu, i: FiniteGroup):
     return None
 
 
+def _build(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator,
+           check: bool = True):
+    """Build the carrier of t, checking each part once: (None, Extension), or
+    (witness, None) with witness ("structural"/"group:..."/"rb-law", where).
+
+    The group axioms are checked on the table and the Rota-Baxter law on the
+    operator; with check, the structure maps are then verified as well.
+    """
+    h, i = h_rb.group, i_rb.group
+    if len(t.mu) != h.order or len(t.tau) != h.order or len(t.g) != h.order:
+        return ("structural", "shape"), None
+    w = _mu_witness(t.mu, i)
+    if w is not None:
+        return w, None
+    for hh in h.elements():
+        if t.tau[0][hh] != 0 or t.tau[hh][0] != 0:
+            return ("structural", f"tau not normalized at {hh}"), None
+    if t.g[0] != 0:
+        return ("structural", "g(identity) != identity"), None
+    table = _candidate_table(h, i, t.mu, t.tau)
+    w = group_table_witness(table)
+    if w is not None:
+        return ("group:" + w[0], w[1]), None
+    labels = None
+    if h.labels is not None and i.labels is not None:
+        labels = [f"({h.label(a)},{i.label(b)})" for a in h.elements() for b in i.elements()]
+    e_group = FiniteGroup(table, labels=labels, name=f"E({h.name},{i.name})", check=False)
+    images = _candidate_operator(h_rb, i_rb, t.mu, t.g)
+    w = rb_witness(e_group, images)
+    if w is not None:
+        return ("rb-law", w), None
+    ni = i.order
+    ext = Extension(
+        h_rb,
+        i_rb,
+        e_group,
+        RotaBaxterOperator(e_group, images),
+        GroupMap(i, e_group, tuple(range(ni))),
+        GroupMap(e_group, h, tuple(x // ni for x in e_group.elements())),
+        GroupMap(h, e_group, tuple(hh * ni for hh in h.elements())),
+    )
+    if check:
+        _verify_extension_invariants(ext, t)
+    return None, ext
+
+
+def _verify_extension_invariants(ext: Extension, t: Triplet) -> None:
+    """Structure-map checks on a carrier whose table and operator passed."""
+    h, i, e = ext.h_rb.group, ext.i_rb.group, ext.E
+    if not is_homomorphism(ext.include) or len(set(ext.include.images)) != i.order:
+        raise AssertionError("inclusion is not an injective homomorphism")
+    if not is_homomorphism(ext.project) or set(ext.project.images) != set(h.elements()):
+        raise AssertionError("projection is not a surjective homomorphism")
+    kernel = {x for x in e.elements() if ext.project.images[x] == 0}
+    if kernel != set(ext.include.images):
+        raise AssertionError("kernel of projection differs from the included copy")
+    for y in i.elements():
+        if ext.operator.images[ext.include.images[y]] != ext.include.images[ext.i_rb.images[y]]:
+            raise AssertionError("R_E does not restrict to R_I on the kernel")
+    for x in e.elements():
+        if ext.project.images[ext.operator.images[x]] != ext.h_rb.images[ext.project.images[x]]:
+            raise AssertionError("projection does not intertwine R_E with R_H")
+    if ext.triplet.key() != (tuple(map(tuple, t.mu)), tuple(map(tuple, t.tau)), tuple(t.g)):
+        raise AssertionError("the canonical section does not read back the triplet")
+
+
 def verify_triplet(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
     """Constructive check: build the candidate extension and test everything.
 
     Returns None when (mu, tau, g) is an associated triplet, else a witness
     ("structural"/"group:..."/"rb-law", where).
     """
-    h, i = h_rb.group, i_rb.group
-    if len(t.mu) != h.order or len(t.tau) != h.order or len(t.g) != h.order:
-        return ("structural", "shape")
-    w = _mu_witness(t.mu, i)
-    if w is not None:
-        return w
-    for hh in h.elements():
-        if t.tau[0][hh] != 0 or t.tau[hh][0] != 0:
-            return ("structural", f"tau not normalized at {hh}")
-    if t.g[0] != 0:
-        return ("structural", "g(identity) != identity")
-    table = _candidate_table(h, i, t.mu, t.tau)
-    w = group_table_witness(table)
-    if w is not None:
-        return ("group:" + w[0], w[1])
-    e_group = FiniteGroup(table, name="candidate", check=False)
-    w = rb_witness(e_group, _candidate_operator(h_rb, i_rb, t.mu, t.g))
-    if w is not None:
-        return ("rb-law", w)
-    return None
+    return _build(t, h_rb, i_rb)[0]
 
 
 def build_triplet_extension(
     t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator
-) -> GeneralExtension:
-    w = verify_triplet(t, h_rb, i_rb)
+) -> Extension:
+    w, ext = _build(t, h_rb, i_rb)
     if w is not None:
         raise ExtensionError(f"not an associated triplet: {w[0]} at {w[1]}", witness=w)
-    h, i = h_rb.group, i_rb.group
-    ni = i.order
-    table = _candidate_table(h, i, t.mu, t.tau)
-    labels = None
-    if h.labels is not None and i.labels is not None:
-        labels = [f"({h.label(a)},{i.label(b)})" for a in h.elements() for b in i.elements()]
-    e_group = FiniteGroup(table, labels=labels, name=f"E({h.name},{i.name})")
-    operator = RotaBaxterOperator(e_group, _candidate_operator(h_rb, i_rb, t.mu, t.g))
-    include = GroupMap(i, e_group, tuple(range(ni)))
-    project = GroupMap(e_group, h, tuple(e // ni for e in range(h.order * ni)))
-    section = GroupMap(h, e_group, tuple(hh * ni for hh in h.elements()))
-    return GeneralExtension(h_rb, i_rb, t, e_group, operator, include, project, section)
+    return ext
+
+
+def build_abelian_extension(
+    module: RBModule, pair: CocyclePair, check: bool = True
+) -> Extension:
+    """Construct E(tau, g) from a 2-cocycle pair; raises on a non-cocycle.
+
+    The error message names which of the two cocycle conditions failed and
+    the first tuple where it does.  The pair is then the triplet
+    (mu, tau, g) with mu the module's action.
+    """
+    dt, beta = d2_rbe(pair)
+    for image, condition, kind in ((dt, "group cocycle", "group-cocycle"),
+                                   (beta, "operator", "operator-cocycle")):
+        if not image.is_zero():
+            bad = next(t for t, v in sorted(image.values.items()) if v != 0)
+            raise ExtensionError(
+                f"pair is not a 2-cocycle: {condition} condition fails at {bad}",
+                witness=(kind, bad),
+            )
+    hs = module.H.elements()
+    t = Triplet(
+        module.action,
+        tuple(tuple(pair.tau((h1, h2)) for h2 in hs) for h1 in hs),
+        tuple(pair.g((hh,)) for hh in hs),
+    )
+    w, ext = _build(t, module.hop, RotaBaxterOperator(module.I, module.ri), check)
+    if w is not None:
+        raise AssertionError(f"a 2-cocycle is not an associated triplet: {w[0]} at {w[1]}")
+    return ext
 
 
 def build_split_extension(
@@ -478,7 +304,7 @@ def build_split_extension(
     i_rb: RotaBaxterOperator,
     mu,
     g,
-) -> GeneralExtension:
+) -> Extension:
     """Semidirect product H x| I with R(h,y) = (R_H h, g(h) R_I(i_{g(h)^-1} mu_{R_H h}(y))).
 
     mu must be a genuine anti-homomorphism here (the section is homomorphic);
@@ -487,8 +313,8 @@ def build_split_extension(
     """
     h, i = h_rb.group, i_rb.group
     mu = tuple(tuple(row) for row in mu)
-    action_as_map = [GroupMap(i, i, row) for row in mu]
-    for hh, gm in enumerate(action_as_map):
+    for hh, row in enumerate(mu):
+        gm = GroupMap(i, i, row)
         if not (is_bijective(gm) and is_homomorphism(gm)):
             raise ValueError(f"mu_{hh} is not an automorphism of I")
     for h1 in h.elements():
@@ -500,29 +326,55 @@ def build_split_extension(
     if g[0] != 0:
         raise ValueError("g must send the identity to the identity")
     zero_tau = tuple((0,) * h.order for _ in h.elements())
-    t = Triplet(mu, zero_tau, g)
-    w = verify_triplet(t, h_rb, i_rb)
+    w, ext = _build(Triplet(mu, zero_tau, g), h_rb, i_rb)
     if w is not None:
         raise ExtensionError(
             f"(mu, g) violates the split condition: {w[0]} at {w[1]}", witness=w
         )
-    ext = build_triplet_extension(t, h_rb, i_rb)
     if not is_homomorphism(ext.section):
         raise AssertionError("split extension's canonical section must be homomorphic")
     return ext
 
 
-def extract_triplet(ext: GeneralExtension, section: GroupMap | None = None) -> Triplet:
-    """Read (mu, tau, g) off a general extension through an st-section."""
+# ---------------------------------------------------------------------------
+# reading a carrier back through an st-section
+# ---------------------------------------------------------------------------
+
+
+def is_st_section(ext: Extension, s: GroupMap) -> bool:
+    return (
+        s.images[0] == 0
+        and all(ext.project.images[s.images[h]] == h for h in ext.h_rb.group.elements())
+    )
+
+
+def st_sections(ext: Extension):
+    """All set-theoretic sections of the projection fixing the identity."""
+    h = ext.h_rb.group
+    fibers = [
+        [e for e in ext.E.elements() if ext.project.images[e] == hh] for hh in h.elements()
+    ]
+    for choice in itertools.product(*fibers[1:]):
+        yield GroupMap(h, ext.E, (0,) + tuple(choice))
+
+
+def extract_triplet(ext: Extension, section: GroupMap | None = None) -> Triplet:
+    """Read (mu, tau, g) off an extension through an st-section s.
+
+    mu_h(y) = s(h)^-1 y s(h), tau(h1,h2) = s(h1 h2)^-1 s(h1) s(h2), and g(h)
+    is the kernel coordinate of s(R_H(h))^-1 R_E(s(h)).
+    """
     if section is None:
         section = ext.section
-    h, i, e = ext.hgroup.group, ext.igroup.group, ext.E
-    s = section.images
-    if s[0] != 0 or any(ext.project.images[s[hh]] != hh for hh in h.elements()):
+    if not is_st_section(ext, section):
         raise ValueError("map is not an st-section of the extension")
+    h, i, e = ext.h_rb.group, ext.i_rb.group, ext.E
+    s = section.images
     inc_inv = {img: y for y, img in enumerate(ext.include.images)}
 
     def coord(x: int) -> int:
+        if x not in inc_inv:
+            raise AssertionError("expected a kernel element")
         return inc_inv[x]
 
     mu = tuple(
@@ -540,10 +392,47 @@ def extract_triplet(ext: GeneralExtension, section: GroupMap | None = None) -> T
         for h1 in h.elements()
     )
     g = tuple(
-        coord(e.table[e.inverses[s[ext.hgroup.images[hh]]]][ext.operator.images[s[hh]]])
+        coord(e.table[e.inverses[s[ext.h_rb.images[hh]]]][ext.operator.images[s[hh]]])
         for hh in h.elements()
     )
     return Triplet(mu, tau, g)
+
+
+def extract_cocycle(ext: Extension, section: GroupMap | None = None) -> CocyclePair:
+    """Read (tau, g) off an abelian extension through an st-section.
+
+    The result is always a 2-cocycle over the extension's module.
+    """
+    pair = _triplet_pair(ext.module, extract_triplet(ext, section))
+    dt, beta = d2_rbe(pair)
+    if not (dt.is_zero() and beta.is_zero()):
+        raise AssertionError("extracted pair is not a 2-cocycle")
+    return pair
+
+
+def recovered_action(ext: Extension, section: GroupMap | None = None):
+    """The conjugation action mu_h(y) = s(h)^-1 y s(h) read off the extension."""
+    return extract_triplet(ext, section).mu
+
+
+def extension_to_dict(ext: Extension) -> dict:
+    """Serialize a built extension: full Cayley table plus (tau, g, mu)."""
+    t = ext.triplet
+    return {
+        "order": ext.E.order,
+        "table": [list(row) for row in ext.E.table],
+        "operator": list(ext.operator.images),
+        "tau": {
+            f"({h1},{h2})": v for h1, row in enumerate(t.tau) for h2, v in enumerate(row) if v
+        },
+        "g": {str(h): v for h, v in enumerate(t.g) if v},
+        "mu": [list(row) for row in t.mu],
+    }
+
+
+# ---------------------------------------------------------------------------
+# equivalence and classification
+# ---------------------------------------------------------------------------
 
 
 def _shift_triplet(
@@ -571,6 +460,14 @@ def _shift_triplet(
     return Triplet(mu, tau, tuple(g))
 
 
+def _section_shift(t1, t2, h_rb, i_rb, stage: str, budget: int):
+    """The first theta with _shift_triplet(t1, theta) == t2, or None."""
+    for theta in _thetas(h_rb.group, i_rb.group, stage, budget):
+        if _shift_triplet(t1, theta, h_rb, i_rb) == t2:
+            return theta
+    return None
+
+
 def triplets_equivalent(
     t1: Triplet,
     t2: Triplet,
@@ -585,10 +482,58 @@ def triplets_equivalent(
       tau2(h1,h2) = theta(h1 h2)^-1 tau1(h1,h2) mu1_{h2}(theta(h1)) theta(h2),
       theta(R_H(h)) g2(h) = g1(h) R_I(i_{g1(h)^-1}(mu1_{R_H(h)}(theta(h)))).
     """
-    for theta in _thetas(h_rb.group, i_rb.group, "triplet equivalence", budget):
-        if _shift_triplet(t1, theta, h_rb, i_rb) == t2:
-            return theta
-    return None
+    return _section_shift(t1, t2, h_rb, i_rb, "triplet equivalence", budget)
+
+
+def are_equivalent(
+    e1: Extension, e2: Extension, budget: int = DEFAULT_THETA_BUDGET
+) -> GroupMap | None:
+    """Fiber-preserving Rota-Baxter isomorphism s1(h) y -> s2(h) theta(h) y, or None.
+
+    theta is the first of the |I|^(|H|-1) section shifts that reads e2's
+    triplet as e1's; both must extend the same (H, R_H) by the same (I, R_I).
+    """
+    if (e1.h_rb, e1.i_rb) != (e2.h_rb, e2.i_rb):
+        raise ValueError("extensions live over different modules")
+    theta = _section_shift(
+        e2.triplet, e1.triplet, e1.h_rb, e1.i_rb, "extension equivalence", budget
+    )
+    if theta is None:
+        return None
+    i, s1, s2 = e1.i_rb.group, e1.section.images, e2.section.images
+    images = [0] * e1.E.order
+    for hh in e1.h_rb.group.elements():
+        for y in i.elements():
+            x = e1.E.table[s1[hh]][e1.include.images[y]]
+            images[x] = e2.E.table[s2[hh]][e2.include.images[i.table[theta[hh]][y]]]
+    return GroupMap(e1.E, e2.E, tuple(images))
+
+
+def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> dict:
+    """Partition all built extensions into theta-orbits and compare with |H2|.
+
+    The orbit of an extension is the set of triplets read off it through the
+    st-sections s.theta.
+    """
+    from .cohomology import h2_rbe, z2_rbe
+
+    z2 = z2_rbe(module, budget)
+    exts = [build_abelian_extension(module, p) for p in z2]
+    i_rb = RotaBaxterOperator(module.I, module.ri)
+
+    def orbit(k: int):
+        for theta in _thetas(module.H, module.I, "extension equivalence", DEFAULT_THETA_BUDGET):
+            yield _shift_triplet(exts[k].triplet, theta, module.hop, i_rb).key()
+
+    classes = _orbit_classes([ext.triplet.key() for ext in exts], orbit)
+    reps = [z2[cls[0]] for cls in classes]  # z2 is sorted by key
+    h2 = h2_rbe(module, budget)
+    return {
+        "num_classes": len(classes),
+        "h2_order": h2.order_h2,
+        "match": len(classes) == h2.order_h2,
+        "class_representatives": [p.to_dict() for p in reps],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ with Z1, and exactness of the resulting four-term sequence.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .groups import (
     FiniteGroup,
     GroupMap,
@@ -13,7 +15,7 @@ from .groups import (
     is_homomorphism,
 )
 from .cohomology import Cochain, CocyclePair, H2Result, RBModule, h2_rbe, z1_rbe
-from .extensions import AbelianExtension, extract_cocycle
+from .extensions import Extension
 from .operators import RotaBaxterOperator
 
 DEFAULT_AUT_BOUND = 64
@@ -31,7 +33,7 @@ def rb_automorphisms(
     ]
 
 
-def aut_I(ext: AbelianExtension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
+def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     """Rota-Baxter automorphisms of E that map the kernel copy into itself."""
     kernel = set(ext.include.images)
     return [
@@ -41,7 +43,16 @@ def aut_I(ext: AbelianExtension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMa
     ]
 
 
-def gamma_parts(ext: AbelianExtension, gamma: GroupMap) -> tuple[GroupMap, GroupMap]:
+def _rho(ext: Extension, auti: list[GroupMap]):
+    return [(f, *gamma_parts(ext, f)) for f in auti]
+
+
+def _rho_kernel(ext: Extension, rho_list) -> list[GroupMap]:
+    idh, idi = tuple(ext.module.H.elements()), tuple(ext.module.I.elements())
+    return [f for f, gh, gi in rho_list if gh.images == idh and gi.images == idi]
+
+
+def gamma_parts(ext: Extension, gamma: GroupMap) -> tuple[GroupMap, GroupMap]:
     """(gamma_H, gamma_I): the induced maps on H and on I.
 
     gamma_H(h) = project(gamma(section(h))); independent of the st-section.
@@ -55,21 +66,14 @@ def gamma_parts(ext: AbelianExtension, gamma: GroupMap) -> tuple[GroupMap, Group
     return GroupMap(m.H, m.H, gh), GroupMap(m.I, m.I, gi)
 
 
-def rho(ext: AbelianExtension, bound: int = DEFAULT_AUT_BOUND):
+def rho(ext: Extension, bound: int = DEFAULT_AUT_BOUND):
     """[(gamma, gamma_H, gamma_I)] over Aut_I(E, R_E)."""
-    return [(f, *gamma_parts(ext, f)) for f in aut_I(ext, bound)]
+    return _rho(ext, aut_I(ext, bound))
 
 
-def aut_HI(ext: AbelianExtension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
+def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     """Kernel of rho: automorphisms inducing the identity on both H and I."""
-    idh = tuple(ext.module.H.elements())
-    idi = tuple(ext.module.I.elements())
-    out = []
-    for f in aut_I(ext, bound):
-        gh, gi = gamma_parts(ext, f)
-        if gh.images == idh and gi.images == idi:
-            out.append(f)
-    return out
+    return _rho_kernel(ext, rho(ext, bound))
 
 
 def c_mu(
@@ -85,16 +89,7 @@ def c_mu(
         aut_i = rb_automorphisms(
             module.I, RotaBaxterOperator(module.I, module.ri), bound
         )
-    out = []
-    for phi in aut_h:
-        for psi in aut_i:
-            if all(
-                module.action[phi.images[h]][psi.images[y]]
-                == psi.images[module.action[h][y]]
-                for h in module.H.elements()
-                for y in module.I.elements()
-            ):
-                out.append((phi, psi))
+    out = [(phi, psi) for phi in aut_h for psi in aut_i if in_c_mu(module, phi, psi)]
     out.sort(key=lambda c: (c[0].images, c[1].images))
     return out
 
@@ -129,37 +124,28 @@ def compose_pairs(c1, c2):
     return (compose(c1[0], c2[0]), compose(c1[1], c2[1]))
 
 
-def twist_extension(
-    ext: AbelianExtension, c: tuple[GroupMap, GroupMap]
-) -> AbelianExtension:
+def twist_extension(ext: Extension, c: tuple[GroupMap, GroupMap]) -> Extension:
     """The same carrier read through inclusion i psi and projection phi^-1 pi.
 
-    Its extracted pair equals act_on_pair(c, pair); used to cross-check the
-    cochain-level action against the extension-level one.
+    Its pair, read off through the twisted section, equals act_on_pair(c,
+    pair); used to cross-check the cochain-level action against the
+    extension-level one.
     """
     phi, psi = c
-    m = ext.module
-    phi_inv = [0] * m.H.order
-    for h, img in enumerate(phi.images):
-        phi_inv[img] = h
-    include = compose(ext.include, psi)
-    project = GroupMap(ext.E, m.H, tuple(phi_inv[ext.project.images[x]] for x in ext.E.elements()))
-    section = GroupMap(m.H, ext.E, tuple(ext.section.images[phi.images[h]] for h in m.H.elements()))
-    twisted = AbelianExtension(
-        module=m,
-        E=ext.E,
-        operator=ext.operator,
-        include=include,
-        project=project,
-        section=section,
-        pair=ext.pair,
+    h, e = ext.h_rb.group, ext.E
+    phi_inv = [0] * h.order
+    for hh, img in enumerate(phi.images):
+        phi_inv[img] = hh
+    return dataclasses.replace(
+        ext,
+        include=compose(ext.include, psi),
+        project=GroupMap(e, h, tuple(phi_inv[ext.project.images[x]] for x in e.elements())),
+        section=GroupMap(h, e, tuple(ext.section.images[phi.images[hh]] for hh in h.elements())),
     )
-    twisted.pair = extract_cocycle(twisted)
-    return twisted
 
 
 def wells_map(
-    ext: AbelianExtension,
+    ext: Extension,
     h2: H2Result | None = None,
     cmu: list[tuple[GroupMap, GroupMap]] | None = None,
 ):
@@ -186,7 +172,7 @@ def wells_map(
 # ---------------------------------------------------------------------------
 
 
-def eta(ext: AbelianExtension, lam: Cochain) -> GroupMap:
+def eta(ext: Extension, lam: Cochain) -> GroupMap:
     """The automorphism (h, y) -> (h, lam(h) + y) attached to a derivation."""
     m = ext.module
     ni = m.I.order
@@ -196,7 +182,7 @@ def eta(ext: AbelianExtension, lam: Cochain) -> GroupMap:
     return GroupMap(ext.E, ext.E, images)
 
 
-def zeta(ext: AbelianExtension, gamma: GroupMap) -> Cochain:
+def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
     """The derivation h -> kernel coordinate of s(h)^-1 gamma(s(h))."""
     m, e = ext.module, ext.E
     inc_inv = {img: y for y, img in enumerate(ext.include.images)}
@@ -209,11 +195,12 @@ def zeta(ext: AbelianExtension, gamma: GroupMap) -> Cochain:
     )
 
 
-def z1_iso_check(ext: AbelianExtension, bound: int = DEFAULT_AUT_BOUND) -> dict:
+def z1_iso_check(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> dict:
     """Verify eta/zeta are mutually inverse group isomorphisms Z1 ~ Aut^{H,I}."""
-    m = ext.module
-    z1 = z1_rbe(m)
-    hi = aut_HI(ext, bound)
+    return _z1_iso(ext, z1_rbe(ext.module), aut_HI(ext, bound))
+
+
+def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
     eta_images = {}
     ok = True
     for lam in z1:
@@ -249,26 +236,28 @@ def z1_iso_check(ext: AbelianExtension, bound: int = DEFAULT_AUT_BOUND) -> dict:
 
 
 def check_wells_exactness(
-    ext: AbelianExtension,
+    ext: Extension,
     bound: int = DEFAULT_AUT_BOUND,
     budget: int | None = None,
 ) -> dict:
-    """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses."""
+    """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses.
+
+    Aut_I(E) is built once; rho, its kernel and the Z1 check all use it.
+    """
     m = ext.module
     cohomology_kwargs = {} if budget is None else {"budget": budget}
     h2 = h2_rbe(m, **cohomology_kwargs)
     cmu = c_mu(m, bound=bound)
     auti = aut_I(ext, bound)
-    hi = aut_HI(ext, bound)
+    rho_list = _rho(ext, auti)
+    hi = _rho_kernel(ext, rho_list)
     z1 = z1_rbe(m, **cohomology_kwargs)
     witnesses = []
 
-    iso = z1_iso_check(ext, bound)
-    exact_at_autI = iso["isomorphic"]
+    exact_at_autI = _z1_iso(ext, z1, hi)["isomorphic"]
     if not exact_at_autI:
         witnesses.append({"joint": "autI", "reason": "Z1 does not match Ker(rho)"})
 
-    rho_list = rho(ext, bound)
     image_rho = {(gh.images, gi.images) for _, gh, gi in rho_list}
     cmu_keys = {(phi.images, psi.images) for phi, psi in cmu}
     if not image_rho <= cmu_keys:

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from rbgroups.groups import BudgetError, FiniteGroup, automorphisms, endomorphisms, make_group
+from rbgroups.groups import (
+    BudgetError,
+    FiniteGroup,
+    GroupMap,
+    automorphisms,
+    endomorphisms,
+    is_homomorphism,
+    make_group,
+)
 from rbgroups.cohomology import (
     DEFAULT_COHOMOLOGY_BUDGET,
     CocyclePair,
@@ -300,3 +308,43 @@ def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
     classes = _orbit_classes([t.key() for t in valid], orbit)
     reps = [min((valid[i] for i in cls), key=lambda t: t.key()) for cls in classes]
     return TripletCensus(h_rb, i_rb, alpha, valid, classes, reps)
+
+
+# ---------------------------------------------------------------------------
+# extension equivalence oracle: test every theta as a map of carriers
+# ---------------------------------------------------------------------------
+
+
+def same_module(m1, m2) -> bool:
+    return (
+        m1.H.table == m2.H.table
+        and m1.rh == m2.rh
+        and m1.I.table == m2.I.table
+        and m1.ri == m2.ri
+        and m1.action == m2.action
+    )
+
+
+def brute_force_equivalent(e1, e2, budget=DEFAULT_THETA_BUDGET):
+    """Fiber-preserving Rota-Baxter isomorphism (h,y) -> (h, y + theta(h)), or None.
+
+    Exhausts all |I|^(|H|-1) candidate theta maps.
+    """
+    if not same_module(e1.module, e2.module):
+        raise ValueError("extensions live over different modules")
+    m = e1.module
+    h, i = m.H, m.I
+    ni = i.order
+    for theta in _thetas(h, i, "extension equivalence", budget):
+        images = tuple(
+            hh * ni + i.table[y][theta[hh]] for hh in h.elements() for y in i.elements()
+        )
+        cand = GroupMap(e1.E, e2.E, images)
+        if not is_homomorphism(cand):
+            continue
+        if all(
+            images[e1.operator.images[x]] == e2.operator.images[images[x]]
+            for x in e1.E.elements()
+        ):
+            return cand
+    return None

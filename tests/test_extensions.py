@@ -2,7 +2,11 @@ import itertools
 
 import pytest
 
-from conftest import all_modules, brute_force_census, relabelled
+from collections import Counter
+
+from conftest import all_modules, brute_force_census, brute_force_equivalent, relabelled
+
+from rbgroups import extensions, groups, operators
 
 from rbgroups.groups import (
     BudgetError,
@@ -38,6 +42,7 @@ from rbgroups.extensions import (
     center_module,
     classify_abelian,
     coupling_of,
+    extension_to_dict,
     extract_cocycle,
     extract_triplet,
     h2_alpha,
@@ -150,6 +155,13 @@ def test_recovered_action_matches_module():
             assert recovered_action(ext, s) == m.action
 
 
+def test_recovered_action_rejects_non_sections():
+    m = module_zx("Z2", "Z3", action=((0, 1, 2), (0, 2, 1)), ri=(0, 0, 0))
+    ext = build_abelian_extension(m, CocyclePair.zero(m))
+    with pytest.raises(ValueError, match="st-section"):
+        recovered_action(ext, GroupMap(m.H, ext.E, (0, 0)))
+
+
 def test_extract_rejects_non_sections():
     m = module_zx("Z2", "Z2")
     ext = build_abelian_extension(m, CocyclePair.zero(m))
@@ -188,6 +200,21 @@ def test_equivalence_requires_same_module():
     e2 = build_abelian_extension(m2, CocyclePair.zero(m2))
     with pytest.raises(ValueError, match="module"):
         are_equivalent(e1, e2)
+
+
+ORACLE_CARRIERS = [("Z2", "Z2"), ("Z2", "Z4"), ("Z3", "Z2"), ("Z2", "Z3")]
+
+
+@pytest.mark.parametrize("hname,iname", ORACLE_CARRIERS)
+def test_equivalence_matches_brute_force_oracle(hname, iname):
+    for m in all_modules(hname, iname):
+        exts = [build_abelian_extension(m, p) for p in z2_rbe(m)]
+        for a in exts:
+            for b in exts:
+                got, want = are_equivalent(a, b), brute_force_equivalent(a, b)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.images == want.images
 
 
 @pytest.mark.parametrize("hname,iname", [("Z2", "Z2"), ("Z2", "Z4")])
@@ -307,11 +334,18 @@ def abelian_triplet(m, pair):
 
 
 def test_abelian_cocycles_are_valid_triplets():
-    for m in all_modules("Z2", "Z4")[:6]:
+    modules = [m for hname, iname in ORACLE_CARRIERS for m in all_modules(hname, iname)]
+    for m in modules:
         h_rb = m.hop
         i_rb = RotaBaxterOperator(m.I, m.ri)
         for p in z2_rbe(m):
-            assert verify_triplet(abelian_triplet(m, p), h_rb, i_rb) is None
+            t = abelian_triplet(m, p)
+            assert verify_triplet(t, h_rb, i_rb) is None
+            ext = build_abelian_extension(m, p)
+            assert ext.triplet == t
+            assert extension_to_dict(ext) == extension_to_dict(
+                build_triplet_extension(t, h_rb, i_rb)
+            )
 
 
 def test_triplet_matches_split_builder():
@@ -325,6 +359,35 @@ def test_triplet_matches_split_builder():
     ext_s = build_split_extension(h_rb, i_rb, mu, (0, 1))
     assert ext_t.E.table == ext_s.E.table
     assert ext_t.operator.images == ext_s.operator.images
+
+
+def test_split_build_checks_table_and_operator_once(monkeypatch):
+    z2, z3 = make_group("Z2"), make_group("Z3")
+    h_rb = RotaBaxterOperator(z2, (0, 1))
+    i_rb = RotaBaxterOperator(z3, (0, 0, 0))
+    calls = Counter()
+    for fn in (groups.group_table_witness, operators.rb_witness):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (groups, operators, extensions):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    build_split_extension(h_rb, i_rb, ((0, 1, 2), (0, 2, 1)), (0, 1))
+    assert calls == {"group_table_witness": 1, "rb_witness": 1}
+
+
+def test_module_and_pair_need_an_abelian_kernel():
+    z2, d4 = make_group("Z2"), make_group("D4")
+    ext = build_split_extension(
+        RotaBaxterOperator(z2, (0, 0)), trivial_operator(d4), (tuple(d4.elements()),) * 2, (0, 0)
+    )
+    assert ext.triplet.tau == ((0, 0), (0, 0))
+    with pytest.raises(ValueError, match="abelian"):
+        ext.module
+    with pytest.raises(ValueError, match="abelian"):
+        ext.pair
 
 
 def test_perturbed_g_fails_with_witness():
@@ -547,6 +610,30 @@ def test_census_classes_match_pairwise_equivalence(iname, ri):
         for b in census.triplets:
             related = triplets_equivalent(a, b, census.h_rb, census.i_rb) is not None
             assert related == (census.class_of(a) == census.class_of(b))
+
+
+def test_non_abelian_extension_equivalence_is_an_rb_isomorphism():
+    census = _census_z2("D4", (0, 2, 2, 2, 0, 0, 2, 0))
+    exts = [build_triplet_extension(t, census.h_rb, census.i_rb) for t in census.triplets]
+    for a, ea in enumerate(exts[:12]):
+        for b, eb in enumerate(exts):
+            f = are_equivalent(ea, eb)
+            assert (f is not None) == (census.class_of(census.triplets[a])
+                                       == census.class_of(census.triplets[b]))
+            if f is not None:
+                assert is_homomorphism(f) and len(set(f.images)) == ea.E.order
+                assert all(f.images[ea.operator.images[x]] == eb.operator.images[f.images[x]]
+                           for x in ea.E.elements())
+                assert all(eb.project.images[f.images[x]] == ea.project.images[x]
+                           for x in ea.E.elements())
+
+
+def test_extensions_with_different_actions_are_not_equivalent():
+    m1 = module_zx("Z2", "Z4", ri=(0, 0, 0, 0))
+    m2 = module_zx("Z2", "Z4", ri=(0, 0, 0, 0), action=((0, 1, 2, 3), (0, 3, 2, 1)))
+    e1 = build_abelian_extension(m1, CocyclePair.zero(m1))
+    e2 = build_abelian_extension(m2, CocyclePair.zero(m2))
+    assert are_equivalent(e1, e2) is None and are_equivalent(e2, e1) is None
 
 
 @pytest.mark.parametrize("iname,ri", [("D4", None), ("D4", (0, 2, 2, 2, 0, 0, 2, 0))])

@@ -23,7 +23,7 @@ from rbgroups.groups import (
 from rbgroups.operators import RotaBaxterOperator, load_operator, rb_witness
 from rbgroups.cohomology import RBModule, is_two_cocycle, rb_module_witness
 from rbgroups.extensions import (
-    AbelianExtension,
+    Extension,
     build_abelian_extension,
     extract_cocycle,
     recovered_action,
@@ -67,14 +67,14 @@ def as_extension(big, op_file, kernel_gen_label):
     assert w is None, f"module condition does not emerge: {w}"
     module = RBModule(h_rb, igroup, ri, action)
     section = GroupMap(h, big, (0, s1))
-    return AbelianExtension(
-        module=module,
+    return Extension(
+        h_rb=module.hop,
+        i_rb=RotaBaxterOperator(module.I, module.ri),
         E=big,
         operator=op,
         include=include,
         project=proj,
         section=section,
-        pair=None,
     )
 
 
@@ -92,7 +92,18 @@ def test_literal_extension_extracts_a_cocycle(gname, op_file, gen):
     ext = as_extension(make_group(gname), op_file, gen)
     ext.pair = extract_cocycle(ext)  # asserts 2-cocycle membership internally
     assert is_two_cocycle(ext.module, ext.pair)
-    assert recovered_action(ext) == ext.module.action
+    assert recovered_action(ext) == literal_action(ext)
+
+
+def literal_action(ext):
+    """mu_h(y) = s(h)^-1 y s(h), computed here from the literal table; the
+    extension's `module` is derived from `recovered_action`, so comparing
+    against it would prove nothing."""
+    e, kernel, s = ext.E, ext.include.images, ext.section.images
+    return tuple(
+        tuple(kernel.index(e.table[e.table[e.inverses[sh]][x]][sh]) for x in kernel)
+        for sh in s
+    )
 
 
 @pytest.mark.parametrize("gname,op_file,gen", CASES)
