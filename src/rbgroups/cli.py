@@ -33,7 +33,6 @@ from .cohomology import (
     CocyclePair,
     RBModule,
     h2_rbe,
-    rb_module_witness,
     trivial_action,
 )
 from .extensions import (
@@ -114,11 +113,7 @@ def _resolve_module(args) -> RBModule:
     igroup = _resolve_group(args.I, args.bound)
     hop = _resolve_rb_operator(args.RH, h, "--RH")
     rop = _resolve_operator(args.RI, igroup)
-    action = _resolve_action(args.action, h, igroup)
-    witness = rb_module_witness(hop, igroup, rop.images, action)
-    if witness is not None:
-        raise ValueError(f"not a Rota-Baxter module: {witness[0]} fails at {witness[1]}")
-    return RBModule(hop, igroup, rop.images, action)
+    return RBModule(hop, igroup, rop.images, _resolve_action(args.action, h, igroup))
 
 
 def _load_cochain(module: RBModule, spec: str | None, arity: int) -> Cochain:

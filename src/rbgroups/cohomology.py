@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import BudgetError, FiniteGroup, GroupMap
+from .groups import BudgetError, FiniteGroup, action_witness
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -47,19 +47,9 @@ def rb_module_witness(hop: RotaBaxterOperator, igroup: FiniteGroup, ri, action):
     action = tuple(tuple(row) for row in action)
     if len(action) != h.order:
         return ("action-shape", ())
-    for hh, row in enumerate(action):
-        if sorted(row) != list(igroup.elements()):
-            return ("action-bijective", (hh,))
-        for a in igroup.elements():
-            for b in igroup.elements():
-                if row[igroup.table[a][b]] != igroup.table[row[a]][row[b]]:
-                    return ("action-endomorphism", (hh, a, b))
-    for h1 in h.elements():
-        for h2 in h.elements():
-            prod = action[h.table[h1][h2]]
-            comp = tuple(action[h2][action[h1][y]] for y in igroup.elements())
-            if tuple(prod) != comp:
-                return ("action-anti-homomorphism", (h1, h2))
+    w = action_witness(igroup, action, h.table)
+    if w is not None:
+        return ("action-" + w[0], w[1])
     rh = hop.images
     for hh in h.elements():
         mu_rh = action[rh[hh]]
@@ -294,19 +284,11 @@ def validate_circle_action(module: RBModule, sigma) -> None:
     sigma = tuple(tuple(row) for row in sigma)
     if len(sigma) != module.H.order:
         raise ValueError("circle action has wrong length")
-    for h, row in enumerate(sigma):
-        gm = GroupMap(module.I, module.I, tuple(row))
-        from .groups import is_bijective, is_homomorphism
-
-        if not (is_bijective(gm) and is_homomorphism(gm)):
-            raise ValueError(f"sigma_{h} is not an automorphism of I")
-    circ = module.circle.table
-    for h1 in module.H.elements():
-        for h2 in module.H.elements():
-            prod = sigma[circ[h1][h2]]
-            comp = tuple(sigma[h2][sigma[h1][y]] for y in module.I.elements())
-            if tuple(prod) != comp:
-                raise ValueError(f"sigma is not anti-homomorphic at ({h1}, {h2})")
+    w = action_witness(module.I, sigma, module.circle.table)
+    if w is not None and w[0] == "anti-homomorphism":
+        raise ValueError(f"sigma is not anti-homomorphic at {w[1]}")
+    if w is not None:
+        raise ValueError(f"sigma_{w[1][0]} is not an automorphism of I")
     for h in module.H.elements():
         for y in module.I.elements():
             if module.ri[sigma[h][y]] != module.action[module.rh[h]][module.ri[y]]:
@@ -628,14 +610,26 @@ def b2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
 
 @dataclass
 class H2Result:
-    """Second cohomology as canonical coset representatives of Z2 mod B2."""
+    """Second cohomology as canonical coset representatives of Z2 mod B2,
+    keeping the sorted Z2 and B2 lists it was computed from."""
 
     module: RBModule
-    order_z2: int
-    order_b2: int
-    order_h2: int
+    z2: list[CocyclePair]
+    b2: list[CocyclePair]
     representatives: list[CocyclePair]
     _class_index: dict
+
+    @property
+    def order_z2(self) -> int:
+        return len(self.z2)
+
+    @property
+    def order_b2(self) -> int:
+        return len(self.b2)
+
+    @property
+    def order_h2(self) -> int:
+        return len(self.z2) // len(self.b2)
 
     def class_of(self, pair: CocyclePair) -> CocyclePair:
         """Canonical representative of the coset of a 2-cocycle."""
@@ -673,11 +667,4 @@ def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Resul
         reps.append(p)
         for b in b2_keys:
             class_index[_vadd(add, key, b)] = p
-    return H2Result(
-        module=module,
-        order_z2=len(z2),
-        order_b2=len(b2),
-        order_h2=len(z2) // len(b2),
-        representatives=reps,
-        _class_index=class_index,
-    )
+    return H2Result(module, z2, b2, reps, class_index)

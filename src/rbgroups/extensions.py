@@ -5,12 +5,13 @@ One `Extension` type and one builder cover every case: an abelian extension
 with 2-cocycle (tau, g) is the triplet (mu, tau, g) with abelian I and
 anti-homomorphic mu, and a split extension is a triplet with tau = 0.
 
-Extension carriers are H x I with pair index h*|I| + y, group law
+The builder lays carriers out as H x I with pair index h*|I| + y, group law
 (h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) mu_{h2}(y1) y2) and operator
 R(h,y) = (R_H h, g(h) R_I(i_{g(h)^-1} mu_{R_H h}(y))), which for abelian I is
-(R_H h, g(h) + R_I(mu_{R_H h}(y))).  The builder verifies everything it
-constructs, and `extract_triplet` is the one routine that reads a carrier
-back through an st-section.
+(R_H h, g(h) + R_I(mu_{R_H h}(y))), and verifies everything it constructs.
+No other code relies on that layout: an `Extension` is read through its
+section and inclusion (`Extension.element` and `Extension.coordinate`), so
+carriers laid out any other way work too.
 
 Two extensions (or triplets) are equivalent when they differ by a change of
 section s -> s.theta with theta: H -> I, theta(e) = e.  Equivalence classes
@@ -29,10 +30,10 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    action_witness,
     automorphisms,
     center,
     group_table_witness,
-    is_bijective,
     is_homomorphism,
 )
 from .cohomology import Cochain, CocyclePair, RBModule, d2_rbe
@@ -135,6 +136,21 @@ class Extension:
     def pair(self) -> CocyclePair:
         return _triplet_pair(self.module, self.triplet)
 
+    @cached_property
+    def _coordinates(self) -> dict[int, int]:
+        return {x: y for y, x in enumerate(self.include.images)}
+
+    def coordinate(self, x: int) -> int:
+        """The kernel coordinate y with include(y) = x."""
+        y = self._coordinates.get(x)
+        if y is None:
+            raise AssertionError("expected a kernel element")
+        return y
+
+    def element(self, h: int, y: int) -> int:
+        """s(h) i(y), through the stored section and inclusion."""
+        return self.E.table[self.section.images[h]][self.include.images[y]]
+
 
 def _triplet_pair(module: RBModule, t: Triplet) -> CocyclePair:
     """The cochain pair (tau, g) of a triplet over an abelian kernel."""
@@ -178,20 +194,20 @@ def _mu_witness(mu, i: FiniteGroup):
     """First reason mu is not a family of automorphisms with mu_e = id, or None."""
     if tuple(mu[0]) != tuple(i.elements()):
         return ("structural", "mu at identity is not id")
-    for hh, row in enumerate(mu):
-        gm = GroupMap(i, i, tuple(row))
-        if not (is_bijective(gm) and is_homomorphism(gm)):
-            return ("structural", f"mu_{hh} is not an automorphism")
+    w = action_witness(i, mu)
+    if w is not None:
+        return ("structural", f"mu_{w[1][0]} is not an automorphism")
     return None
 
 
-def _build(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator,
-           check: bool = True):
+def _build(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
     """Build the carrier of t, checking each part once: (None, Extension), or
     (witness, None) with witness ("structural"/"group:..."/"rb-law", where).
 
     The group axioms are checked on the table and the Rota-Baxter law on the
-    operator; with check, the structure maps are then verified as well.
+    operator; the structure maps are then verified as well.  This is the one
+    place that lays the carrier out (pair index h*|I| + y); everything else
+    reads it through the section and the inclusion.
     """
     h, i = h_rb.group, i_rb.group
     if len(t.mu) != h.order or len(t.tau) != h.order or len(t.g) != h.order:
@@ -226,8 +242,7 @@ def _build(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator,
         GroupMap(e_group, h, tuple(x // ni for x in e_group.elements())),
         GroupMap(h, e_group, tuple(hh * ni for hh in h.elements())),
     )
-    if check:
-        _verify_extension_invariants(ext, t)
+    _verify_extension_invariants(ext, t)
     return None, ext
 
 
@@ -269,14 +284,14 @@ def build_triplet_extension(
     return ext
 
 
-def build_abelian_extension(
-    module: RBModule, pair: CocyclePair, check: bool = True
-) -> Extension:
+def build_abelian_extension(module: RBModule, pair: CocyclePair) -> Extension:
     """Construct E(tau, g) from a 2-cocycle pair; raises on a non-cocycle.
 
     The error message names which of the two cocycle conditions failed and
     the first tuple where it does.  The pair is then the triplet
-    (mu, tau, g) with mu the module's action.
+    (mu, tau, g) with mu the module's action, and the extension keeps the
+    module it was given: the builder's read-back check makes its action the
+    extension's mu.
     """
     dt, beta = d2_rbe(pair)
     for image, condition, kind in ((dt, "group cocycle", "group-cocycle"),
@@ -293,9 +308,10 @@ def build_abelian_extension(
         tuple(tuple(pair.tau((h1, h2)) for h2 in hs) for h1 in hs),
         tuple(pair.g((hh,)) for hh in hs),
     )
-    w, ext = _build(t, module.hop, RotaBaxterOperator(module.I, module.ri), check)
+    w, ext = _build(t, module.hop, RotaBaxterOperator(module.I, module.ri))
     if w is not None:
         raise AssertionError(f"a 2-cocycle is not an associated triplet: {w[0]} at {w[1]}")
+    ext.module = module
     return ext
 
 
@@ -313,15 +329,11 @@ def build_split_extension(
     """
     h, i = h_rb.group, i_rb.group
     mu = tuple(tuple(row) for row in mu)
-    for hh, row in enumerate(mu):
-        gm = GroupMap(i, i, row)
-        if not (is_bijective(gm) and is_homomorphism(gm)):
-            raise ValueError(f"mu_{hh} is not an automorphism of I")
-    for h1 in h.elements():
-        for h2 in h.elements():
-            comp = tuple(mu[h2][mu[h1][y]] for y in i.elements())
-            if mu[h.table[h1][h2]] != comp:
-                raise ValueError(f"mu is not an anti-homomorphism at ({h1}, {h2})")
+    w = action_witness(i, mu, h.table)
+    if w is not None and w[0] == "anti-homomorphism":
+        raise ValueError(f"mu is not an anti-homomorphism at {w[1]}")
+    if w is not None:
+        raise ValueError(f"mu_{w[1][0]} is not an automorphism of I")
     g = tuple(g)
     if g[0] != 0:
         raise ValueError("g must send the identity to the identity")
@@ -369,14 +381,7 @@ def extract_triplet(ext: Extension, section: GroupMap | None = None) -> Triplet:
     if not is_st_section(ext, section):
         raise ValueError("map is not an st-section of the extension")
     h, i, e = ext.h_rb.group, ext.i_rb.group, ext.E
-    s = section.images
-    inc_inv = {img: y for y, img in enumerate(ext.include.images)}
-
-    def coord(x: int) -> int:
-        if x not in inc_inv:
-            raise AssertionError("expected a kernel element")
-        return inc_inv[x]
-
+    s, coord = section.images, ext.coordinate
     mu = tuple(
         tuple(
             coord(e.table[e.table[e.inverses[s[hh]]][ext.include.images[y]]][s[hh]])
@@ -500,12 +505,11 @@ def are_equivalent(
     )
     if theta is None:
         return None
-    i, s1, s2 = e1.i_rb.group, e1.section.images, e2.section.images
+    i = e1.i_rb.group
     images = [0] * e1.E.order
     for hh in e1.h_rb.group.elements():
         for y in i.elements():
-            x = e1.E.table[s1[hh]][e1.include.images[y]]
-            images[x] = e2.E.table[s2[hh]][e2.include.images[i.table[theta[hh]][y]]]
+            images[e1.element(hh, y)] = e2.element(hh, i.table[theta[hh]][y])
     return GroupMap(e1.E, e2.E, tuple(images))
 
 
@@ -515,9 +519,10 @@ def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> 
     The orbit of an extension is the set of triplets read off it through the
     st-sections s.theta.
     """
-    from .cohomology import h2_rbe, z2_rbe
+    from .cohomology import h2_rbe
 
-    z2 = z2_rbe(module, budget)
+    h2 = h2_rbe(module, budget)
+    z2 = h2.z2
     exts = [build_abelian_extension(module, p) for p in z2]
     i_rb = RotaBaxterOperator(module.I, module.ri)
 
@@ -527,7 +532,6 @@ def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> 
 
     classes = _orbit_classes([ext.triplet.key() for ext in exts], orbit)
     reps = [z2[cls[0]] for cls in classes]  # z2 is sorted by key
-    h2 = h2_rbe(module, budget)
     return {
         "num_classes": len(classes),
         "h2_order": h2.order_h2,
@@ -727,13 +731,12 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_TRIPLET_BUDGET) 
 
     The class [(tau', g')] sends [(mu, tau, g)] to [(mu, tau*tau', g*g')].
     """
-    from .cohomology import b2_rbe, h2_rbe
+    from .cohomology import h2_rbe
 
     h_rb, i_rb = census.h_rb, census.i_rb
     h, i = h_rb.group, i_rb.group
     module, z_elems = center_module(census)
     h2 = h2_rbe(module, budget)
-    b2 = b2_rbe(module, budget)
 
     def translated(t: Triplet, pair: CocyclePair) -> Triplet:
         tau = tuple(
@@ -763,7 +766,7 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_TRIPLET_BUDGET) 
                 free = False
                 witnesses.append({"h2_class": pi, "census_class": ci})
             # well-definedness: coboundary shifts of the pair act identically
-            for b in b2:
+            for b in h2.b2:
                 if census.class_of(translated(rep_t, rep_pair.add(b))) != target:
                     raise AssertionError("central action is not well-defined")
         action_table.append(row)

@@ -395,6 +395,30 @@ def is_bijective(f: GroupMap) -> bool:
     return len(set(f.images)) == f.domain.order == f.codomain.order
 
 
+def action_witness(i: FiniteGroup, maps, h_table=None):
+    """First reason the rows of maps are not automorphisms of i, or, given a
+    Cayley table of the acting group, not an anti-homomorphism
+    (maps[h1 h2] = maps[h2] maps[h1]); None when they are.
+
+    Witnesses: ("bijective", (h,)), ("endomorphism", (h, a, b)) and
+    ("anti-homomorphism", (h1, h2)).
+    """
+    elems = list(i.elements())
+    for h, row in enumerate(maps):
+        if sorted(row) != elems:
+            return ("bijective", (h,))
+        for a in elems:
+            for b in elems:
+                if row[i.table[a][b]] != i.table[row[a]][row[b]]:
+                    return ("endomorphism", (h, a, b))
+    if h_table is not None:
+        for h1, products in enumerate(h_table):
+            for h2, h12 in enumerate(products):
+                if tuple(maps[h12]) != tuple(maps[h2][maps[h1][y]] for y in elems):
+                    return ("anti-homomorphism", (h1, h2))
+    return None
+
+
 def inner_automorphism(g: FiniteGroup, x: int) -> GroupMap:
     """The inner map y -> x y x^-1."""
     return GroupMap(g, g, tuple(g.conj(x, y) for y in g.elements()))

@@ -9,6 +9,7 @@ the enumeration propagates on.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -99,6 +100,8 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # propagation: R(x o y) = R(x) R(y) is known for every pair with R(x), R(y)
 # known, where x o y = x R(x) y R(x)^-1.  So a newly fixed w only creates the
 # pairs (w, y) and (y, w); `trail`, the newly fixed elements, is the worklist.
+# The branch at x tries the values domains[x] in increasing order, so tables
+# are found in lexicographic order; the search stops after `limit` of them.
 
 
 def _propagate(table, inv, values, trail) -> bool:
@@ -132,18 +135,20 @@ def _propagate(table, inv, values, trail) -> bool:
     return True
 
 
-def _dfs(table, inv, values, out) -> None:
+def _dfs(table, inv, values, out, domains, limit) -> None:
     if -1 not in values:
         out.append(tuple(values))
         return
     x = values.index(-1)
-    for v in range(len(values)):
+    for v in domains[x]:
         trail = [x]
         values[x] = v
         if _propagate(table, inv, values, trail):
-            _dfs(table, inv, values, out)
+            _dfs(table, inv, values, out, domains, limit)
         for t in trail:
             values[t] = -1
+        if len(out) >= limit:
+            return
 
 
 def _enumerate_task(args) -> list[tuple[int, ...]]:
@@ -154,7 +159,7 @@ def _enumerate_task(args) -> list[tuple[int, ...]]:
     values[1] = first_value
     out: list[tuple[int, ...]] = []
     if _propagate(g.table, g.inverses, values, [0, 1]):
-        _dfs(g.table, g.inverses, values, out)
+        _dfs(g.table, g.inverses, values, out, [g.elements()] * g.order, math.inf)
     return out
 
 
@@ -326,8 +331,11 @@ def find_rb_inducing_brace(
     """Search for R on (carrier, add) whose circle table equals brace.circ.
 
     R(x) is pinned up to the centralizer by R(x) y R(x)^-1 = x^-1 (x o y);
-    the remaining constraint is that R be a homomorphism (G, o) -> (G, .).
-    Returns the lexicographically first solution, or None after exhausting.
+    the remaining constraint is that R be a homomorphism (G, o) -> (G, .),
+    which the enumeration's search propagates over these candidate lists.
+    Values it propagates stay candidates, because lambda_x(y) = x^-1 (x o y)
+    is a homomorphism from (G, o), so every table it reaches induces the
+    brace.  Returns the lexicographically first solution, or None.
     """
     w = skew_brace_witness(brace)
     if w is not None:
@@ -335,52 +343,20 @@ def find_rb_inducing_brace(
     if brace.order > bound:
         raise BudgetError(f"search bound exceeded: order {brace.order} > {bound}")
     add = brace.add_group()
-    circ = brace.circ
-    n = brace.order
-    candidates: list[list[int]] = []
-    for x in range(n):
-        target = [add.mul(add.inv(x), circ[x][y]) for y in range(n)]
-        cands = [
-            z
-            for z in range(n)
-            if all(add.conj(z, y) == target[y] for y in range(n))
-        ]
-        if not cands:
-            return None
-        candidates.append(cands)
-    if 0 not in candidates[0]:
-        return None
-
-    values = [-1] * n
-    values[0] = 0
+    candidates = []
+    for x in add.elements():
+        target = [add.mul(add.inv(x), brace.circ[x][y]) for y in add.elements()]
+        candidates.append(
+            [z for z in add.elements() if all(add.conj(z, y) == t for y, t in enumerate(target))]
+        )
+    values = [0] + [-1] * (add.order - 1)
     found: list[tuple[int, ...]] = []
-
-    def consistent(x: int) -> bool:
-        for y in range(n):
-            if values[y] < 0:
-                continue
-            for a, b in ((x, y), (y, x)):
-                z = circ[a][b]
-                if values[z] >= 0 and values[z] != add.mul(values[a], values[b]):
-                    return False
-        return True
-
-    def dfs() -> bool:
-        x = next((i for i in range(n) if values[i] < 0), None)
-        if x is None:
-            found.append(tuple(values))
-            return True
-        for v in candidates[x]:
-            values[x] = v
-            if consistent(x) and dfs():
-                return True
-            values[x] = -1
-        return False
-
-    if not dfs():
+    _dfs(add.table, add.inverses, values, found, candidates, 1)
+    if not found:
         return None
     op = RotaBaxterOperator(add, found[0])
     assert rb_witness(add, op.images) is None
+    assert circle_table(add, op.images) == tuple(map(tuple, brace.circ))
     return op
 
 

@@ -58,11 +58,10 @@ def gamma_parts(ext: Extension, gamma: GroupMap) -> tuple[GroupMap, GroupMap]:
     gamma_H(h) = project(gamma(section(h))); independent of the st-section.
     """
     m = ext.module
-    inc_inv = {img: y for y, img in enumerate(ext.include.images)}
     gh = tuple(
         ext.project.images[gamma.images[ext.section.images[h]]] for h in m.H.elements()
     )
-    gi = tuple(inc_inv[gamma.images[ext.include.images[y]]] for y in m.I.elements())
+    gi = tuple(ext.coordinate(gamma.images[ext.include.images[y]]) for y in m.I.elements())
     return GroupMap(m.H, m.H, gh), GroupMap(m.I, m.I, gi)
 
 
@@ -173,25 +172,20 @@ def wells_map(
 
 
 def eta(ext: Extension, lam: Cochain) -> GroupMap:
-    """The automorphism (h, y) -> (h, lam(h) + y) attached to a derivation."""
+    """The automorphism s(h) i(y) -> s(h) i(lam(h) + y) attached to a derivation."""
     m = ext.module
-    ni = m.I.order
-    images = tuple(
-        h * ni + m.I.table[lam((h,))][y] for h in m.H.elements() for y in m.I.elements()
-    )
-    return GroupMap(ext.E, ext.E, images)
+    images = [0] * ext.E.order
+    for h in m.H.elements():
+        for y in m.I.elements():
+            images[ext.element(h, y)] = ext.element(h, m.I.table[lam((h,))][y])
+    return GroupMap(ext.E, ext.E, tuple(images))
 
 
 def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
     """The derivation h -> kernel coordinate of s(h)^-1 gamma(s(h))."""
-    m, e = ext.module, ext.E
-    inc_inv = {img: y for y, img in enumerate(ext.include.images)}
+    e, s = ext.E, ext.section.images
     return Cochain.from_callable(
-        m,
-        1,
-        lambda h: inc_inv[
-            e.table[e.inverses[ext.section.images[h]]][gamma.images[ext.section.images[h]]]
-        ],
+        ext.module, 1, lambda h: ext.coordinate(e.table[e.inverses[s[h]]][gamma.images[s[h]]])
     )
 
 

@@ -34,7 +34,13 @@ from rbgroups.extensions import (
     _thetas,
     verify_triplet,
 )
-from rbgroups.operators import enumerate_rb_operators, rb_witness
+from rbgroups.operators import (
+    DEFAULT_ENUM_BOUND,
+    RotaBaxterOperator,
+    enumerate_rb_operators,
+    rb_witness,
+    skew_brace_witness,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -257,14 +263,7 @@ def brute_force_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
         for b in b2:
             q = p.add(b)
             class_index[q.key()] = p
-    return H2Result(
-        module=module,
-        order_z2=len(z2),
-        order_b2=len(b2),
-        order_h2=len(z2) // len(b2),
-        representatives=reps,
-        _class_index=class_index,
-    )
+    return H2Result(module, z2, b2, reps, class_index)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +347,66 @@ def brute_force_equivalent(e1, e2, budget=DEFAULT_THETA_BUDGET):
         ):
             return cand
     return None
+
+
+# ---------------------------------------------------------------------------
+# brace -> operator oracle: depth-first search with a consistency check
+# ---------------------------------------------------------------------------
+
+
+def dfs_inducing_brace(brace, bound=DEFAULT_ENUM_BOUND):
+    """Oracle: the brace-to-operator search that checks each assignment
+    against the homomorphism law instead of propagating it."""
+    w = skew_brace_witness(brace)
+    if w is not None:
+        raise ValueError(f"not a skew brace: {w[0]} at {w[1]}")
+    if brace.order > bound:
+        raise BudgetError(f"search bound exceeded: order {brace.order} > {bound}")
+    add = brace.add_group()
+    circ = brace.circ
+    n = brace.order
+    candidates: list[list[int]] = []
+    for x in range(n):
+        target = [add.mul(add.inv(x), circ[x][y]) for y in range(n)]
+        cands = [
+            z
+            for z in range(n)
+            if all(add.conj(z, y) == target[y] for y in range(n))
+        ]
+        if not cands:
+            return None
+        candidates.append(cands)
+    if 0 not in candidates[0]:
+        return None
+
+    values = [-1] * n
+    values[0] = 0
+    found: list[tuple[int, ...]] = []
+
+    def consistent(x: int) -> bool:
+        for y in range(n):
+            if values[y] < 0:
+                continue
+            for a, b in ((x, y), (y, x)):
+                z = circ[a][b]
+                if values[z] >= 0 and values[z] != add.mul(values[a], values[b]):
+                    return False
+        return True
+
+    def dfs() -> bool:
+        x = next((i for i in range(n) if values[i] < 0), None)
+        if x is None:
+            found.append(tuple(values))
+            return True
+        for v in candidates[x]:
+            values[x] = v
+            if consistent(x) and dfs():
+                return True
+            values[x] = -1
+        return False
+
+    if not dfs():
+        return None
+    op = RotaBaxterOperator(add, found[0])
+    assert rb_witness(add, op.images) is None
+    return op

@@ -1,5 +1,7 @@
-"""Golden CLI outputs: stdout and exit code of `rbg split`, `wells` and
-`classify`, compared byte for byte against `golden/cli_outputs.json`.
+"""Golden CLI outputs: stdout, stderr and exit code of `rbg split`, `wells`,
+`classify` and `cohomology`, compared byte for byte against
+`golden/cli_outputs.json`.  None of these subcommands prints timings, so
+stderr is as deterministic as stdout.
 
 The recorded outputs are the contract that refactors of the extension and
 Wells layers must keep.  Re-record them only for an intended output change:
@@ -46,6 +48,13 @@ CALLS = {
                            "--RI", "(0,2,0,2)"],
     "classify text": ["classify", "--H", "Z2", "--I", "Z4", "--action", "trivial",
                       "--RH", "zero", "--RI", "zero", "--format", "text"],
+    "classify non-abelian kernel": ["classify", "--H", "Z2", "--I", "S3", "--RH", "zero"],
+    "cohomology readme": ["cohomology", "--H", "Z2", "--I", "Z4", "--action", "trivial",
+                          "--RH", "zero", "--RI", "zero"],
+    "cohomology non-anti-homomorphic action": ["cohomology", "--H", "Z3", "--I", "Z3",
+                                               "--action", "@z3_not_anti_on_z3.json"],
+    "split non-automorphism action": ["split", "--H", "Z2", "--I", "Z3",
+                                      "--action", "@z2_collapses_z3.json"],
 }
 
 
@@ -66,7 +75,7 @@ def _run(name: str, tmp: Path) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(_argv(name, tmp))
-    return {"exit": code, "stdout": stdout.getvalue()}
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

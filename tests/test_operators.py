@@ -14,7 +14,13 @@ from rbgroups.groups import (
     make_group,
     subgroup_closure,
 )
-from conftest import FIXTURES, brute_force_operators, fixpoint_operators, relabelled
+from conftest import (
+    FIXTURES,
+    brute_force_operators,
+    dfs_inducing_brace,
+    fixpoint_operators,
+    relabelled,
+)
 from rbgroups.operators import (
     RotaBaxterOperator,
     SkewBrace,
@@ -276,6 +282,51 @@ def test_find_rb_inducing_brace_none_case():
     else:
         with pytest.raises(ValueError):
             find_rb_inducing_brace(brace)
+
+
+def brace_outcome(search, brace, **kwargs):
+    """The table found, None, or the exception's type and text."""
+    try:
+        op = search(brace, **kwargs)
+    except (ValueError, BudgetError) as err:
+        return (type(err).__name__, str(err))
+    return None if op is None else op.images
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S3", "D4", "Q8", "D5", "D6", "S4", "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z2xZ6"],
+)
+def test_brace_search_matches_the_dfs_oracle(name):
+    g = make_group(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ops = enumerate_rb_operators(g, bound=g.order)
+    for op in ops:
+        brace = induced_skew_brace(g, op)
+        want = brace_outcome(dfs_inducing_brace, brace, bound=g.order)
+        assert want is not None
+        assert brace_outcome(find_rb_inducing_brace, brace, bound=g.order) == want
+    if g.order > 16:  # the default bound refuses both searches alike
+        brace = induced_skew_brace(g, ops[0])
+        want = brace_outcome(dfs_inducing_brace, brace)
+        assert want[0] == "BudgetError"
+        assert brace_outcome(find_rb_inducing_brace, brace) == want
+
+
+def test_brace_search_matches_the_dfs_oracle_off_the_induced_braces():
+    v4, z4 = make_group("Z2xZ2"), make_group("Z4")
+    pairs = [SkewBrace(4, v4.table, z4.table), SkewBrace(4, z4.table, v4.table)]
+    # (Z4, +) with a o b = a + (-1)^a b: a skew brace whose lambda maps are
+    # not inner, so no operator induces it
+    pairs.append(SkewBrace(4, z4.table, tuple(
+        tuple((a + (-1) ** a * b) % 4 for b in range(4)) for a in range(4))))
+    outcomes = []
+    for brace in pairs:
+        want = brace_outcome(dfs_inducing_brace, brace)
+        assert brace_outcome(find_rb_inducing_brace, brace) == want
+        outcomes.append(want)
+    assert outcomes[2] is None
 
 
 def test_operator_serialization_roundtrip(tmp_path, s3):

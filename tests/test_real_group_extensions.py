@@ -147,6 +147,20 @@ def test_rebuild_matches_up_to_rb_isomorphism(gname, op_file, gen):
     assert found
 
 
+@pytest.mark.parametrize("gname,op_file,gen", CASES)
+def test_wells_report_is_exact_on_literal_extensions(gname, op_file, gen):
+    from rbgroups.wells import check_wells_exactness
+
+    ext = as_extension(make_group(gname), op_file, gen)
+    report = check_wells_exactness(ext)
+    assert report["exact_at_autI"] and report["exact_at_cmu"]
+    assert report["omega_is_derivation"] and report["witnesses"] == []
+    assert report["z1_order"] == report["autHI_order"]
+    # the builder's carrier of the extracted cocycle gives the same report
+    rebuilt = build_abelian_extension(ext.module, extract_cocycle(ext))
+    assert check_wells_exactness(rebuilt) == report
+
+
 def test_q8_extension_is_non_split():
     # tau extracted from Q8 over Z4 is never a coboundary: j^2 = -1 != e
     ext = as_extension(make_group("Q8"), "q8/R1.json", "(1,2,3,4)(5,6,7,8)")
