@@ -29,6 +29,7 @@ from .operators import (
     trivial_operator,
 )
 from .cohomology import (
+    DEFAULT_COHOMOLOGY_BUDGET,
     Cochain,
     CocyclePair,
     RBModule,
@@ -41,7 +42,7 @@ from .extensions import (
     build_split_extension,
     classify_abelian,
 )
-from .wells import check_wells_exactness
+from .wells import DEFAULT_AUT_BOUND, check_wells_exactness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,9 +132,11 @@ def _load_map_images(spec: str, domain: FiniteGroup, codomain: FiniteGroup):
     raw = data["images"] if isinstance(data, dict) else data
     if len(raw) != domain.order:
         raise ValueError(f"map file has {len(raw)} images for |H| = {domain.order}")
-    return tuple(
-        v if isinstance(v, int) else codomain.label_index(str(v)) for v in raw
-    )
+    images = tuple(v if isinstance(v, int) else codomain.label_index(str(v)) for v in raw)
+    for k, v in enumerate(images):
+        if not 0 <= v < codomain.order:
+            raise ValueError(f"map file entry {k} is {v}, not an element of {codomain.name}")
+    return images
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -251,7 +254,9 @@ def cmd_wells(args) -> int:
         _emit({"command": "wells", "error": str(err)}, args.format)
         return EXIT_FAIL
     report = check_wells_exactness(
-        ext, **({"budget": args.budget} if args.budget else {})
+        ext,
+        bound=args.bound or DEFAULT_AUT_BOUND,
+        budget=args.budget or DEFAULT_COHOMOLOGY_BUDGET,
     )
     report["command"] = "wells"
     _emit(report, args.format)

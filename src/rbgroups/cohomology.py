@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 
-from .groups import BudgetError, FiniteGroup, action_witness
+from .groups import BudgetError, FiniteGroup, _orbit_classes, action_witness
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -122,66 +123,67 @@ class RBModule:
 # ---------------------------------------------------------------------------
 
 
-def nondegenerate_tuples(h_order: int, n: int):
-    return itertools.product(range(1, h_order), repeat=n)
+@cache
+def nondegenerate_tuples(h_order: int, n: int) -> dict[tuple[int, ...], int]:
+    """The n-tuples with no identity entry, in lexicographic order, each mapped
+    to its position in a cochain's value vector."""
+    return {t: k for k, t in enumerate(itertools.product(range(1, h_order), repeat=n))}
 
 
 class Cochain:
-    """A function H^n -> I vanishing whenever any argument is the identity."""
+    """A function H^n -> I vanishing whenever any argument is the identity,
+    stored as its value vector over nondegenerate_tuples."""
 
-    __slots__ = ("module", "arity", "values")
+    __slots__ = ("module", "arity", "vector", "_index")
 
-    def __init__(self, module: RBModule, arity: int, values: dict):
+    def __init__(self, module: RBModule, arity: int, vector):
         if arity < 1:
             raise ValueError("cochain arity must be >= 1")
         self.module = module
         self.arity = arity
-        self.values = dict(values)
-        expected = (module.H.order - 1) ** arity
-        if len(self.values) != expected:
-            raise ValueError(f"cochain table has {len(self.values)} of {expected} entries")
+        self.vector = tuple(vector)
+        self._index = nondegenerate_tuples(module.H.order, arity)
+        if len(self.vector) != len(self._index):
+            raise ValueError("vector length does not match cochain table")
 
     @classmethod
     def zero(cls, module: RBModule, arity: int) -> "Cochain":
-        vals = {t: 0 for t in nondegenerate_tuples(module.H.order, arity)}
-        return cls(module, arity, vals)
+        return cls(module, arity, (0,) * (module.H.order - 1) ** arity)
 
     @classmethod
     def from_callable(cls, module: RBModule, arity: int, fn) -> "Cochain":
-        vals = {t: fn(*t) for t in nondegenerate_tuples(module.H.order, arity)}
-        return cls(module, arity, vals)
+        return cls(module, arity, [fn(*t) for t in nondegenerate_tuples(module.H.order, arity)])
 
     @classmethod
     def from_vector(cls, module: RBModule, arity: int, vector) -> "Cochain":
-        keys = list(nondegenerate_tuples(module.H.order, arity))
-        if len(vector) != len(keys):
-            raise ValueError("vector length does not match cochain table")
-        return cls(module, arity, dict(zip(keys, vector)))
+        return cls(module, arity, vector)
 
     def __call__(self, args) -> int:
         if 0 in args:
             return 0
-        return self.values[tuple(args)]
+        return self.vector[self._index[tuple(args)]]
+
+    @property
+    def values(self) -> MappingProxyType:
+        """Read-only {nondegenerate tuple: value}."""
+        return MappingProxyType(dict(zip(self._index, self.vector)))
 
     def value_vector(self) -> tuple[int, ...]:
-        return tuple(
-            self.values[t] for t in nondegenerate_tuples(self.module.H.order, self.arity)
-        )
+        return self.vector
 
-    def key(self) -> tuple[int, ...]:
-        return self.value_vector()
+    key = value_vector
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not any(self.vector)
 
     def add(self, other: "Cochain") -> "Cochain":
         self._match(other)
         m = self.module
-        return Cochain(m, self.arity, {t: m.iadd(v, other.values[t]) for t, v in self.values.items()})
+        return Cochain(m, self.arity, _vadd(m.I.table, self.vector, other.vector))
 
     def neg(self) -> "Cochain":
-        m = self.module
-        return Cochain(m, self.arity, {t: m.ineg(v) for t, v in self.values.items()})
+        inv = self.module.I.inverses
+        return Cochain(self.module, self.arity, [inv[v] for v in self.vector])
 
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.neg())
@@ -197,45 +199,54 @@ class Cochain:
         return (
             isinstance(other, Cochain)
             and self.arity == other.arity
-            and self.values == other.values
+            and self.vector == other.vector
         )
 
     def __hash__(self) -> int:
-        return hash((self.arity, self.value_vector()))
+        return hash((self.arity, self.vector))
 
     def __repr__(self) -> str:
-        return f"Cochain(arity={self.arity}, {self.values})"
+        return f"Cochain(arity={self.arity}, {dict(self.values)})"
 
     def to_dict(self) -> dict:
         vals = {
             "(" + ",".join(str(x) for x in t) + ")": v
-            for t, v in sorted(self.values.items())
+            for t, v in zip(self._index, self.vector)
             if v != 0
         }
         return {"arity": self.arity, "values": vals}
 
     @classmethod
     def from_dict(cls, module: RBModule, data: dict) -> "Cochain":
-        arity = int(data["arity"])
-        vals = {t: 0 for t in nondegenerate_tuples(module.H.order, arity)}
+        """Read to_dict's format; keys must lie in (H - {e})^arity, values in I."""
+        arity, nh = int(data["arity"]), module.H.order
+        positions = nondegenerate_tuples(nh, arity)
+        vector = [0] * len(positions)
         for key, v in data.get("values", {}).items():
             t = tuple(int(x) for x in key.strip("()").split(",") if x != "")
             if len(t) != arity:
                 raise ValueError(f"cochain key {key!r} has wrong arity")
             if 0 in t:
                 raise ValueError(f"cochain key {key!r} is degenerate")
-            vals[t] = int(v)
-        return cls(module, arity, vals)
+            if t not in positions:
+                raise ValueError(f"cochain key {key!r} has an entry outside 1..{nh - 1}")
+            v = int(v)
+            if not 0 <= v < module.I.order:
+                raise ValueError(
+                    f"cochain value {v} at key {key!r} is outside 0..{module.I.order - 1}"
+                )
+            vector[positions[t]] = v
+        return cls(module, arity, vector)
 
 
 def enumerate_cochains(module: RBModule, arity: int, budget: int | None = None):
     """All cochains H^arity -> I in lexicographic value order."""
-    keys = list(nondegenerate_tuples(module.H.order, arity))
-    total = module.I.order ** len(keys)
+    width = (module.H.order - 1) ** arity
+    total = module.I.order ** width
     if budget is not None and total > budget:
         raise BudgetError(f"cochain space of size {total} exceeds budget {budget}")
-    for vec in itertools.product(module.I.elements(), repeat=len(keys)):
-        yield Cochain(module, arity, dict(zip(keys, vec)))
+    for vec in itertools.product(module.I.elements(), repeat=width):
+        yield Cochain(module, arity, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +436,6 @@ class CocyclePair:
 
     def add(self, other: "CocyclePair") -> "CocyclePair":
         return CocyclePair(self.tau.add(other.tau), self.g.add(other.g))
-
-    def neg(self) -> "CocyclePair":
-        return CocyclePair(self.tau.neg(), self.g.neg())
 
     def sub(self, other: "CocyclePair") -> "CocyclePair":
         return CocyclePair(self.tau.sub(other.tau), self.g.sub(other.g))
@@ -659,12 +667,7 @@ def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Resul
     if len(z2) % len(b2) != 0:
         raise AssertionError("|B2| does not divide |Z2|")
     add = module.I.table
-    class_index: dict = {}
-    reps = []
-    for p, key in zip(z2, z2_keys):  # sorted, so the first unseen member of a coset is its least
-        if key in class_index:
-            continue
-        reps.append(p)
-        for b in b2_keys:
-            class_index[_vadd(add, key, b)] = p
+    classes = _orbit_classes(z2_keys, lambda k: (_vadd(add, z2_keys[k], b) for b in b2_keys))
+    reps = [z2[cls[0]] for cls in classes]  # z2 is sorted, so cls[0] is the least member
+    class_index = {z2_keys[k]: rep for rep, cls in zip(reps, classes) for k in cls}
     return H2Result(module, z2, b2, reps, class_index)

@@ -30,13 +30,14 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _orbit_classes,
     action_witness,
     automorphisms,
     center,
     group_table_witness,
     is_homomorphism,
 )
-from .cohomology import Cochain, CocyclePair, RBModule, d2_rbe
+from .cohomology import Cochain, CocyclePair, RBModule, d2_rbe, h2_rbe, is_two_cocycle
 from .operators import RotaBaxterOperator, rb_witness
 
 DEFAULT_THETA_BUDGET = 10**4
@@ -58,31 +59,6 @@ def _thetas(h: FiniteGroup, i: FiniteGroup, stage: str, budget: int):
         raise BudgetError(f"{stage}: {size} theta maps exceed budget {budget}")
     for rest in itertools.product(i.elements(), repeat=h.order - 1):
         yield (0,) + rest
-
-
-def _orbit_classes(keys: list, orbit) -> list[list[int]]:
-    """Partition members 0..n-1 (member k has hashable key keys[k]) into orbits.
-
-    orbit(k) yields the keys of k's orbit.  Classes come out ordered by least
-    member, each sorted.  Orbits that leave the member set or overlap would
-    mean the maps do not act as a group, so both raise.
-    """
-    index = {key: k for k, key in enumerate(keys)}
-    seen: set[int] = set()
-    classes = []
-    for k in range(len(keys)):
-        if k in seen:
-            continue
-        members = set()
-        for key in orbit(k):
-            if key not in index:
-                raise AssertionError("an orbit leaves the enumerated set")
-            members.add(index[key])
-        if members & seen:
-            raise AssertionError("two orbits overlap")
-        seen |= members
-        classes.append(sorted(members))
-    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +127,16 @@ class Extension:
         """s(h) i(y), through the stored section and inclusion."""
         return self.E.table[self.section.images[h]][self.include.images[y]]
 
+    def shift_map(self, target: "Extension", theta) -> GroupMap:
+        """The section shift s(h) i(y) -> s'(h) i'(theta(h) y) into target,
+        with theta indexed by the elements of H."""
+        mul = self.i_rb.group.table
+        images = [0] * self.E.order
+        for hh in self.h_rb.group.elements():
+            for y in self.i_rb.group.elements():
+                images[self.element(hh, y)] = target.element(hh, mul[theta[hh]][y])
+        return GroupMap(self.E, target.E, tuple(images))
+
 
 def _triplet_pair(module: RBModule, t: Triplet) -> CocyclePair:
     """The cochain pair (tau, g) of a triplet over an abelian kernel."""
@@ -210,7 +196,8 @@ def _build(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
     reads it through the section and the inclusion.
     """
     h, i = h_rb.group, i_rb.group
-    if len(t.mu) != h.order or len(t.tau) != h.order or len(t.g) != h.order:
+    shape = (len(t.mu), len(t.g), *map(len, t.tau))
+    if shape != (h.order,) * (h.order + 2):
         return ("structural", "shape"), None
     w = _mu_witness(t.mu, i)
     if w is not None:
@@ -220,6 +207,12 @@ def _build(t: Triplet, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
             return ("structural", f"tau not normalized at {hh}"), None
     if t.g[0] != 0:
         return ("structural", "g(identity) != identity"), None
+    for h1, h2 in itertools.product(h.elements(), repeat=2):
+        if not 0 <= t.tau[h1][h2] < i.order:
+            return ("structural", f"tau({h1},{h2}) is not an element of I"), None
+    for hh in h.elements():
+        if not 0 <= t.g[hh] < i.order:
+            return ("structural", f"g({hh}) is not an element of I"), None
     table = _candidate_table(h, i, t.mu, t.tau)
     w = group_table_witness(table)
     if w is not None:
@@ -409,8 +402,7 @@ def extract_cocycle(ext: Extension, section: GroupMap | None = None) -> CocycleP
     The result is always a 2-cocycle over the extension's module.
     """
     pair = _triplet_pair(ext.module, extract_triplet(ext, section))
-    dt, beta = d2_rbe(pair)
-    if not (dt.is_zero() and beta.is_zero()):
+    if not is_two_cocycle(ext.module, pair):
         raise AssertionError("extracted pair is not a 2-cocycle")
     return pair
 
@@ -503,14 +495,7 @@ def are_equivalent(
     theta = _section_shift(
         e2.triplet, e1.triplet, e1.h_rb, e1.i_rb, "extension equivalence", budget
     )
-    if theta is None:
-        return None
-    i = e1.i_rb.group
-    images = [0] * e1.E.order
-    for hh in e1.h_rb.group.elements():
-        for y in i.elements():
-            images[e1.element(hh, y)] = e2.element(hh, i.table[theta[hh]][y])
-    return GroupMap(e1.E, e2.E, tuple(images))
+    return None if theta is None else e1.shift_map(e2, theta)
 
 
 def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> dict:
@@ -519,8 +504,6 @@ def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> 
     The orbit of an extension is the set of triplets read off it through the
     st-sections s.theta.
     """
-    from .cohomology import h2_rbe
-
     h2 = h2_rbe(module, budget)
     z2 = h2.z2
     exts = [build_abelian_extension(module, p) for p in z2]
@@ -731,8 +714,6 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_TRIPLET_BUDGET) 
 
     The class [(tau', g')] sends [(mu, tau, g)] to [(mu, tau*tau', g*g')].
     """
-    from .cohomology import h2_rbe
-
     h_rb, i_rb = census.h_rb, census.i_rb
     h, i = h_rb.group, i_rb.group
     module, z_elems = center_module(census)

@@ -99,14 +99,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverses[a], -k)
-        out = 0
-        for _ in range(k):
-            out = self.table[out][a]
-        return out
-
     def element_order(self, a: int) -> int:
         x, k = a, 1
         while x != 0:
@@ -417,6 +409,31 @@ def action_witness(i: FiniteGroup, maps, h_table=None):
                 if tuple(maps[h12]) != tuple(maps[h2][maps[h1][y]] for y in elems):
                     return ("anti-homomorphism", (h1, h2))
     return None
+
+
+def _orbit_classes(keys: list, orbit) -> list[list[int]]:
+    """Partition members 0..n-1 (member k has hashable key keys[k]) into orbits.
+
+    orbit(k) yields the keys of k's orbit.  Classes come out ordered by least
+    member, each sorted.  Orbits that leave the member set or overlap would
+    mean the maps do not act as a group, so both raise.
+    """
+    index = {key: k for k, key in enumerate(keys)}
+    seen: set[int] = set()
+    classes = []
+    for k in range(len(keys)):
+        if k in seen:
+            continue
+        members = set()
+        for key in orbit(k):
+            if key not in index:
+                raise AssertionError("an orbit leaves the enumerated set")
+            members.add(index[key])
+        if members & seen:
+            raise AssertionError("two orbits overlap")
+        seen |= members
+        classes.append(sorted(members))
+    return classes
 
 
 def inner_automorphism(g: FiniteGroup, x: int) -> GroupMap:

@@ -20,6 +20,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     group_from_dict,
+    group_table_witness,
     group_to_dict,
     is_homomorphism,
     is_subgroup,
@@ -226,10 +227,6 @@ class SkewBrace:
     add: tuple[tuple[int, ...], ...]
     circ: tuple[tuple[int, ...], ...]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def add_group(self) -> FiniteGroup:
         return FiniteGroup(self.add, name="add")
 
@@ -240,8 +237,6 @@ def skew_brace_witness(brace: SkewBrace):
     Checks both group structures, then the compatibility law
     a o (b + c) = (a o b) - a + (a o c).
     """
-    from .groups import group_table_witness
-
     w = group_table_witness(brace.add)
     if w is not None:
         return ("add:" + w[0], w[1])

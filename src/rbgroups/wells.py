@@ -14,7 +14,8 @@ from .groups import (
     compose,
     is_homomorphism,
 )
-from .cohomology import Cochain, CocyclePair, H2Result, RBModule, h2_rbe, z1_rbe
+from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Result,
+                         RBModule, h2_rbe, z1_rbe)
 from .extensions import Extension
 from .operators import RotaBaxterOperator
 
@@ -75,19 +76,10 @@ def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     return _rho_kernel(ext, rho(ext, bound))
 
 
-def c_mu(
-    module: RBModule,
-    aut_h: list[GroupMap] | None = None,
-    aut_i: list[GroupMap] | None = None,
-    bound: int = DEFAULT_AUT_BOUND,
-) -> list[tuple[GroupMap, GroupMap]]:
+def c_mu(module: RBModule, bound: int = DEFAULT_AUT_BOUND) -> list[tuple[GroupMap, GroupMap]]:
     """Pairs (phi, psi) of operator-automorphisms with mu_h = psi^-1 mu_{phi(h)} psi."""
-    if aut_h is None:
-        aut_h = rb_automorphisms(module.H, module.hop, bound)
-    if aut_i is None:
-        aut_i = rb_automorphisms(
-            module.I, RotaBaxterOperator(module.I, module.ri), bound
-        )
+    aut_h = rb_automorphisms(module.H, module.hop, bound)
+    aut_i = rb_automorphisms(module.I, RotaBaxterOperator(module.I, module.ri), bound)
     out = [(phi, psi) for phi in aut_h for psi in aut_i if in_c_mu(module, phi, psi)]
     out.sort(key=lambda c: (c[0].images, c[1].images))
     return out
@@ -173,12 +165,7 @@ def wells_map(
 
 def eta(ext: Extension, lam: Cochain) -> GroupMap:
     """The automorphism s(h) i(y) -> s(h) i(lam(h) + y) attached to a derivation."""
-    m = ext.module
-    images = [0] * ext.E.order
-    for h in m.H.elements():
-        for y in m.I.elements():
-            images[ext.element(h, y)] = ext.element(h, m.I.table[lam((h,))][y])
-    return GroupMap(ext.E, ext.E, tuple(images))
+    return ext.shift_map(ext, (0,) + lam.value_vector())
 
 
 def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
@@ -232,20 +219,19 @@ def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
 def check_wells_exactness(
     ext: Extension,
     bound: int = DEFAULT_AUT_BOUND,
-    budget: int | None = None,
+    budget: int = DEFAULT_COHOMOLOGY_BUDGET,
 ) -> dict:
     """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses.
 
     Aut_I(E) is built once; rho, its kernel and the Z1 check all use it.
     """
     m = ext.module
-    cohomology_kwargs = {} if budget is None else {"budget": budget}
-    h2 = h2_rbe(m, **cohomology_kwargs)
+    h2 = h2_rbe(m, budget)
     cmu = c_mu(m, bound=bound)
     auti = aut_I(ext, bound)
     rho_list = _rho(ext, auti)
     hi = _rho_kernel(ext, rho_list)
-    z1 = z1_rbe(m, **cohomology_kwargs)
+    z1 = z1_rbe(m, budget)
     witnesses = []
 
     exact_at_autI = _z1_iso(ext, z1, hi)["isomorphic"]

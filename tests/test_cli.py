@@ -131,6 +131,54 @@ def test_split_rejects_non_operator_flags(capsys):
     assert "--RI is not a Rota-Baxter operator (fails at (1, 2))" in err
 
 
+def test_split_rejects_g_images_outside_i(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    for value in (7, -1):
+        gfile.write_text(json.dumps({"images": [0, value]}))
+        code, out, err = run_cli(capsys, "split", "--H", "Z2", "--I", "Z3", "--g", str(gfile))
+        assert code == 2 and out == ""
+        assert f"map file entry 1 is {value}, not an element of Z3" in err
+
+
+def test_wells_rejects_cochain_files_outside_h_and_i(tmp_path, capsys):
+    cases = (
+        ("--tau", {"arity": 2, "values": {"(1,1)": 9}}, "cochain value 9 at key '(1,1)'"),
+        ("--g", {"arity": 1, "values": {"(1)": -1}}, "cochain value -1 at key '(1)'"),
+        ("--g", {"arity": 1, "values": {"(5)": 1}}, "cochain key '(5)' has an entry outside"),
+    )
+    for flag, data, message in cases:
+        path = tmp_path / "cochain.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "wells", "--H", "Z2", "--I", "Z4", flag, str(path))
+        assert code == 2 and out == ""
+        assert message in err
+
+
+def test_wells_bound_reaches_the_automorphism_builds(capsys):
+    code, out, err = run_cli(capsys, "wells", "--H", "Z2", "--I", "Z33")
+    assert code == 3 and out == ""
+    assert "homomorphism enumeration bound exceeded: 66, 66 > 64" in err
+    code, out, _ = run_cli(capsys, "wells", "--H", "Z2", "--I", "Z33", "--bound", "100")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["z1_order"], data["autI_order"], data["cmu_order"], data["h2_order"]) == (
+        1, 20, 20, 1
+    )
+    assert data["exact_at_autI"] and data["exact_at_cmu"] and data["omega_is_derivation"]
+
+
+def test_nonpositive_job_settings_are_refused(capsys):
+    for argv, message in (
+        (("enumerate", "--group", "S3", "--workers", "0"), "worker count must be positive"),
+        (("cohomology", "--H", "Z2", "--I", "Z2", "--budget", "0"), "budget must be positive"),
+        (("verify", "--group", "S3", "--operator", "zero", "--bound", "0"),
+         "bound must be positive"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_wells_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -126,6 +126,10 @@ def test_cochain_vanishes_on_degenerate_tuples():
     m = module_zx("Z3", "Z4")
     f = Cochain.from_callable(m, 2, lambda a, b: (a + b) % 4)
     assert f((0, 2)) == 0 and f((2, 0)) == 0 and f((1, 2)) == 3
+    # an argument outside H must not alias another entry of the value vector
+    for args in ((1, 3), (3, 1), (-1, 1)):
+        with pytest.raises(KeyError):
+            f(args)
 
 
 def test_cochain_serialization_roundtrip():
@@ -134,6 +138,18 @@ def test_cochain_serialization_roundtrip():
     back = Cochain.from_dict(m, f.to_dict())
     assert back == f
     assert all(v != 0 for v in f.to_dict()["values"].values())
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"arity": 2, "values": {"(1,1)": 9}}, "cochain value 9 at key '(1,1)' is outside 0..3"),
+    ({"arity": 1, "values": {"(1)": -1}}, "cochain value -1 at key '(1)' is outside 0..3"),
+    ({"arity": 1, "values": {"(5)": 1}}, "cochain key '(5)' has an entry outside 1..1"),
+    ({"arity": 1, "values": {"(-1)": 1}}, "cochain key '(-1)' has an entry outside 1..1"),
+])
+def test_cochain_from_dict_rejects_entries_outside_h_and_i(data, message):
+    with pytest.raises(ValueError) as err:
+        Cochain.from_dict(module_zx("Z2", "Z4"), data)
+    assert str(err.value) == message
 
 
 def test_cochain_arithmetic_requires_the_same_groups():

@@ -361,6 +361,18 @@ def test_triplet_matches_split_builder():
     assert ext_t.operator.images == ext_s.operator.images
 
 
+@pytest.mark.parametrize("slot, value", [("tau", 3), ("tau", -1), ("g", 3), ("g", -1)])
+def test_triplet_entries_outside_i_give_a_structural_witness(slot, value):
+    h_rb = RotaBaxterOperator(make_group("Z2"), (0, 1))
+    i_rb = RotaBaxterOperator(make_group("Z3"), (0, 0, 0))
+    tau, g = ((0, 0), (0, value if slot == "tau" else 0)), (0, value if slot == "g" else 1)
+    t = Triplet(((0, 1, 2), (0, 2, 1)), tau, g)
+    where = "tau(1,1)" if slot == "tau" else "g(1)"
+    assert verify_triplet(t, h_rb, i_rb) == ("structural", f"{where} is not an element of I")
+    with pytest.raises(ExtensionError, match="structural"):
+        build_triplet_extension(t, h_rb, i_rb)
+
+
 def test_split_build_checks_table_and_operator_once(monkeypatch):
     z2, z3 = make_group("Z2"), make_group("Z3")
     h_rb = RotaBaxterOperator(z2, (0, 1))
