@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .groups import BudgetError, FiniteGroup, load_group, make_group
+from .groups import BudgetError, FiniteGroup, json_element, load_group, make_group
 from .operators import (
     RotaBaxterOperator,
     enumerate_rb_operators,
@@ -106,7 +106,10 @@ def _resolve_action(spec: str, h: FiniteGroup, igroup: FiniteGroup):
     maps = data["maps"] if isinstance(data, dict) else data
     if len(maps) != h.order:
         raise ValueError(f"action file has {len(maps)} maps for |H| = {h.order}")
-    return tuple(tuple(int(v) for v in row) for row in maps)
+    return tuple(
+        tuple(json_element(v, f"action map {h} entry {y}") for y, v in enumerate(row))
+        for h, row in enumerate(maps)
+    )
 
 
 def _resolve_module(args) -> RBModule:
@@ -132,7 +135,7 @@ def _load_map_images(spec: str, domain: FiniteGroup, codomain: FiniteGroup):
     raw = data["images"] if isinstance(data, dict) else data
     if len(raw) != domain.order:
         raise ValueError(f"map file has {len(raw)} images for |H| = {domain.order}")
-    images = tuple(v if isinstance(v, int) else codomain.label_index(str(v)) for v in raw)
+    images = tuple(json_element(v, f"map file entry {k}", codomain) for k, v in enumerate(raw))
     for k, v in enumerate(images):
         if not 0 <= v < codomain.order:
             raise ValueError(f"map file entry {k} is {v}, not an element of {codomain.name}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .groups import BudgetError, FiniteGroup, _orbit_classes, action_witness
+from .groups import BudgetError, FiniteGroup, _orbit_classes, action_witness, json_element
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -230,7 +230,7 @@ class Cochain:
                 raise ValueError(f"cochain key {key!r} is degenerate")
             if t not in positions:
                 raise ValueError(f"cochain key {key!r} has an entry outside 1..{nh - 1}")
-            v = int(v)
+            v = json_element(v, f"cochain value at key {key!r}")
             if not 0 <= v < module.I.order:
                 raise ValueError(
                     f"cochain value {v} at key {key!r} is outside 0..{module.I.order - 1}"
@@ -552,8 +552,9 @@ def _verify_closed(module: RBModule, keys, name: str) -> None:
 def _d1_scan(module: RBModule, budget: int):
     """The rows of d1 and every 1-cochain value vector, budget permitting."""
     nh, ni = module.H.order, module.I.order
-    if ni ** (nh - 1) > budget:
-        raise BudgetError("TC^1 space exceeds budget")
+    size = ni ** (nh - 1)
+    if size > budget:
+        raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}")
     rows = _compile(module, nh - 1, lambda v: d1_rbe(Cochain.from_vector(module, 1, v)).key())
     return rows, itertools.product(module.I.elements(), repeat=nh - 1)
 

@@ -26,18 +26,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import (
-    AutomorphismGroup,
     BudgetError,
     FiniteGroup,
     GroupMap,
     _orbit_classes,
     action_witness,
-    automorphisms,
     center,
     group_table_witness,
     is_homomorphism,
 )
-from .cohomology import Cochain, CocyclePair, RBModule, d2_rbe, h2_rbe, is_two_cocycle
+from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, RBModule, d2_rbe,
+                         h2_rbe, is_two_cocycle)
 from .operators import RotaBaxterOperator, rb_witness
 
 DEFAULT_THETA_BUDGET = 10**4
@@ -498,7 +497,7 @@ def are_equivalent(
     return None if theta is None else e1.shift_map(e2, theta)
 
 
-def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> dict:
+def classify_abelian(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
     """Partition all built extensions into theta-orbits and compare with |H2|.
 
     The orbit of an extension is the set of triplets read off it through the
@@ -528,63 +527,48 @@ def classify_abelian(module: RBModule, budget: int = DEFAULT_TRIPLET_BUDGET) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Coupling:
-    """A map H -> Out(I), stored as canonical Inn-coset ids inside Aut(I)."""
+    """A map H -> Out(I): for each h, the Inn(I)-coset of mu_h as its sorted
+    automorphism tables y -> x mu_h(y) x^-1 over x in I.
 
-    aut: AutomorphismGroup
-    inner: tuple[int, ...]
-    coset_ids: tuple[int, ...]
+    I's Cayley table is kept so that couplings over different kernels differ.
+    """
 
-    def coset_members(self, h: int) -> list[int]:
-        """Aut-indices in the coset over h, sorted."""
-        rep = self.coset_ids[h]
-        return sorted({self.aut.group.table[k][rep] for k in self.inner})
+    kernel: tuple[tuple[int, ...], ...]
+    cosets: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Coupling)
-            and self.aut.base.table == other.aut.base.table
-            and self.coset_ids == other.coset_ids
-        )
+    def coset_members(self, h: int) -> tuple[tuple[int, ...], ...]:
+        """The automorphism tables in the coset over h, sorted."""
+        return self.cosets[h]
 
 
-def _coset_id(aut: AutomorphismGroup, inner, aut_index: int) -> int:
-    return min(aut.group.table[k][aut_index] for k in inner)
+def _inn_coset(i: FiniteGroup, row) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted({tuple(i.conj(x, v) for v in row) for x in i.elements()}))
 
 
-def coupling_of(
-    t: Triplet, h_group: FiniteGroup, i_group: FiniteGroup, aut: AutomorphismGroup | None = None
-) -> Coupling:
+def coupling_of(t: Triplet, h_group: FiniteGroup, i_group: FiniteGroup) -> Coupling:
     """Reduce mu modulo Inn(I); an invariant of the extension class."""
-    if aut is None:
-        aut = automorphisms(i_group)
-    inner = tuple(aut.inner_indices())
-    ids = tuple(
-        _coset_id(aut, inner, aut.index_of(GroupMap(i_group, i_group, tuple(row))))
-        for row in t.mu
-    )
-    return Coupling(aut, inner, ids)
+    if len(t.mu) != h_group.order:
+        raise ValueError(f"mu has {len(t.mu)} maps for |H| = {h_group.order}")
+    if action_witness(i_group, t.mu) is not None:
+        raise ValueError("map is not an automorphism of the base group")
+    return Coupling(i_group.table, tuple(_inn_coset(i_group, row) for row in t.mu))
 
 
-def trivial_coupling(h_group: FiniteGroup, i_group: FiniteGroup,
-                     aut: AutomorphismGroup | None = None) -> Coupling:
-    if aut is None:
-        aut = automorphisms(i_group)
-    inner = tuple(aut.inner_indices())
-    ids = tuple(_coset_id(aut, inner, 0) for _ in h_group.elements())
-    return Coupling(aut, inner, ids)
+def trivial_coupling(h_group: FiniteGroup, i_group: FiniteGroup) -> Coupling:
+    inner = _inn_coset(i_group, i_group.elements())
+    return Coupling(i_group.table, (inner,) * h_group.order)
 
 
 def is_coupling(c: Coupling, h_group: FiniteGroup) -> bool:
     """The induced map into Out(I) must respect products (anti, in the
-    function-composition convention used for Aut here)."""
-    aut = c.aut
-    inner = c.inner
+    function-composition convention used for automorphism tables here)."""
     for h1 in h_group.elements():
+        a = c.cosets[h1][0]
         for h2 in h_group.elements():
-            comp = aut.group.table[c.coset_ids[h2]][c.coset_ids[h1]]
-            if c.coset_ids[h_group.table[h1][h2]] != _coset_id(aut, inner, comp):
+            b = c.cosets[h2][0]
+            if tuple(b[v] for v in a) not in c.cosets[h_group.table[h1][h2]]:
                 return False
     return True
 
@@ -631,8 +615,11 @@ def h2_alpha(
     """
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
+    if alpha.kernel != i.table:
+        raise ValueError("coupling is over a different kernel")
+    identity = tuple(i.elements())
     lifts = [alpha.coset_members(hh) for hh in h.elements()]
-    if 0 not in lifts[0]:
+    if identity not in lifts[0]:
         raise ValueError("coupling must be trivial at the identity")
     total = 1
     for hh in range(1, nh):
@@ -640,12 +627,11 @@ def h2_alpha(
     total *= ni ** ((nh - 1) ** 2) * ni ** (nh - 1)
     if total > budget:
         raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
-    aut_tables = [alpha.aut.elements[k].images for k in range(len(alpha.aut.elements))]
 
     tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
     valid: list[Triplet] = []
     for mu_choice in itertools.product(*lifts[1:]):
-        mu = (tuple(i.elements()),) + tuple(aut_tables[k] for k in mu_choice)
+        mu = (identity,) + mu_choice
         if _mu_witness(mu, i) is not None:
             continue
         for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
@@ -709,7 +695,7 @@ def center_module(census: TripletCensus) -> tuple[RBModule, tuple[int, ...]]:
     return module, z_elems
 
 
-def central_action(census: TripletCensus, budget: int = DEFAULT_TRIPLET_BUDGET) -> dict:
+def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
     """Action table of H2(H, Z(I)) on the census classes, with freeness check.
 
     The class [(tau', g')] sends [(mu, tau, g)] to [(mu, tau*tau', g*g')].

@@ -303,6 +303,16 @@ def _parse_group_name(spec: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def json_element(v, where: str, group: FiniteGroup | None = None) -> int:
+    """An element read from JSON: an integer index or, given group, one of its
+    labels.  A bool or a float is refused, so true and 2.7 never read as 1 and 2."""
+    if group is not None and isinstance(v, str):
+        return group.label_index(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{where} is {json.dumps(v)}, not an integer element index")
+    return v
+
+
 def group_to_dict(g: FiniteGroup) -> dict:
     out = {"order": g.order, "identity": 0, "table": [list(row) for row in g.table]}
     if g.labels is not None:
@@ -313,9 +323,13 @@ def group_to_dict(g: FiniteGroup) -> dict:
 def group_from_dict(data: dict, name: str = "loaded") -> FiniteGroup:
     if "table" not in data:
         raise ValueError("Cayley-table JSON needs a 'table' field")
-    if int(data.get("identity", 0)) != 0:
+    if json_element(data.get("identity", 0), "identity") != 0:
         raise ValueError("Cayley-table JSON must use index 0 as the identity")
-    return FiniteGroup(data["table"], labels=data.get("labels"), name=name)
+    table = [
+        [json_element(v, f"Cayley-table entry ({a}, {b})") for b, v in enumerate(row)]
+        for a, row in enumerate(data["table"])
+    ]
+    return FiniteGroup(table, labels=data.get("labels"), name=name)
 
 
 def load_group(path) -> FiniteGroup:
@@ -596,41 +610,14 @@ def endomorphisms(g: FiniteGroup, bound: int = DEFAULT_GROUP_BOUND) -> list[Grou
 
 
 class AutomorphismGroup:
-    """All automorphisms of a group, plus their own composition group.
-
-    Product convention: (a*b)(x) = a(b(x)), so the index table is a genuine
-    FiniteGroup with the identity map at index 0.
-    """
+    """All automorphisms of a group as image tables, sorted (identity first)."""
 
     def __init__(self, base: FiniteGroup, bound: int = DEFAULT_GROUP_BOUND):
         self.base = base
         self.elements = enumerate_homomorphisms(base, base, bound=bound, bijective_only=True)
-        self._index = {f.images: i for i, f in enumerate(self.elements)}
-
-    @cached_property
-    def group(self) -> FiniteGroup:
-        """The composition table, built and verified on first use."""
-        k = len(self.elements)
-        table = [[0] * k for _ in range(k)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                prod = tuple(a.images[b.images[x]] for x in self.base.elements())
-                table[i][j] = self._index[prod]
-        return FiniteGroup(table, name=f"Aut({self.base.name})")
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, f: GroupMap) -> int:
-        try:
-            return self._index[f.images]
-        except KeyError:
-            raise ValueError("map is not an automorphism of the base group") from None
-
-    def inner_indices(self) -> list[int]:
-        """Indices of the inner automorphisms, sorted."""
-        inner = {self.index_of(inner_automorphism(self.base, x)) for x in self.base.elements()}
-        return sorted(inner)
 
 
 def automorphisms(g: FiniteGroup, bound: int = DEFAULT_GROUP_BOUND) -> AutomorphismGroup:

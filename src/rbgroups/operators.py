@@ -24,6 +24,7 @@ from .groups import (
     group_to_dict,
     is_homomorphism,
     is_subgroup,
+    json_element,
     make_group,
 )
 
@@ -375,9 +376,7 @@ def operator_from_dict(data: dict, group: FiniteGroup | None = None) -> RotaBaxt
     raw = data["images"]
     if len(raw) != group.order:
         raise ValueError(f"operator has {len(raw)} images for order {group.order}")
-    images = tuple(
-        v if isinstance(v, int) else group.label_index(str(v)) for v in raw
-    )
+    images = tuple(json_element(v, f"operator image {k}", group) for k, v in enumerate(raw))
     return RotaBaxterOperator(group, images)
 
 

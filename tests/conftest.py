@@ -200,8 +200,9 @@ def _is_one_cocycle(theta) -> bool:
 def brute_force_z1(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
     """Oracle: every 1-cochain, kept when d1 of it vanishes."""
     nh, ni = module.H.order, module.I.order
-    if ni ** (nh - 1) > budget:
-        raise BudgetError("TC^1 space exceeds budget")
+    size = ni ** (nh - 1)
+    if size > budget:
+        raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}")
     out = [t for t in enumerate_cochains(module, 1) if _is_one_cocycle(t)]
     _bf_verify_closed(out, lambda a, b: a.add(b), "Z1")
     return out
@@ -233,8 +234,9 @@ def brute_force_z2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
 def brute_force_b2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
     """Oracle: d1 of every 1-cochain, deduplicated and sorted."""
     nh, ni = module.H.order, module.I.order
-    if ni ** (nh - 1) > budget:
-        raise BudgetError("TC^1 space exceeds budget")
+    size = ni ** (nh - 1)
+    if size > budget:
+        raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}")
     seen = {}
     for theta in enumerate_cochains(module, 1):
         p = d1_rbe(theta)
@@ -275,8 +277,9 @@ def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
     """Oracle: the triplet census with one full verify_triplet per candidate."""
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
+    identity = tuple(i.elements())
     lifts = [alpha.coset_members(hh) for hh in h.elements()]
-    if 0 not in lifts[0]:
+    if identity not in lifts[0]:
         raise ValueError("coupling must be trivial at the identity")
     total = 1
     for hh in range(1, nh):
@@ -284,12 +287,11 @@ def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
     total *= ni ** ((nh - 1) ** 2) * ni ** (nh - 1)
     if total > budget:
         raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
-    aut_tables = [alpha.aut.elements[k].images for k in range(len(alpha.aut.elements))]
 
     tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
     valid = []
     for mu_choice in itertools.product(*lifts[1:]):
-        mu = (tuple(i.elements()),) + tuple(aut_tables[k] for k in mu_choice)
+        mu = (identity,) + mu_choice
         for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
             tau_tab = [[0] * nh for _ in range(nh)]
             for (h1, h2), v in zip(tau_slots, tau_vals):

@@ -91,6 +91,57 @@ def test_classify_match(capsys):
     assert data["match"] is True and data["num_classes"] == data["h2_order"]
 
 
+def test_classify_uses_the_cohomology_budget(capsys):
+    # |TC^2| = 2^20 lies between the triplet budget (10^6) and the cohomology one
+    argv = ["--H", "Z5", "--I", "Z2", "--action", "trivial", "--RH", "zero", "--RI", "zero"]
+    code, out, _ = run_cli(capsys, "cohomology", *argv)
+    assert code == 0 and json.loads(out)["order_H2"] == 1
+    code, out, _ = run_cli(capsys, "classify", *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["num_classes"] == 1 and data["match"] is True
+
+
+def _write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_operator_file_rejects_non_integer_images(tmp_path, capsys):
+    for images, shown in (([0, True], "true"), ([0, 1.0], "1.0")):
+        path = _write_json(tmp_path, "op.json", {"images": images})
+        code, out, err = run_cli(capsys, "verify", "--group", "Z2", "--operator", path)
+        assert code == 2 and out == ""
+        assert f"operator image 1 is {shown}, not an integer element index" in err
+    path = _write_json(tmp_path, "op.json", {"images": ["0", "1"]})  # labels stay accepted
+    code, out, _ = run_cli(capsys, "verify", "--group", "Z2", "--operator", path)
+    assert code == 0 and json.loads(out)["is_rb_operator"] is True
+
+
+def test_map_file_rejects_non_integer_images(tmp_path, capsys):
+    path = _write_json(tmp_path, "g.json", {"images": [0, True]})
+    code, out, err = run_cli(capsys, "split", "--H", "Z2", "--I", "Z4", "--g", path)
+    assert code == 2 and out == ""
+    assert "map file entry 1 is true, not an integer element index" in err
+
+
+def test_action_file_rejects_non_integer_entries(tmp_path, capsys):
+    path = _write_json(tmp_path, "act.json", {"maps": [[0, 1, 2], [0, 2.9, 1]]})
+    code, out, err = run_cli(capsys, "cohomology", "--H", "Z2", "--I", "Z3",
+                             "--action", path, "--RH", "zero", "--RI", "zero")
+    assert code == 2 and out == ""
+    assert "action map 1 entry 1 is 2.9, not an integer element index" in err
+
+
+def test_cochain_file_rejects_non_integer_values(tmp_path, capsys):
+    path = _write_json(tmp_path, "g.json", {"arity": 1, "values": {"(1)": 2.7}})
+    code, out, err = run_cli(capsys, "wells", "--H", "Z2", "--I", "Z4", "--action", "trivial",
+                             "--RH", "zero", "--RI", "zero", "--g", path)
+    assert code == 2 and out == ""
+    assert "cochain value at key '(1)' is 2.7, not an integer element index" in err
+
+
 def test_split_command(tmp_path, capsys):
     action = tmp_path / "inv.json"
     action.write_text(json.dumps({"maps": [[0, 1, 2], [0, 2, 1]]}))

@@ -145,6 +145,10 @@ def test_cochain_serialization_roundtrip():
     ({"arity": 1, "values": {"(1)": -1}}, "cochain value -1 at key '(1)' is outside 0..3"),
     ({"arity": 1, "values": {"(5)": 1}}, "cochain key '(5)' has an entry outside 1..1"),
     ({"arity": 1, "values": {"(-1)": 1}}, "cochain key '(-1)' has an entry outside 1..1"),
+    ({"arity": 1, "values": {"(1)": 2.7}},
+     "cochain value at key '(1)' is 2.7, not an integer element index"),
+    ({"arity": 1, "values": {"(1)": True}},
+     "cochain value at key '(1)' is true, not an integer element index"),
 ])
 def test_cochain_from_dict_rejects_entries_outside_h_and_i(data, message):
     with pytest.raises(ValueError) as err:
@@ -475,6 +479,14 @@ def test_scan_budget_refusals_match_oracles():
         assert str(got.value) == str(want.value)
 
 
+def test_tc1_refusal_names_its_size():
+    m = module_zx("Z3", "Z2")
+    for scan in (z1_rbe, b2_rbe):
+        with pytest.raises(BudgetError) as err:
+            scan(m, budget=1)
+        assert str(err.value) == "TC^1 space of size 4 exceeds budget 1"
+
+
 def test_h2_budget_and_membership_beyond_budget():
     m = module_zx("Z2", "Z4")
     with pytest.raises(BudgetError):
@@ -526,12 +538,17 @@ def discriminating_module():
     from rbgroups.groups import automorphisms
 
     z3, v4 = make_group("Z3"), make_group("Z2xZ2")
-    aut = automorphisms(v4)
-    sigma = next(
-        f.images
-        for f in aut.elements
-        if aut.group.element_order(aut.index_of(f)) == 3
-    )
+    identity = tuple(v4.elements())
+
+    def order(f):
+        """The order of an automorphism table, by composing it with itself."""
+        x, k = f, 1
+        while x != identity:
+            x = tuple(f[y] for y in x)
+            k += 1
+        return k
+
+    sigma = next(f.images for f in automorphisms(v4).elements if order(f.images) == 3)
     sigma2 = tuple(sigma[sigma[y]] for y in v4.elements())
     action = (tuple(v4.elements()), sigma, sigma2)
     hop = RotaBaxterOperator(z3, (0, 1, 2))

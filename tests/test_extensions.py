@@ -11,6 +11,8 @@ from rbgroups import extensions, groups, operators
 from rbgroups.groups import (
     BudgetError,
     GroupMap,
+    automorphisms,
+    inner_automorphism,
     is_homomorphism,
     make_group,
     subgroup_closure,
@@ -46,6 +48,7 @@ from rbgroups.extensions import (
     extract_cocycle,
     extract_triplet,
     h2_alpha,
+    is_coupling,
     is_st_section,
     recovered_action,
     st_sections,
@@ -465,8 +468,8 @@ def test_coupling_abelian_kernel_is_mu_itself():
     m = module_zx("Z2", "Z4", action=((0, 1, 2, 3), (0, 3, 2, 1)), ri=(0, 0, 0, 0))
     t = abelian_triplet(m, CocyclePair.zero(m))
     c = coupling_of(t, m.H, m.I)
-    assert c.inner == (0,)  # Inn(I) trivial for abelian I
-    assert len(c.coset_members(1)) == 1
+    assert c.coset_members(0) == (tuple(m.I.elements()),)  # Inn(I) trivial for abelian I
+    assert c.coset_members(1) == (t.mu[1],)
 
 
 def test_census_frozen_counts_z2_d4():
@@ -558,13 +561,12 @@ def test_different_couplings_never_equivalent():
     h_rb = RotaBaxterOperator(z2, (0, 0))
     i_rb = trivial_operator(d4)
     alpha0 = trivial_coupling(z2, d4)
-    aut = alpha0.aut
-    outer = [k for k in range(len(aut.elements)) if k not in set(aut.inner_indices())]
+    outer = [f.images for f in automorphisms(d4).elements
+             if f.images not in alpha0.coset_members(0)]
     assert outer  # Out(D4) is nontrivial
-    from rbgroups.extensions import Coupling, _coset_id
-
-    alpha1 = Coupling(aut, alpha0.inner,
-                      (alpha0.coset_ids[0], _coset_id(aut, alpha0.inner, outer[0])))
+    alpha1 = coupling_of(Triplet((tuple(d4.elements()), outer[0]), ((0, 0), (0, 0)), (0, 0)),
+                         z2, d4)
+    assert alpha1 != alpha0
     census0 = h2_alpha(h_rb, i_rb, alpha0)
     census1 = h2_alpha(h_rb, i_rb, alpha1)
     if census1.triplets:
@@ -574,8 +576,6 @@ def test_different_couplings_never_equivalent():
 
 
 def test_census_deterministic_and_coupling_law():
-    from rbgroups.extensions import is_coupling
-
     z2, d4 = make_group("Z2"), make_group("D4")
     h_rb = RotaBaxterOperator(z2, (0, 0))
     i_rb = trivial_operator(d4)
@@ -734,4 +734,65 @@ def test_z3_census_matches_per_candidate_oracle(rh):
     i_rb = RotaBaxterOperator(v4, tuple(v4.elements()))
     census = h2_alpha(RotaBaxterOperator(z3, rh), i_rb, alpha)
     assert census.triplets
+    _assert_census_matches_oracle(census)
+
+
+# ---------------------------------------------------------------------------
+# couplings as Inn(I)-cosets of automorphism tables
+# ---------------------------------------------------------------------------
+
+
+def test_couplings_and_census_build_no_automorphism_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coupling enumerated homomorphisms")
+
+    monkeypatch.setattr(groups, "enumerate_homomorphisms", refuse)
+    z2, d4 = make_group("Z2"), make_group("D4")
+    alpha = trivial_coupling(z2, d4)
+    census = h2_alpha(RotaBaxterOperator(z2, (0, 0)), trivial_operator(d4), alpha)
+    assert coupling_of(census.representatives[0], z2, d4) == alpha
+    assert census.num_classes == 12
+    # |Aut(Z2^4)| = 20,160: the census never needs it
+    z2_4 = make_group("Z2xZ2xZ2xZ2")
+    census = h2_alpha(RotaBaxterOperator(z2, (0, 0)), trivial_operator(z2_4),
+                      trivial_coupling(z2, z2_4))
+    assert len(census.triplets) == census.num_classes == 256
+
+
+@pytest.mark.parametrize("iname,index", [("D4", 4), ("S3", 6), ("Q8", 4), ("D5", 10)])
+def test_trivial_coupling_coset_is_inner_automorphisms(iname, index):
+    igroup = make_group(iname)
+    members = trivial_coupling(make_group("Z2"), igroup).coset_members(1)
+    assert len(members) == index  # |Inn(I)| = |I / Z(I)|
+    assert members == tuple(sorted({inner_automorphism(igroup, x).images
+                                    for x in igroup.elements()}))
+
+
+def test_census_rejects_a_coupling_over_another_kernel():
+    # Aut(Z4)'s inversion is also an automorphism of Z2xZ2 as a table
+    z2, z4, v4 = make_group("Z2"), make_group("Z4"), make_group("Z2xZ2")
+    alpha = coupling_of(Triplet(((0, 1, 2, 3), (0, 3, 2, 1)), ((0, 0), (0, 0)), (0, 0)), z2, z4)
+    with pytest.raises(ValueError, match="different kernel"):
+        h2_alpha(RotaBaxterOperator(z2, (0, 0)), trivial_operator(v4), alpha)
+
+
+def test_coupling_of_rejects_a_non_automorphism():
+    z2, v4 = make_group("Z2"), make_group("Z2xZ2")
+    with pytest.raises(ValueError, match="not an automorphism"):
+        coupling_of(Triplet(((0, 1, 2, 3), (0, 1, 1, 3)), ((0, 0), (0, 0)), (0, 0)), z2, v4)
+    with pytest.raises(ValueError, match=r"mu has 1 maps for \|H\| = 2"):
+        coupling_of(Triplet(((0, 1, 2, 3),), ((0, 0), (0, 0)), (0, 0)), z2, v4)
+
+
+def test_is_coupling_rejects_an_order_three_twist_of_z2():
+    # mu_1 of order 3 in Aut(Z2xZ2) = Out(Z2xZ2): mu_1 mu_1 is not mu_0 = id
+    z2, v4 = make_group("Z2"), make_group("Z2xZ2")
+    c = coupling_of(Triplet(((0, 1, 2, 3), (0, 2, 3, 1)), ((0, 0), (0, 0)), (0, 0)), z2, v4)
+    assert not is_coupling(c, z2)
+    assert is_coupling(trivial_coupling(z2, v4), z2)
+
+
+def test_census_on_z2_cubed_matches_per_candidate_oracle():
+    census = _census_z2("Z2xZ2xZ2")
+    assert len(census.triplets) == 64
     _assert_census_matches_oracle(census)

@@ -86,6 +86,14 @@ def test_loader_rejects_bad_identity_and_roundtrips(tmp_path, s3):
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize("entry", [1.0, True])
+def test_loader_rejects_non_integer_table_entries(s3, entry):
+    data = group_to_dict(s3)
+    data["table"][0][1] = entry  # reads as the right index 1 under int()
+    with pytest.raises(ValueError, match=r"Cayley-table entry \(0, 1\) is .*not an integer"):
+        group_from_dict(data)
+
+
 @pytest.mark.parametrize(
     "name,count",
     [("Z1", 1), ("S3", 6), ("Z4", 2)],

@@ -32,3 +32,14 @@ def test_every_traced_cochain_map_exists(spans):
 
     missing = [name for name in spans.COCHAIN_MAPS if not callable(getattr(cohomology, name, None))]
     assert missing == []
+
+
+def test_traced_automorphism_group_keeps_its_constructor_and_elements():
+    """The tracer wraps AutomorphismGroup.__init__ and reads .elements."""
+    from rbgroups import groups
+
+    assert callable(getattr(groups.AutomorphismGroup, "__init__", None))
+    s3 = groups.make_group("S3")
+    elements = groups.AutomorphismGroup(s3).elements
+    assert isinstance(elements, list) and len(elements) == 6
+    assert all(isinstance(f, groups.GroupMap) and f.domain == f.codomain == s3 for f in elements)
