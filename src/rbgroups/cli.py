@@ -15,7 +15,14 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .groups import BudgetError, FiniteGroup, json_element, load_group, make_group
+from .groups import (
+    DEFAULT_GROUP_BOUND,
+    BudgetError,
+    FiniteGroup,
+    json_element,
+    load_group,
+    make_group,
+)
 from .operators import (
     RotaBaxterOperator,
     enumerate_rb_operators,
@@ -72,11 +79,11 @@ def _looks_like_path(spec: str) -> bool:
 
 
 def _resolve_group(spec: str, bound: int | None) -> FiniteGroup:
+    """A catalog name or a Cayley-table file, refused above the order bound."""
+    bound = DEFAULT_GROUP_BOUND if bound is None else bound
     if _looks_like_path(spec):
-        return load_group(spec)
-    if bound is not None:
-        return make_group(spec, bound=bound)
-    return make_group(spec)
+        return load_group(spec, bound=bound)
+    return make_group(spec, bound=bound)
 
 
 def _resolve_operator(spec: str, group: FiniteGroup) -> RotaBaxterOperator:

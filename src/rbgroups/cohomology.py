@@ -219,7 +219,7 @@ class Cochain:
     @classmethod
     def from_dict(cls, module: RBModule, data: dict) -> "Cochain":
         """Read to_dict's format; keys must lie in (H - {e})^arity, values in I."""
-        arity, nh = int(data["arity"]), module.H.order
+        arity, nh = json_element(data["arity"], "cochain arity"), module.H.order
         positions = nondegenerate_tuples(nh, arity)
         vector = [0] * len(positions)
         for key, v in data.get("values", {}).items():

@@ -260,7 +260,7 @@ def make_group(spec, bound: int = DEFAULT_GROUP_BOUND) -> FiniteGroup:
     Also accepts an already-parsed Cayley-table dict (see `group_from_dict`).
     """
     if isinstance(spec, dict):
-        g = group_from_dict(spec)
+        g = group_from_dict(spec, bound=bound)
     elif isinstance(spec, FiniteGroup):
         g = spec
     else:
@@ -320,9 +320,15 @@ def group_to_dict(g: FiniteGroup) -> dict:
     return out
 
 
-def group_from_dict(data: dict, name: str = "loaded") -> FiniteGroup:
+def group_from_dict(
+    data: dict, name: str = "loaded", bound: int = DEFAULT_GROUP_BOUND
+) -> FiniteGroup:
+    """Read a Cayley-table dict; an order above `bound` is refused before the
+    O(n^3) axiom check runs."""
     if "table" not in data:
         raise ValueError("Cayley-table JSON needs a 'table' field")
+    if len(data["table"]) > bound:
+        raise BudgetError(f"group {name} has order {len(data['table'])} > bound {bound}")
     if json_element(data.get("identity", 0), "identity") != 0:
         raise ValueError("Cayley-table JSON must use index 0 as the identity")
     table = [
@@ -332,9 +338,9 @@ def group_from_dict(data: dict, name: str = "loaded") -> FiniteGroup:
     return FiniteGroup(table, labels=data.get("labels"), name=name)
 
 
-def load_group(path) -> FiniteGroup:
+def load_group(path, bound: int = DEFAULT_GROUP_BOUND) -> FiniteGroup:
     p = Path(path)
-    return group_from_dict(json.loads(p.read_text()), name=p.stem)
+    return group_from_dict(json.loads(p.read_text()), name=p.stem, bound=bound)
 
 
 def save_group(g: FiniteGroup, path) -> None:

@@ -98,27 +98,41 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # ---------------------------------------------------------------------------
 #
 # Depth-first assignment of R over elements in index order with R(e) = e
-# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).  Invariant after
-# propagation: R(x o y) = R(x) R(y) is known for every pair with R(x), R(y)
-# known, where x o y = x R(x) y R(x)^-1.  So a newly fixed w only creates the
-# pairs (w, y) and (y, w); `trail`, the newly fixed elements, is the worklist.
-# The branch at x tries the values domains[x] in increasing order, so tables
-# are found in lexicographic order; the search stops after `limit` of them.
+# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).  R is a
+# homomorphism from the circle group, so each pair (x, y) of known elements
+# forces R(x o y) = R(x) R(y), where x o y = x R(x) y R(x)^-1.
+#
+# `rows[x][r][y]` is x o y when R(x) = r: built once per search (n^3
+# entries), it makes each circle product one lookup.  `trail` holds the
+# elements fixed since the branch was taken, in the order they were fixed;
+# `done` holds the processed ones.  Invariant: every pair in done x done
+# satisfies the law.  Processing w appends it to `done` and checks (w, y)
+# and (y, w) for y in `done`, so each new pair is checked once; when the
+# trail is exhausted, `done` holds every known element.  A branch truncates
+# `done` back to its mark when it is undone.  The branch at x tries the
+# values domains[x] in increasing order, so tables are found in
+# lexicographic order; the search stops after `limit` of them.
 
 
-def _propagate(table, inv, values, trail) -> bool:
+def _circle_rows(table, inv) -> list[list[tuple[int, ...]]]:
+    return [
+        [tuple(table[t][inv[r]] for t in table[x_row[r]]) for r in range(len(table))]
+        for x_row in table
+    ]
+
+
+def _propagate(rows, table, values, trail, done) -> bool:
     i = 0
     while i < len(trail):
         w = trail[i]
         i += 1
+        done.append(w)
         rw = values[w]
-        wrw = table[table[w][rw]]
-        rwi = inv[rw]
+        w_row = rows[w][rw]
         rw_row = table[rw]
-        for y, ry in enumerate(values):
-            if ry < 0:
-                continue
-            z = table[wrw[y]][rwi]
+        for y in done:
+            ry = values[y]
+            z = w_row[y]
             want = rw_row[ry]
             have = values[z]
             if have < 0:
@@ -126,7 +140,7 @@ def _propagate(table, inv, values, trail) -> bool:
                 trail.append(z)
             elif have != want:
                 return False
-            z = table[table[table[y][ry]][w]][inv[ry]]
+            z = rows[y][ry][w]
             want = table[ry][rw]
             have = values[z]
             if have < 0:
@@ -137,31 +151,36 @@ def _propagate(table, inv, values, trail) -> bool:
     return True
 
 
-def _dfs(table, inv, values, out, domains, limit) -> None:
+def _dfs(rows, table, values, done, out, domains, limit) -> None:
     if -1 not in values:
         out.append(tuple(values))
         return
     x = values.index(-1)
+    mark = len(done)
     for v in domains[x]:
         trail = [x]
         values[x] = v
-        if _propagate(table, inv, values, trail):
-            _dfs(table, inv, values, out, domains, limit)
+        if _propagate(rows, table, values, trail, done):
+            _dfs(rows, table, values, done, out, domains, limit)
         for t in trail:
             values[t] = -1
+        del done[mark:]
         if len(out) >= limit:
             return
 
 
 def _enumerate_task(args) -> list[tuple[int, ...]]:
-    table, first_value = args
-    g = FiniteGroup(table, check=False)
-    values = [-1] * g.order
-    values[0] = 0
-    values[1] = first_value
+    """Every operator with R(e) = e and R(1) among `roots`."""
+    table, inv, roots = args
+    n = len(table)
+    rows = _circle_rows(table, inv)
+    domains = [range(n)] * n
     out: list[tuple[int, ...]] = []
-    if _propagate(g.table, g.inverses, values, [0, 1]):
-        _dfs(g.table, g.inverses, values, out, [g.elements()] * g.order, math.inf)
+    for first_value in roots:
+        values = [0, first_value] + [-1] * (n - 2)
+        done: list[int] = []
+        if _propagate(rows, table, values, [0, 1], done):
+            _dfs(rows, table, values, done, out, domains, math.inf)
     return out
 
 
@@ -172,8 +191,9 @@ def enumerate_rb_operators(
 ) -> list[RotaBaxterOperator]:
     """All weight-1 Rota-Baxter operators on g, sorted by image table.
 
-    The search tree is partitioned on R at the first non-identity element, so
-    the result is identical for any worker count.
+    The search tree is partitioned on R at the first non-identity element,
+    into one strided chunk of root values per worker, so the result is
+    identical for any worker count.
     """
     if g.order > bound:
         raise BudgetError(f"enumeration bound exceeded: |G| = {g.order} > {bound}")
@@ -185,14 +205,14 @@ def enumerate_rb_operators(
         )
     if g.order == 1:
         return [trivial_operator(g)]
-    tasks = [(g.table, v) for v in range(g.order)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_enumerate_task, tasks))
+    chunks = min(workers, g.order)
+    tasks = [(g.table, g.inverses, range(k, g.order, chunks)) for k in range(chunks)]
+    if chunks > 1:
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            found = [im for chunk in pool.map(_enumerate_task, tasks) for im in chunk]
     else:
-        chunks = [_enumerate_task(t) for t in tasks]
-    found = sorted(im for chunk in chunks for im in chunk)
-    return [RotaBaxterOperator(g, im) for im in found]
+        found = _enumerate_task(tasks[0])
+    return [RotaBaxterOperator(g, im) for im in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +367,8 @@ def find_rb_inducing_brace(
         )
     values = [0] + [-1] * (add.order - 1)
     found: list[tuple[int, ...]] = []
-    _dfs(add.table, add.inverses, values, found, candidates, 1)
+    rows = _circle_rows(add.table, add.inverses)
+    _dfs(rows, add.table, values, [0], found, candidates, 1)
     if not found:
         return None
     op = RotaBaxterOperator(add, found[0])

@@ -142,6 +142,34 @@ def test_cochain_file_rejects_non_integer_values(tmp_path, capsys):
     assert "cochain value at key '(1)' is 2.7, not an integer element index" in err
 
 
+def test_cochain_file_rejects_non_integer_arity(tmp_path, capsys):
+    path = _write_json(tmp_path, "g.json", {"arity": 1.9, "values": {"(1)": 1}})
+    code, out, err = run_cli(capsys, "wells", "--H", "Z2", "--I", "Z4", "--g", path)
+    assert code == 2 and out == ""
+    assert "cochain arity is 1.9, not an integer element index" in err
+
+
+def test_group_names_and_files_honour_the_bound(tmp_path, capsys):
+    s3 = str(tmp_path / "s3.json")
+    rbgroups.save_group(rbgroups.make_group("S3"), s3)
+    for spec, name in (("S3", "S3"), (s3, "s3")):
+        code, out, err = run_cli(capsys, "verify", "--group", spec, "--operator", "zero",
+                                 "--bound", "4")
+        assert code == 3 and out == ""
+        assert f"group {name} has order 6 > bound 4" in err
+        code, out, _ = run_cli(capsys, "verify", "--group", spec, "--operator", "zero")
+        assert code == 0 and json.loads(out)["is_rb_operator"] is True
+    # without --bound, a file is held to the default bound like a catalog name
+    z65 = str(tmp_path / "z65.json")
+    rbgroups.save_group(rbgroups.make_group("Z65", bound=65), z65)
+    code, out, err = run_cli(capsys, "verify", "--group", z65, "--operator", "zero")
+    assert code == 3 and out == ""
+    assert "group z65 has order 65 > bound 64" in err
+    code, out, _ = run_cli(capsys, "verify", "--group", z65, "--operator", "zero",
+                           "--bound", "65")
+    assert code == 0 and json.loads(out)["is_rb_operator"] is True
+
+
 def test_split_command(tmp_path, capsys):
     action = tmp_path / "inv.json"
     action.write_text(json.dumps({"maps": [[0, 1, 2], [0, 2, 1]]}))

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -84,6 +85,20 @@ def test_loader_rejects_bad_identity_and_roundtrips(tmp_path, s3):
     with pytest.raises(AxiomError) as err:
         group_from_dict(bad)
     assert err.value.witness is not None
+
+
+def test_loader_refuses_an_order_above_the_bound_before_the_axiom_check(tmp_path, s3):
+    data = group_to_dict(s3)
+    data["table"][1][2] = 0  # not a group: the axiom check would raise AxiomError
+    with pytest.raises(BudgetError, match="group loaded has order 6 > bound 4"):
+        group_from_dict(data, bound=4)
+    with pytest.raises(BudgetError, match="group loaded has order 6 > bound 5"):
+        make_group(data, bound=5)
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    with pytest.raises(BudgetError, match="group bad has order 6 > bound 4"):
+        load_group(tmp_path / "bad.json", bound=4)
+    with pytest.raises(AxiomError):
+        load_group(tmp_path / "bad.json")
 
 
 @pytest.mark.parametrize("entry", [1.0, True])

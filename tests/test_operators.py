@@ -86,18 +86,44 @@ def test_enumeration_matches_brute_force(name):
 
 
 def test_enumeration_matches_fixpoint_oracle():
-    # orders 12-24, past the reach of the brute-force oracle; relabelling
-    # changes the order in which propagation visits elements
-    groups = [make_group(name) for name in ("D6", "Z2xZ6", "D12", "S4", "D4xZ2", "Z2xZ2xZ4")]
-    groups += [relabelled(make_group(name), seed) for name in ("S4", "D4xZ2") for seed in (1, 2)]
+    # orders 12-36, past the reach of the brute-force oracle, up to the
+    # benchmark's largest inputs; relabelling changes the order in which
+    # propagation visits elements
+    large = ("S4", "D4xZ2", "D16", "D18", "S3xZ6")
+    groups = [make_group(name) for name in ("D6", "Z2xZ6", "D12", "Z2xZ2xZ4", *large)]
+    groups += [relabelled(make_group(name), seed) for name in large for seed in (1, 2)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for g in groups:
-            got = [op.images for op in enumerate_rb_operators(g, bound=24)]
-            assert got == fixpoint_operators(g), g.name
-        g = groups[-1]
-        got = [op.images for op in enumerate_rb_operators(g, workers=2)]
-        assert got == fixpoint_operators(g)
+            want = fixpoint_operators(g)
+            got = [op.images for op in enumerate_rb_operators(g, bound=36)]
+            assert got == want, g.name
+        got = [op.images for op in enumerate_rb_operators(g, bound=36, workers=2)]
+        assert got == want
+
+
+def test_worker_pool_is_capped_at_the_task_count(s3, monkeypatch):
+    from rbgroups import operators
+
+    sizes = []
+
+    class Recorder:  # starts no process: runs the tasks in this one
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(operators, "ProcessPoolExecutor", Recorder)
+    got = [op.images for op in enumerate_rb_operators(s3, workers=10**4)]
+    assert got == brute_force_operators(s3)
+    assert len(sizes) == 1 and sizes[0] <= 6
 
 
 def test_enumeration_is_duplicate_free_and_sorted(d4):
@@ -129,10 +155,13 @@ def test_abelian_operators_are_exactly_endomorphisms(name):
 
 
 def test_worker_counts_agree(s3, q8):
-    for g in (s3, q8):
-        base = [op.images for op in enumerate_rb_operators(g, workers=1)]
-        for w in (2, 4):
-            assert [op.images for op in enumerate_rb_operators(g, workers=w)] == base
+    # 3 and 5 workers split the root values into chunks of unequal size
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for g in (s3, q8, make_group("D4xZ2")):
+            base = [op.images for op in enumerate_rb_operators(g, workers=1)]
+            for w in (2, 3, 4, 5):
+                assert [op.images for op in enumerate_rb_operators(g, workers=w)] == base
 
 
 def test_enumeration_bound():
