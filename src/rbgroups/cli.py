@@ -9,6 +9,7 @@ independent of the worker count; timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -345,10 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # argparse set-up once per process, not per call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

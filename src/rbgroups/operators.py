@@ -13,6 +13,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from pathlib import Path
 
 from .groups import (
@@ -22,10 +23,13 @@ from .groups import (
     group_from_dict,
     group_table_witness,
     group_to_dict,
+    inner_automorphism,
+    is_bijective,
     is_homomorphism,
     is_subgroup,
     json_element,
     make_group,
+    subgroup_closure,
 )
 
 DEFAULT_ENUM_BOUND = 16
@@ -110,15 +114,22 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # and (y, w) for y in `done`, so each new pair is checked once; when the
 # trail is exhausted, `done` holds every known element.  A branch truncates
 # `done` back to its mark when it is undone.  The branch at x tries the
-# values domains[x] in increasing order, so tables are found in
-# lexicographic order; the search stops after `limit` of them.
+# values domains[x] in increasing order; the search stops after `limit`
+# tables.
+#
+# Conjugation R -> c R c^-1 and R -> R~, R~(x) = x^-1 R(x^-1)
+# (Guo-Lang-Sheng), map operators to operators and commute.  At a root r the
+# move (c, t), c in C(r), is R -> c R~^t c^-1 (t = 1 only if r^2 = e); it
+# sends R(r) = v to c r^t v c^-1.  The search runs once per orbit of the
+# moves on R(r), and the move from its least value rep to v maps the
+# operators with R(r) = rep one-to-one onto those with R(r) = v.
 
 
 def _circle_rows(table, inv) -> list[list[tuple[int, ...]]]:
-    return [
-        [tuple(table[t][inv[r]] for t in table[x_row[r]]) for r in range(len(table))]
-        for x_row in table
-    ]
+    n = len(table)
+    right = [tuple(row[inv[r]] for row in table) for r in range(n)]  # s -> s r^-1
+    getters = [itemgetter(*row) for row in table]
+    return [[getters[xr](right[r]) for r, xr in enumerate(x_row)] for x_row in table]
 
 
 def _propagate(rows, table, values, trail, done) -> bool:
@@ -169,17 +180,80 @@ def _dfs(rows, table, values, done, out, domains, limit) -> None:
             return
 
 
+def _search_root(g: FiniteGroup):
+    """The root r, the least value of each orbit on R(r) and, for each value
+    v, its orbit's least value and the move (c, t) to v.  r is an involution
+    if g has one, else an element with the largest centraliser; of those,
+    one with the fewest orbits (counted once per class), the least on ties.
+    """
+    table = g.table
+    commutes = [[c for c in g.elements() if table[c][x] == table[x][c]] for x in g.elements()]
+    most = max(map(len, commutes[1:]))
+    candidates = [x for x in g.elements() if x and table[x][x] == 0] or [
+        x for x in g.elements() if x and len(commutes[x]) == most]
+    best, seen = None, set()
+    for r in candidates:
+        if r in seen:
+            continue
+        seen.update(g.conj(c, r) for c in g.elements())
+        group = [(c, t) for t in ((0, 1) if table[r][r] == 0 else (0,)) for c in commutes[r]]
+        moves: list = [None] * g.order
+        for v in g.elements():
+            if moves[v] is None:
+                for c, t in group:
+                    w = g.conj(c, table[r][v] if t else v)
+                    if moves[w] is None:
+                        moves[w] = (v, c, t)
+        reps = [v for v, move in enumerate(moves) if move[0] == v]
+        if best is None or len(reps) < len(best[1]):
+            best = (r, reps, moves)
+    return best
+
+
+def _close(g: FiniteGroup, root: int, moves, found) -> list[tuple[int, ...]]:
+    """`found` and its images under the moves from each R(root) onward.
+
+    Guards the premise: every move conjugates within a group generated by
+    automorphisms that fix the root, and uses R~ only if r^2 = e.
+    """
+    table, inv = g.table, g.inverses
+    gens, span, by_rep = [], {0}, {}
+    for v, (rep, c, t) in enumerate(moves):
+        if t and table[root][root] != 0:
+            raise AssertionError(f"R~ moves R({root}) only when {root} is an involution")
+        conj = inner_automorphism(g, c)
+        if c not in span:
+            if not (is_bijective(conj) and is_homomorphism(conj) and conj(root) == root):
+                raise AssertionError(f"conjugation by {c} does not fix the search root {root}")
+            gens.append(c)
+            span = subgroup_closure(g, gens)
+        if v != rep:
+            # (c R~^t c^-1)(x) = p[j R(j)] if t else p[R(j)], with p the
+            # conjugation by c and j = c^-1 x^(-1)^t c
+            js = [g.conj(inv[c], inv[x] if t else x) for x in g.elements()]
+            rows = [table[j] if t else table[0] for j in js]
+            by_rep.setdefault(rep, []).append((conj.images.__getitem__, rows, itemgetter(*js)))
+    closed = list(found)
+    for im in found:
+        for p, rows, get in by_rep.get(im[root], ()):
+            closed.append(tuple(map(p, map(getitem, rows, get(im)))))
+    if len(set(closed)) != len(closed):
+        raise AssertionError("the closure repeated an operator")
+    return closed
+
+
 def _enumerate_task(args) -> list[tuple[int, ...]]:
-    """Every operator with R(e) = e and R(1) among `roots`."""
-    table, inv, roots = args
+    """Every operator with R(e) = e and R(root) among `values`."""
+    table, inv, root, root_values = args
     n = len(table)
     rows = _circle_rows(table, inv)
     domains = [range(n)] * n
     out: list[tuple[int, ...]] = []
-    for first_value in roots:
-        values = [0, first_value] + [-1] * (n - 2)
+    for value in root_values:
+        values = [0] + [-1] * (n - 1)
+        values[root] = value
         done: list[int] = []
-        if _propagate(rows, table, values, [0, 1], done):
+        if _propagate(rows, table, values, [0, root], done):
             _dfs(rows, table, values, done, out, domains, math.inf)
     return out
 
@@ -191,9 +265,10 @@ def enumerate_rb_operators(
 ) -> list[RotaBaxterOperator]:
     """All weight-1 Rota-Baxter operators on g, sorted by image table.
 
-    The search tree is partitioned on R at the first non-identity element,
-    into one strided chunk of root values per worker, so the result is
-    identical for any worker count.
+    The search runs once per orbit of the moves on R at a root (see the
+    notes above `_circle_rows`), in one strided chunk of orbits per worker,
+    and the moves rebuild the rest, so the result is the same for any
+    worker count.
     """
     if g.order > bound:
         raise BudgetError(f"enumeration bound exceeded: |G| = {g.order} > {bound}")
@@ -205,14 +280,15 @@ def enumerate_rb_operators(
         )
     if g.order == 1:
         return [trivial_operator(g)]
-    chunks = min(workers, g.order)
-    tasks = [(g.table, g.inverses, range(k, g.order, chunks)) for k in range(chunks)]
+    root, reps, moves = _search_root(g)
+    chunks = min(workers, len(reps))
+    tasks = [(g.table, g.inverses, root, reps[k::chunks]) for k in range(chunks)]
     if chunks > 1:
         with ProcessPoolExecutor(max_workers=chunks) as pool:
             found = [im for chunk in pool.map(_enumerate_task, tasks) for im in chunk]
     else:
         found = _enumerate_task(tasks[0])
-    return [RotaBaxterOperator(g, im) for im in sorted(found)]
+    return [RotaBaxterOperator(g, im) for im in sorted(_close(g, root, moves, found))]
 
 
 # ---------------------------------------------------------------------------

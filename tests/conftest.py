@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -37,6 +38,9 @@ from rbgroups.extensions import (
 from rbgroups.operators import (
     DEFAULT_ENUM_BOUND,
     RotaBaxterOperator,
+    _circle_rows,
+    _dfs,
+    _propagate,
     enumerate_rb_operators,
     rb_witness,
     skew_brace_witness,
@@ -73,6 +77,22 @@ def brute_force_operators(g):
         if rb_witness(g, im) is None:
             found.append(im)
     return sorted(found)
+
+
+def plain_operators(g):
+    """Oracle: the operator search without the root-orbit symmetry, one
+    branch for every value of R at element 1."""
+    n = g.order
+    if n == 1:
+        return [(0,)]
+    rows = _circle_rows(g.table, g.inverses)
+    out = []
+    for first_value in range(n):
+        values = [0, first_value] + [-1] * (n - 2)
+        done = []
+        if _propagate(rows, g.table, values, [0, 1], done):
+            _dfs(rows, g.table, values, done, out, [range(n)] * n, math.inf)
+    return sorted(out)
 
 
 def _fixpoint_propagate(table, inv, values, trail) -> bool:

@@ -25,13 +25,24 @@ def test_enumerate_counts(capsys):
 
 def test_enumerate_byte_identical_across_workers(capsys):
     outs = []
-    for w in ("1", "2", "4"):
+    for w in ("1", "2", "3", "4"):
         code, out, _ = run_cli(
             capsys, "enumerate", "--group", "S3", "--stream", "--workers", w
         )
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from rbgroups import cli
+
+    code, out, _ = run_cli(capsys, "enumerate", "--group", "S3", "--stream")
+    assert code == 0 and len(out.splitlines()) == 9
+    code, out, _ = run_cli(capsys, "enumerate", "--group", "S3")
+    assert code == 0
+    assert out.splitlines() == [json.dumps({"command": "enumerate", "count": 8, "group": "S3"})]
+    assert cli._parser() is cli._parser()
 
 
 def test_stream_roundtrips_schema(capsys):

@@ -19,11 +19,15 @@ from conftest import (
     brute_force_operators,
     dfs_inducing_brace,
     fixpoint_operators,
+    plain_operators,
     relabelled,
 )
 from rbgroups.operators import (
     RotaBaxterOperator,
     SkewBrace,
+    _circle_rows,
+    _close,
+    _search_root,
     circle_table,
     enumerate_rb_operators,
     find_rb_inducing_brace,
@@ -123,7 +127,81 @@ def test_worker_pool_is_capped_at_the_task_count(s3, monkeypatch):
     monkeypatch.setattr(operators, "ProcessPoolExecutor", Recorder)
     got = [op.images for op in enumerate_rb_operators(s3, workers=10**4)]
     assert got == brute_force_operators(s3)
-    assert len(sizes) == 1 and sizes[0] <= 6
+    # at a transposition r, A = <conjugation by r, R -> R~> has two orbits
+    # on the values of R(r): {e, r} and the other four elements
+    root, reps, _ = _search_root(s3)
+    assert s3.table[root][root] == 0 and len(reps) == 2
+    assert len(sizes) == 1 and sizes[0] <= 2
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("S4xZ2", None), ("Z9", None), ("Z3xZ3", None), ("Z3xS3", None),
+     ("S3", None), ("D5", None), ("S4", None), ("D18", 3), ("S3xZ6", 4)],
+)
+def test_root_orbit_search_matches_the_plain_search(name, seed):
+    # odd orders have no involution, so only conjugation acts; S3, D5 and
+    # S4 have a trivial centre
+    g = make_group(name)
+    if seed is not None:
+        g = relabelled(g, seed)
+    want = plain_operators(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for workers in (1, 2, 3):
+            got = [op.images for op in enumerate_rb_operators(g, bound=48, workers=workers)]
+            assert got == want, workers
+
+
+def test_circle_rows_are_the_circle_products():
+    for g in (make_group("S3xZ6"), relabelled(make_group("D18"), 5)):
+        table, inv = g.table, g.inverses
+        want = [
+            [tuple(table[t][inv[r]] for t in table[x_row[r]]) for r in g.elements()]
+            for x_row in table
+        ]
+        assert _circle_rows(table, inv) == want
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D6", "S4", "D4xZ2"])
+def test_operator_sets_are_closed_under_conjugation_and_tilde(name):
+    g = make_group(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ops = {op.images for op in enumerate_rb_operators(g, bound=24)}
+    table, inv = g.table, g.inverses
+    conj = [[g.conj(c, x) for x in g.elements()] for c in g.elements()]
+    for im in ops:
+        assert tuple(table[inv[x]][im[inv[x]]] for x in g.elements()) in ops
+        for c in g.elements():
+            p, back = conj[c], conj[inv[c]]
+            assert tuple(p[im[back[x]]] for x in g.elements()) in ops
+
+
+@pytest.mark.parametrize("name", ["S4", "D4xZ2"])
+def test_operators_made_by_the_closure_satisfy_the_law(name):
+    g = make_group(name)
+    root, reps, _ = _search_root(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        made = [op.images for op in enumerate_rb_operators(g, bound=24)
+                if op.images[root] not in reps]
+    assert made
+    assert all(rb_witness(g, im) is None for im in made)
+
+
+def test_symmetry_guards_refuse_bad_moves(s3):
+    root, _, moves = _search_root(s3)
+    zero = trivial_operator(s3).images
+    assert _close(s3, root, moves, [zero]) == [zero, s3.inverses]
+    outside = next(c for c in s3.elements() if s3.conj(c, root) != root)
+    with pytest.raises(AssertionError, match="does not fix"):
+        _close(s3, root, [(0, 0, 0), (1, outside, 0)], [])
+    three_cycle = next(x for x in s3.elements() if s3.element_order(x) == 3)
+    with pytest.raises(AssertionError, match="involution"):
+        _close(s3, three_cycle, [(0, 0, 0), (0, 0, 1)], [])
+    with pytest.raises(AssertionError, match="repeated"):
+        _close(s3, root, moves, [zero, zero])
 
 
 def test_enumeration_is_duplicate_free_and_sorted(d4):
