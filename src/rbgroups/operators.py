@@ -102,20 +102,27 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # ---------------------------------------------------------------------------
 #
 # Depth-first assignment of R over elements in index order with R(e) = e
-# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).  R is a
-# homomorphism from the circle group, so each pair (x, y) of known elements
-# forces R(x o y) = R(x) R(y), where x o y = x R(x) y R(x)^-1.
+# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).
+#
+# Graph lemma (Guo-Lang-Sheng): R is an operator iff its graph, the set of
+# g_x = (x R(x), R(x)), is a subgroup of G x G.  Proof, with x o y = x R(x) y R(x)^-1:
+#   g_x g_y = (x R(x) y R(y), R(x) R(y)), and (a, b) -> a b^-1 sends it to x o y
+#   as it sends each g_x to x; so g_x g_y is in the graph iff it is g_{x o y},
+#   iff R(x o y) = R(x) R(y).  A finite set closed under products is a subgroup.
+# So the fixed elements are the images of the subgroup generated by g_g, g in
+# `gens` (the root, then each branch point), and a branch fails exactly when
+# that subgroup meets the diagonal nontrivially: two elements, one x.
 #
 # `rows[x][r][y]` is x o y when R(x) = r: built once per search (n^3
-# entries), it makes each circle product one lookup.  `trail` holds the
-# elements fixed since the branch was taken, in the order they were fixed;
-# `done` holds the processed ones.  Invariant: every pair in done x done
-# satisfies the law.  Processing w appends it to `done` and checks (w, y)
-# and (y, w) for y in `done`, so each new pair is checked once; when the
-# trail is exhausted, `done` holds every known element.  A branch truncates
-# `done` back to its mark when it is undone.  The branch at x tries the
-# values domains[x] in increasing order; the search stops after `limit`
-# tables.
+# entries), it makes each circle product one lookup.  Invariant: `done` is
+# closed under right o-multiplication by `gens`, so it is the subgroup they
+# generate.  A new generator x checks w o g for each newly fixed w (the
+# `trail`, x first, where most wrong values fail) and g in `gens`, and h o x
+# for each h in `done`: O(|new| |gens| + |done|) checks.  Their order changes
+# neither the fixed set nor the verdict, so the tree is that of closing every
+# pair.  Undoing a branch truncates `done` to its mark and pops its
+# generator.  The branch at x tries domains[x] in increasing order; the
+# search stops after `limit` tables.
 #
 # Conjugation R -> c R c^-1 and R -> R~, R~(x) = x^-1 R(x^-1)
 # (Guo-Lang-Sheng), map operators to operators and commute.  At a root r the
@@ -132,52 +139,56 @@ def _circle_rows(table, inv) -> list[list[tuple[int, ...]]]:
     return [[getters[xr](right[r]) for r, xr in enumerate(x_row)] for x_row in table]
 
 
-def _propagate(rows, table, values, trail, done) -> bool:
+def _propagate(rows, table, values, trail, done, gens) -> bool:
     i = 0
     while i < len(trail):
         w = trail[i]
         i += 1
-        done.append(w)
         rw = values[w]
         w_row = rows[w][rw]
         rw_row = table[rw]
-        for y in done:
-            ry = values[y]
-            z = w_row[y]
-            want = rw_row[ry]
+        for g in gens:
+            z = w_row[g]
+            want = rw_row[values[g]]
             have = values[z]
             if have < 0:
                 values[z] = want
                 trail.append(z)
             elif have != want:
                 return False
-            z = rows[y][ry][w]
-            want = table[ry][rw]
-            have = values[z]
-            if have < 0:
-                values[z] = want
-                trail.append(z)
-            elif have != want:
-                return False
+        if i == 1:  # w is the new generator
+            for h in done:
+                rh = values[h]
+                z = rows[h][rh][w]
+                want = table[rh][rw]
+                have = values[z]
+                if have < 0:
+                    values[z] = want
+                    trail.append(z)
+                elif have != want:
+                    return False
+    done += trail
     return True
 
 
-def _dfs(rows, table, values, done, out, domains, limit) -> None:
+def _dfs(rows, table, values, done, gens, out, domains, limit) -> None:
     if -1 not in values:
         out.append(tuple(values))
         return
     x = values.index(-1)
     mark = len(done)
+    gens.append(x)
     for v in domains[x]:
         trail = [x]
         values[x] = v
-        if _propagate(rows, table, values, trail, done):
-            _dfs(rows, table, values, done, out, domains, limit)
+        if _propagate(rows, table, values, trail, done, gens):
+            _dfs(rows, table, values, done, gens, out, domains, limit)
         for t in trail:
             values[t] = -1
         del done[mark:]
         if len(out) >= limit:
-            return
+            break
+    gens.pop()
 
 
 def _search_root(g: FiniteGroup):
@@ -252,9 +263,9 @@ def _enumerate_task(args) -> list[tuple[int, ...]]:
     for value in root_values:
         values = [0] + [-1] * (n - 1)
         values[root] = value
-        done: list[int] = []
-        if _propagate(rows, table, values, [0, root], done):
-            _dfs(rows, table, values, done, out, domains, math.inf)
+        done, gens = [0], [root]
+        if _propagate(rows, table, values, [root], done, gens):
+            _dfs(rows, table, values, done, gens, out, domains, math.inf)
     return out
 
 
@@ -288,7 +299,10 @@ def enumerate_rb_operators(
             found = [im for chunk in pool.map(_enumerate_task, tasks) for im in chunk]
     else:
         found = _enumerate_task(tasks[0])
-    return [RotaBaxterOperator(g, im) for im in sorted(_close(g, root, moves, found))]
+    closed = sorted(_close(g, root, moves, found))
+    if (w := rb_witness(g, closed[0])) is not None:
+        raise AssertionError(f"the least operator found fails the law at (x, y) = {w}")
+    return [RotaBaxterOperator(g, im) for im in closed]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +458,7 @@ def find_rb_inducing_brace(
     values = [0] + [-1] * (add.order - 1)
     found: list[tuple[int, ...]] = []
     rows = _circle_rows(add.table, add.inverses)
-    _dfs(rows, add.table, values, [0], found, candidates, 1)
+    _dfs(rows, add.table, values, [0], [], found, candidates, 1)
     if not found:
         return None
     op = RotaBaxterOperator(add, found[0])

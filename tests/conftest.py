@@ -39,8 +39,6 @@ from rbgroups.operators import (
     DEFAULT_ENUM_BOUND,
     RotaBaxterOperator,
     _circle_rows,
-    _dfs,
-    _propagate,
     enumerate_rb_operators,
     rb_witness,
     skew_brace_witness,
@@ -79,20 +77,78 @@ def brute_force_operators(g):
     return sorted(found)
 
 
+def _pairwise_propagate(rows, table, values, trail, done) -> bool:
+    i = 0
+    while i < len(trail):
+        w = trail[i]
+        i += 1
+        done.append(w)
+        rw = values[w]
+        w_row = rows[w][rw]
+        rw_row = table[rw]
+        for y in done:
+            ry = values[y]
+            z = w_row[y]
+            want = rw_row[ry]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
+            z = rows[y][ry][w]
+            want = table[ry][rw]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
+    return True
+
+
+def _pairwise_dfs(rows, table, values, done, out, domains, limit) -> None:
+    if -1 not in values:
+        out.append(tuple(values))
+        return
+    x = values.index(-1)
+    mark = len(done)
+    for v in domains[x]:
+        trail = [x]
+        values[x] = v
+        if _pairwise_propagate(rows, table, values, trail, done):
+            _pairwise_dfs(rows, table, values, done, out, domains, limit)
+        for t in trail:
+            values[t] = -1
+        del done[mark:]
+        if len(out) >= limit:
+            return
+
+
+def pairwise_task(args):
+    """Oracle for `operators._enumerate_task`: the same branches, with each
+    new element checked against every known one (both orders) instead of
+    only against the branch generators."""
+    table, inv, root, root_values = args
+    n = len(table)
+    rows = _circle_rows(table, inv)
+    out = []
+    for value in root_values:
+        values = [0] + [-1] * (n - 1)
+        values[root] = value
+        done = []
+        if _pairwise_propagate(rows, table, values, [0, root], done):
+            _pairwise_dfs(rows, table, values, done, out, [range(n)] * n, math.inf)
+    return out
+
+
 def plain_operators(g):
-    """Oracle: the operator search without the root-orbit symmetry, one
-    branch for every value of R at element 1."""
+    """Oracle: the pairwise operator search without the root-orbit symmetry,
+    one branch for every value of R at element 1."""
     n = g.order
     if n == 1:
         return [(0,)]
-    rows = _circle_rows(g.table, g.inverses)
-    out = []
-    for first_value in range(n):
-        values = [0, first_value] + [-1] * (n - 2)
-        done = []
-        if _propagate(rows, g.table, values, [0, 1], done):
-            _dfs(rows, g.table, values, done, out, [range(n)] * n, math.inf)
-    return sorted(out)
+    return sorted(pairwise_task((g.table, g.inverses, 1, range(n))))
 
 
 def _fixpoint_propagate(table, inv, values, trail) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import warnings
 
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     brute_force_operators,
     dfs_inducing_brace,
     fixpoint_operators,
+    pairwise_task,
     plain_operators,
     relabelled,
 )
@@ -27,6 +29,7 @@ from rbgroups.operators import (
     SkewBrace,
     _circle_rows,
     _close,
+    _enumerate_task,
     _search_root,
     circle_table,
     enumerate_rb_operators,
@@ -151,6 +154,61 @@ def test_root_orbit_search_matches_the_plain_search(name, seed):
         for workers in (1, 2, 3):
             got = [op.images for op in enumerate_rb_operators(g, bound=48, workers=workers)]
             assert got == want, workers
+
+
+# the enum-sparse and enum-dense groups of perfbench/workloads.py, and three
+# groups of odd order, where the root has no involution
+CLOSURE_GROUPS = ("S3xZ6", "D18", "D16", "D12", "S4", "D4", "Q8", "S3",
+                  "D4xZ2", "Z2xZ2xZ2xZ3", "Z2xZ2xZ4", "Z9", "Z3xZ3", "Z3xS3")
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_generator_closure_matches_the_pairwise_search(name):
+    # same list in the same order: the closure under the branch generators
+    # fixes the same elements and refutes the same branches as closing
+    # every pair; the root's reps and every value at the root
+    for g in (make_group(name), relabelled(make_group(name), 11)):
+        root, reps, _ = _search_root(g)
+        for values in (reps, range(g.order)):
+            task = (g.table, g.inverses, root, values)
+            assert _enumerate_task(task) == pairwise_task(task), (g.name, values)
+
+
+@pytest.mark.parametrize("name", ["S3", "Z6", "Z2xZ2"])
+def test_operators_are_the_maps_whose_graph_is_a_subgroup(name):
+    # graph lemma: R is an operator iff {(x R(x), R(x))} is closed under the
+    # product of G x G, iff the subgroup it generates meets the diagonal
+    # only in (e, e); pairs (a, b) are coded a * n + b
+    g = make_group(name)
+    n, table = g.order, g.table
+    mul = [[table[p // n][q // n] * n + table[p % n][q % n] for q in range(n * n)]
+           for p in range(n * n)]
+    for rest in itertools.product(range(n), repeat=n - 1):
+        im = (0,) + rest
+        graph = {table[x][im[x]] * n + im[x] for x in g.elements()}
+        closed = all(mul[p][q] in graph for p in graph for q in graph)
+        span, frontier = {0}, [0]
+        while frontier:
+            frontier = [q for p in frontier for q in (mul[p][t] for t in graph) if q not in span]
+            span.update(frontier)
+        trivial_diagonal = not any(p // n == p % n for p in span if p)
+        assert (rb_witness(g, im) is None) == closed == trivial_diagonal, im
+
+
+def test_enumeration_guard_checks_the_least_operator(s3, monkeypatch):
+    from rbgroups import operators
+
+    for name in ("D4xZ2", "S3xZ6"):
+        g = make_group(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            least = enumerate_rb_operators(g, bound=36)[0]
+        assert rb_witness(g, least.images) is None
+    # a search that returned a map breaking the law is refused, naming the pair
+    ident = identity_operator(s3).images
+    monkeypatch.setattr(operators, "_enumerate_task", lambda task: [ident])
+    with pytest.raises(AssertionError, match=re.escape(f"(x, y) = {rb_witness(s3, ident)}")):
+        enumerate_rb_operators(s3)
 
 
 def test_circle_rows_are_the_circle_products():
