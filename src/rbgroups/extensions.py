@@ -600,6 +600,42 @@ class TripletCensus:
         return ci
 
 
+def _schreier_cosets(i: FiniteGroup) -> dict[tuple[int, ...], list[int]]:
+    """Each conjugation table y -> x^-1 y x of I, with its x in index order
+    (one Z(I)-coset per table)."""
+    cosets: dict[tuple[int, ...], list[int]] = {}
+    for x in i.elements():
+        cosets.setdefault(tuple(i.conj(i.inverses[x], y) for y in i.elements()), []).append(x)
+    return cosets
+
+
+def _tau_choices(h: FiniteGroup, mu, cosets, slots) -> list[list[int]]:
+    """Schreier's condition (i) per slot: the tau(h2,h3) with
+    mu_{h3} mu_{h2} = inn(tau(h2,h3)^-1) mu_{h2 h3}, an empty list when mu
+    admits none."""
+    choices = []
+    for h2, h3 in slots:
+        twist = [0] * len(mu[0])
+        for y, z in enumerate(mu[h.table[h2][h3]]):
+            twist[z] = mu[h3][mu[h2][y]]
+        choices.append(cosets.get(tuple(twist), []))
+    return choices
+
+
+def _schreier_cocycle(h: FiniteGroup, i: FiniteGroup, mu, tau) -> bool:
+    """Schreier's condition (ii): tau(h1 h2, h3) mu_{h3}(tau(h1,h2)) =
+    tau(h1, h2 h3) tau(h2,h3) for all h1, h2, h3 (trivial when one is e)."""
+    ht, it = h.table, i.table
+    nh = h.order
+    for h1 in range(1, nh):
+        for h2 in range(1, nh):
+            h12, t12 = ht[h1][h2], tau[h1][h2]
+            for h3 in range(1, nh):
+                if it[tau[h12][h3]][mu[h3][t12]] != it[tau[h1][ht[h2][h3]]][tau[h2][h3]]:
+                    return False
+    return True
+
+
 def h2_alpha(
     h_rb: RotaBaxterOperator,
     i_rb: RotaBaxterOperator,
@@ -609,9 +645,21 @@ def h2_alpha(
     """Enumerate all associated triplets with coupling alpha, up to equivalence.
 
     Candidates are Inn-coset lifts of alpha at each h (identity pinned at e),
-    crossed with all normalized tau and g.  verify_triplet's checks run where
-    their inputs are fixed: automorphisms once per mu, the group axioms once
-    per (mu, tau) table, the Rota-Baxter law once per g on a table that passed.
+    crossed with normalized tau and g.  Schreier's extension conditions
+    (Robinson, A Course in the Theory of Groups, ch. 11) decide which
+    (mu, tau) give a group, with no table built: the law
+    (h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) mu_{h2}(y1) y2) is associative iff
+      (i)  mu_{h3} mu_{h2} = inn(tau(h2,h3)^-1) mu_{h2 h3} for all h2, h3, and
+      (ii) tau(h1 h2, h3) mu_{h3}(tau(h1,h2)) = tau(h1, h2 h3) tau(h2,h3)
+           for all h1, h2, h3.
+    (i) leaves each slot of tau one Z(I)-coset or nothing, which rejects mu;
+    (ii) filters the product of those cosets, walked in index order.  The
+    table of each (mu, tau) left is built and checked by group_table_witness
+    as a guard, then the Rota-Baxter law once per g.
+
+    The budget bounds what is walked: mu-lifts x |Z(I)|^((|H|-1)^2) tau
+    before the walk, then the solved (mu, tau) x |I|^(|H|-1) g values before
+    the g loops.
     """
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
@@ -621,32 +669,40 @@ def h2_alpha(
     lifts = [alpha.coset_members(hh) for hh in h.elements()]
     if identity not in lifts[0]:
         raise ValueError("coupling must be trivial at the identity")
-    total = 1
+    cosets = _schreier_cosets(i)
+    tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
+    total = len(cosets[identity]) ** len(tau_slots)
     for hh in range(1, nh):
         total *= len(lifts[hh])
-    total *= ni ** ((nh - 1) ** 2) * ni ** (nh - 1)
     if total > budget:
         raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
 
-    tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
-    valid: list[Triplet] = []
+    solved = []
     for mu_choice in itertools.product(*lifts[1:]):
         mu = (identity,) + mu_choice
         if _mu_witness(mu, i) is not None:
             continue
-        for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
+        for tau_vals in itertools.product(*_tau_choices(h, mu, cosets, tau_slots)):
             tau_tab = [[0] * nh for _ in range(nh)]
             for (h1, h2), v in zip(tau_slots, tau_vals):
                 tau_tab[h1][h2] = v
             tau = tuple(tuple(row) for row in tau_tab)
-            table = _candidate_table(h, i, mu, tau)
-            if group_table_witness(table) is not None:
-                continue
-            e_group = FiniteGroup(table, name="candidate", check=False)
-            for g_vals in itertools.product(i.elements(), repeat=nh - 1):
-                g = (0,) + g_vals
-                if rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
-                    valid.append(Triplet(mu, tau, g))
+            if _schreier_cocycle(h, i, mu, tau):
+                solved.append((mu, tau))
+    total = len(solved) * ni ** (nh - 1)
+    if total > budget:
+        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
+
+    valid: list[Triplet] = []
+    for mu, tau in solved:
+        table = _candidate_table(h, i, mu, tau)
+        if (w := group_table_witness(table)) is not None:
+            raise AssertionError(f"Schreier's conditions passed a table failing {w}")
+        e_group = FiniteGroup(table, name="candidate", check=False)
+        for g_vals in itertools.product(i.elements(), repeat=nh - 1):
+            g = (0,) + g_vals
+            if rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
+                valid.append(Triplet(mu, tau, g))
 
     def orbit(k: int):
         for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):

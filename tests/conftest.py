@@ -30,6 +30,9 @@ from rbgroups.extensions import (
     DEFAULT_TRIPLET_BUDGET,
     Triplet,
     TripletCensus,
+    _candidate_operator,
+    _candidate_table,
+    _mu_witness,
     _orbit_classes,
     _shift_triplet,
     _thetas,
@@ -65,6 +68,37 @@ def d4():
 @pytest.fixture(scope="session")
 def q8():
     return make_group("Q8")
+
+
+def full_scan_witness(table):
+    """Oracle: group_table_witness with associativity by scanning every triple."""
+    n = len(table)
+    if n == 0:
+        return ("shape", ())
+    for a, row in enumerate(table):
+        if len(row) != n:
+            return ("shape", (a,))
+        for b, v in enumerate(row):
+            if not (0 <= v < n):
+                return ("range", (a, b))
+    for a in range(n):
+        if table[0][a] != a:
+            return ("identity", (0, a))
+        if table[a][0] != a:
+            return ("identity", (a, 0))
+    for a in range(n):
+        if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
+            return ("inverse", (a,))
+    for a in range(n):
+        ra = table[a]
+        for b in range(n):
+            ab = ra[b]
+            rab = table[ab]
+            rb = table[b]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    return ("associativity", (a, b, c))
+    return None
 
 
 def brute_force_operators(g):
@@ -345,12 +379,14 @@ def brute_force_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# census oracle: verify_triplet on every (mu, tau, g) candidate
+# census oracles: verify_triplet on every (mu, tau, g) candidate, and the
+# group check on every (mu, tau) table
 # ---------------------------------------------------------------------------
 
 
-def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
-    """Oracle: the triplet census with one full verify_triplet per candidate."""
+def _census_candidates(h_rb, i_rb, alpha, budget):
+    """The mu lifts and the tau tables over every slot, after the budget on
+    the full mu x tau x g product."""
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
     identity = tuple(i.elements())
@@ -365,18 +401,18 @@ def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
         raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
 
     tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
-    valid = []
-    for mu_choice in itertools.product(*lifts[1:]):
-        mu = (identity,) + mu_choice
-        for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
-            tau_tab = [[0] * nh for _ in range(nh)]
-            for (h1, h2), v in zip(tau_slots, tau_vals):
-                tau_tab[h1][h2] = v
-            tau = tuple(tuple(row) for row in tau_tab)
-            for g_vals in itertools.product(i.elements(), repeat=nh - 1):
-                t = Triplet(mu, tau, (0,) + g_vals)
-                if verify_triplet(t, h_rb, i_rb) is None:
-                    valid.append(t)
+    taus = []
+    for tau_vals in itertools.product(i.elements(), repeat=len(tau_slots)):
+        tau_tab = [[0] * nh for _ in range(nh)]
+        for (h1, h2), v in zip(tau_slots, tau_vals):
+            tau_tab[h1][h2] = v
+        taus.append(tuple(tuple(row) for row in tau_tab))
+    mus = [(identity,) + choice for choice in itertools.product(*lifts[1:])]
+    return mus, taus
+
+
+def _census_of(h_rb, i_rb, alpha, valid):
+    h, i = h_rb.group, i_rb.group
 
     def orbit(k):
         for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):
@@ -385,6 +421,37 @@ def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
     classes = _orbit_classes([t.key() for t in valid], orbit)
     reps = [min((valid[i] for i in cls), key=lambda t: t.key()) for cls in classes]
     return TripletCensus(h_rb, i_rb, alpha, valid, classes, reps)
+
+
+def brute_force_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
+    """Oracle: the triplet census with one full verify_triplet per candidate."""
+    mus, taus = _census_candidates(h_rb, i_rb, alpha, budget)
+    gs = [(0,) + rest for rest in itertools.product(i_rb.group.elements(),
+                                                    repeat=h_rb.group.order - 1)]
+    valid = [Triplet(mu, tau, g) for mu in mus for tau in taus for g in gs
+             if verify_triplet(Triplet(mu, tau, g), h_rb, i_rb) is None]
+    return _census_of(h_rb, i_rb, alpha, valid)
+
+
+def table_filter_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
+    """Oracle: the triplet census that builds every (mu, tau) table and keeps
+    those passing the full-scan group check, then tests every g on them."""
+    h, i = h_rb.group, i_rb.group
+    mus, taus = _census_candidates(h_rb, i_rb, alpha, budget)
+    valid = []
+    for mu in mus:
+        if _mu_witness(mu, i) is not None:
+            continue
+        for tau in taus:
+            table = _candidate_table(h, i, mu, tau)
+            if full_scan_witness(table) is not None:
+                continue
+            e_group = FiniteGroup(table, name="candidate", check=False)
+            for g_vals in itertools.product(i.elements(), repeat=h.order - 1):
+                g = (0,) + g_vals
+                if rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
+                    valid.append(Triplet(mu, tau, g))
+    return _census_of(h_rb, i_rb, alpha, valid)
 
 
 # ---------------------------------------------------------------------------

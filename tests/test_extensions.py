@@ -4,7 +4,8 @@ import pytest
 
 from collections import Counter
 
-from conftest import all_modules, brute_force_census, brute_force_equivalent, relabelled
+from conftest import (all_modules, brute_force_census, brute_force_equivalent, relabelled,
+                      table_filter_census)
 
 from rbgroups import extensions, groups, operators
 
@@ -604,19 +605,21 @@ def test_central_action_reports_orbits():
 # ---------------------------------------------------------------------------
 
 
-def _census_z2(iname, ri=None, seed=None):
-    z2, igroup = make_group("Z2"), make_group(iname)
+def _census(pair, ri=None, seed=None):
+    """The census over the trivial coupling of "H/I" ("I" alone: H = Z2), R_H = 0."""
+    hname, _, iname = pair.rpartition("/")
+    hgroup, igroup = make_group(hname or "Z2"), make_group(iname)
     if seed is not None:
-        igroup = relabelled(igroup, seed)
-    h_rb = RotaBaxterOperator(z2, (0, 0))
+        hgroup, igroup = relabelled(hgroup, seed), relabelled(igroup, seed)
+    h_rb = trivial_operator(hgroup)
     i_rb = trivial_operator(igroup) if ri is None else RotaBaxterOperator(igroup, ri)
     assert rb_witness(igroup, i_rb.images) is None
-    return h2_alpha(h_rb, i_rb, trivial_coupling(z2, igroup))
+    return h2_alpha(h_rb, i_rb, trivial_coupling(hgroup, igroup))
 
 
 @pytest.mark.parametrize("iname,ri", [("D4", None), ("D4", (0, 2, 2, 2, 0, 0, 2, 0))])
 def test_census_classes_match_pairwise_equivalence(iname, ri):
-    census = _census_z2(iname, ri)
+    census = _census(iname, ri)
     assert census.num_classes > 1
     for a in census.triplets:
         for b in census.triplets:
@@ -625,7 +628,7 @@ def test_census_classes_match_pairwise_equivalence(iname, ri):
 
 
 def test_non_abelian_extension_equivalence_is_an_rb_isomorphism():
-    census = _census_z2("D4", (0, 2, 2, 2, 0, 0, 2, 0))
+    census = _census("D4", (0, 2, 2, 2, 0, 0, 2, 0))
     exts = [build_triplet_extension(t, census.h_rb, census.i_rb) for t in census.triplets]
     for a, ea in enumerate(exts[:12]):
         for b, eb in enumerate(exts):
@@ -652,7 +655,7 @@ def test_extensions_with_different_actions_are_not_equivalent():
 def test_shifted_triplets_stay_valid(iname, ri):
     from rbgroups.extensions import _shift_triplet
 
-    census = _census_z2(iname, ri)
+    census = _census(iname, ri)
     h_rb, i_rb = census.h_rb, census.i_rb
     for t in census.triplets:
         for y in i_rb.group.elements():
@@ -668,7 +671,7 @@ def test_classify_representatives_are_h2_representatives():
 
 
 def test_class_of_rejects_triplets_outside_the_census():
-    census = _census_z2("D4")
+    census = _census("D4")
     t = census.triplets[0]
     unnormalized = Triplet(t.mu, ((0, 1), t.tau[1]), t.g)
     with pytest.raises(ValueError, match="not equivalent"):
@@ -676,7 +679,7 @@ def test_class_of_rejects_triplets_outside_the_census():
 
 
 def test_equivalence_budget_names_stage_and_size():
-    census = _census_z2("D4")
+    census = _census("D4")
     t = census.triplets[0]
     with pytest.raises(BudgetError, match="triplet equivalence: 8 theta maps"):
         triplets_equivalent(t, t, census.h_rb, census.i_rb, budget=1)
@@ -706,22 +709,38 @@ def test_empty_census_central_action_is_a_value_error():
 # ---------------------------------------------------------------------------
 
 
-def _assert_census_matches_oracle(census):
-    want = brute_force_census(census.h_rb, census.i_rb, census.coupling)
+def _assert_census_matches_oracle(census, oracle=brute_force_census, **budget):
+    want = oracle(census.h_rb, census.i_rb, census.coupling, **budget)
     assert census.triplets == want.triplets
     assert census.classes == want.classes
     assert census.representatives == want.representatives
 
 
-@pytest.mark.parametrize(
-    "iname,seed,ri",
-    [(name, seed, None) for name in ("D4", "S3", "Q8", "D5") for seed in (None, 1)]
-    + [("D4", None, (0, 2, 2, 2, 0, 0, 2, 0))],
+ORACLE_CENSUSES = (
+    [(pair, seed, None) for pair in ("D4", "S3", "Q8", "D5") for seed in (None, 1)]
+    + [("D4", None, (0, 2, 2, 2, 0, 0, 2, 0))]
+    + [(pair, seed, None) for pair in ("Z4/Z2", "Z2xZ2/Z2", "Z3/Z3", "D6") for seed in (None, 1)]
 )
+
+
+@pytest.mark.parametrize("iname,seed,ri", ORACLE_CENSUSES)
 def test_census_matches_per_candidate_oracle(iname, seed, ri):
-    census = _census_z2(iname, ri, seed)
+    census = _census(iname, ri, seed)
     assert census.triplets
     _assert_census_matches_oracle(census)
+
+
+@pytest.mark.parametrize("iname,seed,ri", ORACLE_CENSUSES + [("Z2xZ2xZ2", None, None)])
+def test_census_matches_table_filter_oracle(iname, seed, ri):
+    _assert_census_matches_oracle(_census(iname, ri, seed), table_filter_census)
+
+
+def test_z3_on_s3_census_answers_and_matches_table_filter_oracle():
+    # the full mu x tau x g product has 1,679,616 candidates, over the default
+    # budget; the census walks 36 mu-lifts, solves 36 (mu, tau) and tests 36 g each
+    census = _census("Z3/S3")
+    assert census.triplets
+    _assert_census_matches_oracle(census, table_filter_census, budget=10**7)
 
 
 @pytest.mark.parametrize("rh", [(0, 0, 0), (0, 1, 2)])
@@ -735,6 +754,7 @@ def test_z3_census_matches_per_candidate_oracle(rh):
     census = h2_alpha(RotaBaxterOperator(z3, rh), i_rb, alpha)
     assert census.triplets
     _assert_census_matches_oracle(census)
+    _assert_census_matches_oracle(census, table_filter_census)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +813,6 @@ def test_is_coupling_rejects_an_order_three_twist_of_z2():
 
 
 def test_census_on_z2_cubed_matches_per_candidate_oracle():
-    census = _census_z2("Z2xZ2xZ2")
+    census = _census("Z2xZ2xZ2")
     assert len(census.triplets) == 64
     _assert_census_matches_oracle(census)

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from conftest import full_scan_witness, relabelled
 
 from rbgroups.groups import (
     AxiomError,
@@ -70,6 +71,55 @@ def test_group_axiom_witnesses():
     assert kind in ("associativity", "identity", "inverse")
     with pytest.raises(AxiomError):
         FiniteGroup(table)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[a] + [-1] * (n - 1) for a in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        a, b = cells[k]
+        used = set(rows[a][:b]) | {rows[r][b] for r in range(a)}
+        for v in range(n):
+            if v not in used:
+                rows[a][b] = v
+                yield from fill(k + 1)
+        rows[a][b] = -1
+
+    return fill(0)
+
+
+def test_light_test_keeps_the_full_scan_witness_on_every_reduced_latin_square():
+    tables = [t for n in range(3, 7) for t in reduced_latin_squares(n)]
+    assert len(tables) == 1 + 4 + 56 + 9408
+    witnesses = [group_table_witness(t) for t in tables]
+    assert witnesses == [full_scan_witness(t) for t in tables]
+    assert witnesses.count(None) == 91
+
+
+CATALOG_UP_TO_36 = (
+    [f"Z{n}" for n in range(1, 37)] + [f"D{n}" for n in range(2, 19)]
+    + ["S3", "S4", "Q8", "Z2xZ2", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ2xZ2xZ2", "Q8xZ2", "Q8xZ4",
+       "D4xZ2", "D4xZ4", "S3xZ2", "S3xZ6", "S3xS3", "Z2xZ2xZ2xZ3", "Z2xZ2xZ4", "Z2xZ2xZ8"]
+)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_light_test_keeps_the_full_scan_witness_on_catalog_groups(seed):
+    for name in CATALOG_UP_TO_36:
+        g = make_group(name)
+        assert g.order <= 36
+        table = g.table if seed is None else relabelled(g, seed).table
+        assert group_table_witness(table) is None and full_scan_witness(table) is None
+        # one swapped pair of entries breaks the group; both must name the same triple
+        if g.order > 2:
+            broken = [list(row) for row in table]
+            broken[1][1], broken[1][2] = broken[1][2], broken[1][1]
+            assert group_table_witness(broken) == full_scan_witness(broken)
 
 
 def test_loader_rejects_bad_identity_and_roundtrips(tmp_path, s3):

@@ -211,6 +211,27 @@ def test_enumeration_guard_checks_the_least_operator(s3, monkeypatch):
         enumerate_rb_operators(s3)
 
 
+def test_enumeration_guard_refuses_a_corrupted_table_the_closure_built(d4, monkeypatch):
+    from rbgroups import operators
+
+    close, corrupted = operators._close, []
+
+    def corrupting(*args):
+        closed = close(*args)
+        last = closed[-1]
+        bad = last[:-1] + ((last[-1] + 1) % d4.order,)
+        assert rb_witness(d4, bad) is not None and bad not in closed
+        # the least table is R = e, which every group passes
+        assert min(closed) == trivial_operator(d4).images
+        corrupted.append(bad)
+        return closed[:-1] + [bad]
+
+    monkeypatch.setattr(operators, "_close", corrupting)
+    with pytest.raises(AssertionError, match="fails the law") as err:
+        enumerate_rb_operators(d4)
+    assert f"(x, y) = {rb_witness(d4, corrupted[0])}" in str(err.value)
+
+
 def test_circle_rows_are_the_circle_products():
     for g in (make_group("S3xZ6"), relabelled(make_group("D18"), 5)):
         table, inv = g.table, g.inverses
