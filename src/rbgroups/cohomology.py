@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .groups import BudgetError, FiniteGroup, _orbit_classes, action_witness, json_element
+from .groups import (BudgetError, FiniteGroup, _discovery_order, _greedy_generators,
+                     _orbit_classes, action_witness, json_element)
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -511,13 +512,25 @@ def _compile(module: RBModule, width: int, fn) -> list[list[tuple[int, tuple[int
     """fn on value vectors of length width, additive on a valid module, as
     rows: row o lists (j, e) for each coordinate j whose endomorphism of I,
     e(y) = fn(y at j, 0 elsewhere)[o], is nonzero; fn(v)[o] sums e(v[j]) over
-    the row.  Probing fn keeps each map's formula written once."""
-    columns = [
-        [fn([0] * j + [y] + [0] * (width - j - 1)) for y in module.I.elements()]
-        for j in range(width)
-    ]
+    the row.  Probing fn keeps each map's formula written once.
+
+    By additivity an endomorphism is fixed by its values at generators of I,
+    so fn is probed only at the greedy generators s and each e is extended
+    along their discovery tree by e(p s) = e(p) + e(s)."""
+    i = module.I
+    gens = _greedy_generators(i.table)
+    order, parent = _discovery_order(i, gens)
+    zero = tuple(fn([0] * width))
+    columns = []
+    for j in range(width):
+        probes = [fn([0] * j + [s] + [0] * (width - j - 1)) for s in gens]
+        images = [zero] * i.order
+        for y in order[1:]:
+            p, k = parent[y]
+            images[y] = _vadd(i.table, images[p], probes[k])
+        columns.append(images)
     rows = []
-    for o in range(len(fn([0] * width))):
+    for o in range(len(zero)):
         entries = [(j, tuple(out[o] for out in images)) for j, images in enumerate(columns)]
         rows.append([(j, e) for j, e in entries if any(e)])
     return rows
@@ -541,12 +554,45 @@ def _pair(module: RBModule, key) -> CocyclePair:
     return CocyclePair(tau, g)
 
 
-def _verify_closed(module: RBModule, keys, name: str) -> None:
-    keyed = set(keys)
-    for a in keys:
-        for b in keys:
-            if _vadd(module.I.table, a, b) not in keyed:
+def _d1_map(module: RBModule):
+    """d1 on the value vectors of 1-cochains, as pair keys."""
+    return lambda v: d1_rbe(Cochain.from_vector(module, 1, v)).key()
+
+
+def _d2_map(module: RBModule):
+    """d2 on pair keys, as the value vectors of (delta2 tau, beta)."""
+
+    def d2(v):
+        dt, beta = d2_rbe(_pair(module, v))
+        return dt.value_vector() + beta.value_vector()
+
+    return d2
+
+
+def _verify_closed(add, keys, name: str) -> None:
+    """Raise unless the value vectors keys (over I's addition table add) are
+    closed under addition; an empty list passes.
+
+    A nonempty finite set is closed iff it holds 0 and the subgroup it
+    generates.  That subgroup C is grown from {0} by each key k outside it,
+    in order, as C + <k>: the cosets C + k, C + 2k, ... until they return to
+    C.  So each member is reached by one addition, O(|keys|) in all instead
+    of every pair."""
+    if not keys:
+        return
+    keyed, zero = set(keys), (0,) * len(keys[0])
+    if zero not in keyed:
+        raise AssertionError(f"{name} is not closed under addition")
+    closure = {zero}
+    for k in keys:
+        if k in closure:
+            continue
+        coset = [_vadd(add, c, k) for c in closure]
+        while coset[0] not in closure:
+            if not keyed.issuperset(coset):
                 raise AssertionError(f"{name} is not closed under addition")
+            closure.update(coset)
+            coset = [_vadd(add, x, k) for x in coset]
 
 
 def _d1_scan(module: RBModule, budget: int):
@@ -555,7 +601,7 @@ def _d1_scan(module: RBModule, budget: int):
     size = ni ** (nh - 1)
     if size > budget:
         raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}")
-    rows = _compile(module, nh - 1, lambda v: d1_rbe(Cochain.from_vector(module, 1, v)).key())
+    rows = _compile(module, nh - 1, _d1_map(module))
     return rows, itertools.product(module.I.elements(), repeat=nh - 1)
 
 
@@ -564,7 +610,7 @@ def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
     rows, vectors = _d1_scan(module, budget)
     add = module.I.table
     keys = [v for v in vectors if not any(_apply(add, row, v) for row in rows)]
-    _verify_closed(module, keys, "Z1")
+    _verify_closed(add, keys, "Z1")
     return [Cochain.from_vector(module, 1, v) for v in keys]
 
 
@@ -584,12 +630,8 @@ def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
             "membership predicates still work at this size"
         )
 
-    def d2(v):
-        dt, beta = d2_rbe(_pair(module, v))
-        return dt.value_vector() + beta.value_vector()
-
     tau_rows, tau_parts, g_parts = [], [], []
-    for row in _compile(module, k1 * k1 + k1, d2):
+    for row in _compile(module, k1 * k1 + k1, _d2_map(module)):
         g_part = [(j - k1 * k1, e) for j, e in row if j >= k1 * k1]
         if g_part:
             tau_parts.append([(j, e) for j, e in row if j < k1 * k1])
@@ -605,7 +647,7 @@ def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
             continue
         want = tuple(i.inverses[_apply(i.table, row, tau)] for row in tau_parts)
         keys += [tau + g for g in solutions.get(want, ())]
-    _verify_closed(module, keys, "Z2")
+    _verify_closed(i.table, keys, "Z2")
     return [_pair(module, k) for k in keys]
 
 
@@ -613,7 +655,7 @@ def b2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
     """Image of d1, sorted by value vector."""
     rows, vectors = _d1_scan(module, budget)
     keys = sorted({tuple(_apply(module.I.table, row, v) for row in rows) for v in vectors})
-    _verify_closed(module, keys, "B2")
+    _verify_closed(module.I.table, keys, "B2")
     return [_pair(module, k) for k in keys]
 
 

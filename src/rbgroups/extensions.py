@@ -751,46 +751,46 @@ def center_module(census: TripletCensus) -> tuple[RBModule, tuple[int, ...]]:
     return module, z_elems
 
 
+def _translate(t: Triplet, pair: CocyclePair, h: FiniteGroup, i: FiniteGroup,
+               z_elems) -> Triplet:
+    """(mu, tau*tau', g*g') for (tau', g') = pair over Z(I), whose indices
+    z_elems embeds into I."""
+    tau = tuple(
+        tuple(i.table[t.tau[h1][h2]][z_elems[pair.tau((h1, h2))]] for h2 in h.elements())
+        for h1 in h.elements()
+    )
+    g = tuple(i.table[t.g[hh]][z_elems[pair.g((hh,))]] for hh in h.elements())
+    return Triplet(t.mu, tau, g)
+
+
 def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
     """Action table of H2(H, Z(I)) on the census classes, with freeness check.
 
     The class [(tau', g')] sends [(mu, tau, g)] to [(mu, tau*tau', g*g')].
+    The census holds every associated triplet over its coupling and only
+    those, and a central translate keeps mu, so the translate is valid
+    exactly when it is a census member: its validity is read off the
+    census, and a translate outside it raises AssertionError.
     """
-    h_rb, i_rb = census.h_rb, census.i_rb
-    h, i = h_rb.group, i_rb.group
+    h, i = census.h_rb.group, census.i_rb.group
     module, z_elems = center_module(census)
     h2 = h2_rbe(module, budget)
-
-    def translated(t: Triplet, pair: CocyclePair) -> Triplet:
-        tau = tuple(
-            tuple(
-                i.table[t.tau[h1][h2]][z_elems[pair.tau((h1, h2))]]
-                for h2 in h.elements()
-            )
-            for h1 in h.elements()
-        )
-        g = tuple(
-            i.table[t.g[hh]][z_elems[pair.g((hh,))]] for hh in h.elements()
-        )
-        return Triplet(t.mu, tau, g)
-
     action_table = []
     free = True
     witnesses = []
     for pi, rep_pair in enumerate(h2.representatives):
         row = []
         for ci, rep_t in enumerate(census.representatives):
-            moved = translated(rep_t, rep_pair)
-            if verify_triplet(moved, h_rb, i_rb) is not None:
+            target = census._class_index.get(_translate(rep_t, rep_pair, h, i, z_elems).key())
+            if target is None:
                 raise AssertionError("translated triplet is no longer valid")
-            target = census.class_of(moved)
             row.append(target)
             if pi != 0 and target == ci:
                 free = False
                 witnesses.append({"h2_class": pi, "census_class": ci})
             # well-definedness: coboundary shifts of the pair act identically
             for b in h2.b2:
-                if census.class_of(translated(rep_t, rep_pair.add(b))) != target:
+                if census.class_of(_translate(rep_t, rep_pair.add(b), h, i, z_elems)) != target:
                     raise AssertionError("central action is not well-defined")
         action_table.append(row)
     identity_row = action_table[0]

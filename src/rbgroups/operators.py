@@ -46,7 +46,7 @@ class RotaBaxterOperator:
     def __post_init__(self):
         if len(self.images) != self.group.order:
             raise ValueError("operator is not total on the group")
-        if any(not 0 <= v < self.group.order for v in self.images):
+        if min(self.images) < 0 or max(self.images) >= self.group.order:
             raise ValueError("operator image out of range")
 
     def __call__(self, x: int) -> int:

@@ -294,6 +294,29 @@ def relabelled(g, seed):
 # ---------------------------------------------------------------------------
 
 
+def element_probe_compile(module, width, fn):
+    """Oracle for cohomology._compile: probe fn at every element of I in
+    every coordinate, with no use of additivity beyond reading the rows."""
+    columns = [
+        [fn([0] * j + [y] + [0] * (width - j - 1)) for y in module.I.elements()]
+        for j in range(width)
+    ]
+    rows = []
+    for o in range(len(fn([0] * width))):
+        entries = [(j, tuple(out[o] for out in images)) for j, images in enumerate(columns)]
+        rows.append([(j, e) for j, e in entries if any(e)])
+    return rows
+
+
+def pairwise_verify_closed(add, keys, name: str) -> None:
+    """Oracle for cohomology._verify_closed: the sum of every pair of keys."""
+    keyed = set(keys)
+    for a in keys:
+        for b in keys:
+            if tuple(add[x][y] for x, y in zip(a, b)) not in keyed:
+                raise AssertionError(f"{name} is not closed under addition")
+
+
 def _bf_verify_closed(elements, add, name: str) -> None:
     keyed = {e.key() for e in elements}
     for a in elements:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,17 @@ from conftest import (
     brute_force_h2,
     brute_force_z1,
     brute_force_z2,
+    element_probe_compile,
+    pairwise_verify_closed,
 )
 
-from rbgroups.groups import BudgetError, endomorphisms, make_group
+from rbgroups.groups import BudgetError, _greedy_generators, endomorphisms, make_group
 from rbgroups.operators import RotaBaxterOperator
 from rbgroups.cohomology import (
+    _compile,
+    _d1_map,
+    _d2_map,
+    _verify_closed,
     Cochain,
     CocyclePair,
     RBModule,
@@ -451,7 +458,7 @@ def test_h2_regression_z2_z2():
 
 ORACLE_PAIRS = [
     ("Z2", "Z2"), ("Z2", "Z4"), ("Z3", "Z2"), ("Z2", "Z3"),
-    ("Z4", "Z2"), ("Z3", "Z3"), ("Z2xZ2", "Z2"), ("Z2", "Z2xZ2"),
+    ("Z4", "Z2"), ("Z3", "Z3"), ("Z2xZ2", "Z2"), ("Z2", "Z2xZ2"), ("Z2", "Z6"),
 ]
 
 
@@ -466,6 +473,76 @@ def test_vector_scans_match_cochain_oracles(hname, iname):
         assert [p.key() for p in got.representatives] == [p.key() for p in want.representatives]
         for p in z2:
             assert got.class_of(p).key() == want.class_of(p).key()
+
+
+@pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)
+def test_compile_at_generators_matches_element_probe(hname, iname):
+    for m in all_modules(hname, iname):
+        k1 = m.H.order - 1
+        for width, fn in ((k1, _d1_map(m)), (k1 * k1 + k1, _d2_map(m))):
+            calls = []
+
+            def counted(v, fn=fn):
+                calls.append(v)
+                return fn(v)
+
+            assert _compile(m, width, counted) == element_probe_compile(m, width, fn)
+            # one probe for the output length, then one per coordinate and generator
+            assert len(calls) == 1 + width * len(_greedy_generators(m.I.table))
+
+
+def _subgroups(add):
+    """Every subgroup of the group with addition table add, as index sets."""
+    found = {frozenset([0])}
+    todo = list(found)
+    while todo:
+        s = todo.pop()
+        for x in range(len(add)):
+            if x in s:
+                continue
+            t, coset = set(s), {add[y][x] for y in s}
+            while not coset <= t:  # the cosets s + kx, until they return to s
+                t |= coset
+                coset = {add[y][x] for y in coset}
+            if (t := frozenset(t)) not in found:
+                found.add(t)
+                todo.append(t)
+    return found
+
+
+def _closure_verdict(check, add, keys):
+    try:
+        check(add, keys, "S")
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("iname", ["Z2", "Z3", "Z4", "Z2xZ2"])
+def test_closure_by_generators_matches_pairwise_oracle(iname):
+    i = make_group(iname)
+    rng = random.Random(iname)
+    assert _closure_verdict(_verify_closed, i.table, []) is None
+    assert _closure_verdict(pairwise_verify_closed, i.table, []) is None
+    for k in (1, 2, 3):
+        vectors = list(itertools.product(i.elements(), repeat=k))
+        add = [[vectors.index(tuple(i.table[x][y] for x, y in zip(a, b))) for b in vectors]
+               for a in vectors]
+        cases = []
+        for sub in _subgroups(add):
+            members = sorted(vectors[x] for x in sub)
+            outside = [v for v in vectors if v not in members]
+            cases += [members, members[:-1], members[1:]]
+            if outside:
+                cases.append(members + outside[:1])
+        for _ in range(200):
+            subset = rng.sample(vectors, rng.randint(1, len(vectors)))
+            zero = (0,) * k
+            cases += [subset, [v for v in subset if v != zero], [zero] + subset]
+        verdicts = [(_closure_verdict(_verify_closed, i.table, keys),
+                     _closure_verdict(pairwise_verify_closed, i.table, keys)) for keys in cases]
+        assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+        assert {want for _, want in verdicts} == {None, "S is not closed under addition"}
 
 
 def test_scan_budget_refusals_match_oracles():

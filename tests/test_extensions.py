@@ -37,6 +37,8 @@ from rbgroups.cohomology import (
 from rbgroups.extensions import (
     ExtensionError,
     Triplet,
+    TripletCensus,
+    _translate,
     are_equivalent,
     build_abelian_extension,
     build_split_extension,
@@ -625,6 +627,44 @@ def test_census_classes_match_pairwise_equivalence(iname, ri):
         for b in census.triplets:
             related = triplets_equivalent(a, b, census.h_rb, census.i_rb) is not None
             assert related == (census.class_of(a) == census.class_of(b))
+
+
+CENTRAL_CENSUSES = [(name, seed) for name in ("D4", "S3", "Q8", "D5", "D6")
+                    for seed in (None, 1)] + [("Z3/S3", None)]
+
+
+@pytest.mark.parametrize("pair,seed", CENTRAL_CENSUSES)
+def test_central_translates_are_valid_triplets(pair, seed):
+    """The oracle for reading validity off the census: every translate the
+    central action looks up, B2 shifts included, passes verify_triplet."""
+    census = _census(pair, seed=seed)
+    h_rb, i_rb = census.h_rb, census.i_rb
+    module, z_elems = center_module(census)
+    h2 = h2_rbe(module)
+    action = central_action(census)["action"]
+    for pi, rep_pair in enumerate(h2.representatives):
+        for ci, t in enumerate(census.representatives):
+            for b in h2.b2:
+                moved = _translate(t, rep_pair.add(b), h_rb.group, i_rb.group, z_elems)
+                assert verify_triplet(moved, h_rb, i_rb) is None
+                assert census.class_of(moved) == action[pi][ci]
+
+
+def test_central_action_rejects_a_translate_missing_from_the_census():
+    census = _census("D4")
+    h, i = census.h_rb.group, census.i_rb.group
+    module, z_elems = center_module(census)
+    gone = _translate(census.representatives[0], h2_rbe(module).representatives[1], h, i,
+                      z_elems)
+    keep = [t for t in census.triplets if t != gone]
+    assert len(keep) == len(census.triplets) - 1
+    index = {t.key(): k for k, t in enumerate(keep)}
+    classes = [[index[census.triplets[k].key()] for k in cls if census.triplets[k] != gone]
+               for cls in census.classes]
+    damaged = TripletCensus(census.h_rb, census.i_rb, census.coupling, keep, classes,
+                            census.representatives)
+    with pytest.raises(AssertionError, match="^translated triplet is no longer valid$"):
+        central_action(damaged)
 
 
 def test_non_abelian_extension_equivalence_is_an_rb_isomorphism():

@@ -528,6 +528,17 @@ def test_operator_serialization_roundtrip(tmp_path, s3):
         operator_from_dict({"group": "S3", "images": [0, 0]})
 
 
+def test_operator_construction_checks_length_and_range(s3):
+    RotaBaxterOperator(s3, (0, 5, 0, 0, 0, 0))
+    for images, message in (((0,) * 5, "operator is not total on the group"),
+                            ((0,) * 7, "operator is not total on the group"),
+                            ((0, 1, -1, 0, 0, 0), "operator image out of range"),
+                            ((0, 1, 2, 6, 0, 0), "operator image out of range")):
+        with pytest.raises(ValueError) as err:
+            RotaBaxterOperator(s3, images)
+        assert str(err.value) == message
+
+
 def test_rb_operator_factory_raises_with_witness(s3):
     with pytest.raises(ValueError, match="fails at"):
         rb_operator(s3, identity_operator(s3).images)
