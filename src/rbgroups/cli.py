@@ -32,7 +32,6 @@ from .operators import (
     inversion_operator,
     is_skew_brace,
     load_operator,
-    operator_to_dict,
     rb_witness,
     trivial_operator,
 )
@@ -171,9 +170,10 @@ def cmd_enumerate(args) -> int:
     start = time.perf_counter()
     ops = enumerate_rb_operators(group, **kwargs)
     elapsed = time.perf_counter() - start
-    if args.stream:
-        for op in ops:
-            print(json.dumps(operator_to_dict(op, group_name=args.group), sort_keys=True))
+    if args.stream:  # the bytes of json.dumps(operator_to_dict(op, args.group), sort_keys=True)
+        line = '{"group": ' + json.dumps(args.group).replace("%", "%%") + ', "images": ['
+        line += ", ".join(["%d"] * group.order) + "]}\n"
+        sys.stdout.writelines(line % op.images for op in ops)
     summary = {"command": "enumerate", "group": args.group, "count": len(ops)}
     _emit(summary, args.format)
     print(f"enumerated {len(ops)} operators in {elapsed:.3f}s", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import getitem, itemgetter
 from pathlib import Path
@@ -295,6 +294,7 @@ def enumerate_rb_operators(
     chunks = min(workers, len(reps))
     tasks = [(g.table, g.inverses, root, reps[k::chunks]) for k in range(chunks)]
     if chunks > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here only: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=chunks) as pool:
             found = [im for chunk in pool.map(_enumerate_task, tasks) for im in chunk]
     else:

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
 from conftest import FIXTURES
 
 import rbgroups
@@ -351,6 +353,49 @@ def test_enumerate_stream_golden_s3(capsys):
         '{"group": "S3", "images": [0, 5, 4, 0, 5, 4]}',
         '{"command": "enumerate", "count": 8, "group": "S3"}',
     ]
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [("D4xZ2", ()), ("Z2xZ2xZ4", ("--bound", "36")), ("Z1", ()), ("table", ()),
+     ("Z2xZ2xZ4", ("--format", "text")), ("D4", ("--workers", "2"))],
+)
+def test_stream_lines_are_the_sorted_json_of_each_operator(tmp_path, capsys, name, extra):
+    # byte for byte what json.dumps of each operator's dict prints, then the
+    # summary; the table path needs the same JSON escapes and no %-formatting
+    group = rbgroups.make_group("D4" if name == "table" else name)
+    spec = name
+    if name == "table":
+        path = tmp_path / 'we%ird "dir" \u00e9' / "g%d%s\\.json"
+        path.parent.mkdir()
+        rbgroups.save_group(group, path)
+        spec = str(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ops = rbgroups.enumerate_rb_operators(group)
+        code, out, _ = run_cli(capsys, "enumerate", "--group", spec, "--stream", *extra)
+    lines = [json.dumps(rbgroups.operator_to_dict(op, group_name=spec), sort_keys=True)
+             for op in ops]
+    summary = {"command": "enumerate", "count": len(ops), "group": spec}
+    if "text" in extra:
+        lines += [f"{key}: {summary[key]}" for key in sorted(summary)]
+    else:
+        lines.append(json.dumps(summary, sort_keys=True))
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)
+
+
+def test_import_loads_no_process_pool():
+    # only `enumerate --workers N` with N > 1 needs concurrent.futures
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rbgroups, rbgroups.cli, sys; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        cwd=Path(rbgroups.__file__).parents[1],  # finds the package without an install
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_flags_outside_their_subcommands_are_rejected(capsys):

@@ -110,8 +110,6 @@ def test_enumeration_matches_fixpoint_oracle():
 
 
 def test_worker_pool_is_capped_at_the_task_count(s3, monkeypatch):
-    from rbgroups import operators
-
     sizes = []
 
     class Recorder:  # starts no process: runs the tasks in this one
@@ -127,7 +125,7 @@ def test_worker_pool_is_capped_at_the_task_count(s3, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(operators, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     got = [op.images for op in enumerate_rb_operators(s3, workers=10**4)]
     assert got == brute_force_operators(s3)
     # at a transposition r, A = <conjugation by r, R -> R~> has two orbits
