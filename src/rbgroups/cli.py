@@ -25,8 +25,9 @@ from .groups import (
     make_group,
 )
 from .operators import (
+    DEFAULT_ENUM_BOUND,
     RotaBaxterOperator,
-    enumerate_rb_operators,
+    _operator_rows,
     identity_operator,
     induced_skew_brace,
     inversion_operator,
@@ -164,19 +165,17 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_enumerate(args) -> int:
     group = _resolve_group(args.group, args.bound)
-    kwargs = {"workers": args.workers}
-    if args.bound is not None:
-        kwargs["bound"] = args.bound
+    bound = DEFAULT_ENUM_BOUND if args.bound is None else args.bound
     start = time.perf_counter()
-    ops = enumerate_rb_operators(group, **kwargs)
+    rows = _operator_rows(group, bound, args.workers)  # the images of enumerate_rb_operators
     elapsed = time.perf_counter() - start
     if args.stream:  # the bytes of json.dumps(operator_to_dict(op, args.group), sort_keys=True)
         line = '{"group": ' + json.dumps(args.group).replace("%", "%%") + ', "images": ['
         line += ", ".join(["%d"] * group.order) + "]}\n"
-        sys.stdout.writelines(line % op.images for op in ops)
-    summary = {"command": "enumerate", "group": args.group, "count": len(ops)}
+        sys.stdout.writelines(map(line.__mod__, rows))
+    summary = {"command": "enumerate", "group": args.group, "count": len(rows)}
     _emit(summary, args.format)
-    print(f"enumerated {len(ops)} operators in {elapsed:.3f}s", file=sys.stderr)
+    print(f"enumerated {len(rows)} operators in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -304,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all Rota-Baxter operators")
     p.add_argument("--group", required=True)
     p.add_argument("--stream", action="store_true", help="one operator JSON per line")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for the operator search; an abelian group is "
+                        "listed off a cyclic basis in-process and starts none")
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -245,7 +245,8 @@ def enumerate_cochains(module: RBModule, arity: int, budget: int | None = None):
     width = (module.H.order - 1) ** arity
     total = module.I.order ** width
     if budget is not None and total > budget:
-        raise BudgetError(f"cochain space of size {total} exceeds budget {budget}")
+        raise BudgetError(f"cochain space of size {total} exceeds budget {budget}",
+                          stage=f"{arity}-cochains", size=total)
     for vec in itertools.product(module.I.elements(), repeat=width):
         yield Cochain(module, arity, vec)
 
@@ -600,7 +601,8 @@ def _d1_scan(module: RBModule, budget: int):
     nh, ni = module.H.order, module.I.order
     size = ni ** (nh - 1)
     if size > budget:
-        raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}")
+        raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}",
+                          stage="TC^1", size=size)
     rows = _compile(module, nh - 1, _d1_map(module))
     return rows, itertools.product(module.I.elements(), repeat=nh - 1)
 
@@ -627,7 +629,8 @@ def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
     if total > budget:
         raise BudgetError(
             f"TC^2 space of size {total} exceeds budget {budget}; "
-            "membership predicates still work at this size"
+            "membership predicates still work at this size",
+            stage="TC^2", size=total,
         )
 
     tau_rows, tau_parts, g_parts = [], [], []

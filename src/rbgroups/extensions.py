@@ -55,7 +55,8 @@ def _thetas(h: FiniteGroup, i: FiniteGroup, stage: str, budget: int):
     """Every normalized theta: H -> I (theta[0] = 0), in itertools.product order."""
     size = i.order ** (h.order - 1)
     if size > budget:
-        raise BudgetError(f"{stage}: {size} theta maps exceed budget {budget}")
+        raise BudgetError(f"{stage}: {size} theta maps exceed budget {budget}",
+                          stage=stage, size=size)
     for rest in itertools.product(i.elements(), repeat=h.order - 1):
         yield (0,) + rest
 
@@ -675,7 +676,8 @@ def h2_alpha(
     for hh in range(1, nh):
         total *= len(lifts[hh])
     if total > budget:
-        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
+        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}",
+                          stage="triplet census (mu, tau)", size=total)
 
     solved = []
     for mu_choice in itertools.product(*lifts[1:]):
@@ -691,7 +693,8 @@ def h2_alpha(
                 solved.append((mu, tau))
     total = len(solved) * ni ** (nh - 1)
     if total > budget:
-        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}")
+        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}",
+                          stage="triplet census (mu, tau, g)", size=total)
 
     valid: list[Triplet] = []
     for mu, tau in solved:

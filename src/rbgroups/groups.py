@@ -10,6 +10,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 DEFAULT_GROUP_BOUND = 64
@@ -24,7 +25,13 @@ class AxiomError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A brute-force search would exceed its configured budget."""
+    """A brute-force search would exceed its configured budget; `stage` names
+    what was refused and `size` the size it refused at."""
+
+    def __init__(self, message: str, stage: str | None = None, size: int | None = None):
+        super().__init__(message)
+        self.stage = stage
+        self.size = size
 
 
 def group_table_witness(table) -> tuple[str, tuple] | None:
@@ -274,7 +281,8 @@ def make_group(spec, bound: int = DEFAULT_GROUP_BOUND) -> FiniteGroup:
     else:
         g = _parse_group_name(str(spec))
     if g.order > bound:
-        raise BudgetError(f"group {g.name} has order {g.order} > bound {bound}")
+        raise BudgetError(f"group {g.name} has order {g.order} > bound {bound}",
+                          stage="group order", size=g.order)
     return g
 
 
@@ -336,7 +344,8 @@ def group_from_dict(
     if "table" not in data:
         raise ValueError("Cayley-table JSON needs a 'table' field")
     if len(data["table"]) > bound:
-        raise BudgetError(f"group {name} has order {len(data['table'])} > bound {bound}")
+        raise BudgetError(f"group {name} has order {len(data['table'])} > bound {bound}",
+                          stage="group order", size=len(data["table"]))
     if json_element(data.get("identity", 0), "identity") != 0:
         raise ValueError("Cayley-table JSON must use index 0 as the identity")
     table = [
@@ -606,7 +615,8 @@ def enumerate_homomorphisms(
     """
     if g.order > bound or h.order > bound:
         raise BudgetError(
-            f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}"
+            f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}",
+            stage="homomorphism enumeration", size=max(g.order, h.order),
         )
     gens = generating_set(g)
     order, parent = _discovery_order(g, gens)
@@ -631,7 +641,82 @@ def enumerate_homomorphisms(
 
 
 def endomorphisms(g: FiniteGroup, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupMap]:
-    return enumerate_homomorphisms(g, g, bound=bound)
+    """All endomorphisms of g, sorted by image table; an abelian g within the
+    bound lists them off its cyclic basis, any other g is searched."""
+    basis = cyclic_basis(g) if g.order <= bound else None
+    if basis is None:
+        return enumerate_homomorphisms(g, g, bound=bound)
+    return [GroupMap(g, g, im) for im in sorted(basis_endomorphisms(g, basis))]
+
+
+def _powers(table, x: int, m: int) -> list[int]:
+    """x^0, x^1, ..., x^(m-1)."""
+    out = [0]
+    for _ in range(m - 1):
+        out.append(table[out[-1]][x])
+    return out
+
+
+def cyclic_basis(g: FiniteGroup) -> list[int] | None:
+    """Elements b_1..b_k of g with g = <b_1> + ... + <b_k>, a direct sum, or None.
+
+    Greedy over the non-identity elements by decreasing order, least index on
+    ties: an element is kept when its cyclic subgroup meets the span so far
+    only in e, and the span grows as the product list.  The basis is
+    accepted only when that list holds all n elements once, so n is the
+    product of the orders and the sum is direct.  None on a non-abelian g,
+    and on an abelian one where the greedy choice misses.
+    """
+    if not g.is_abelian:
+        return None
+    table = g.table
+    orders = [g.element_order(x) for x in g.elements()]
+    basis, span = [], [0]
+    for x in sorted(range(1, g.order), key=orders.__getitem__, reverse=True):
+        if len(span) == g.order:
+            break
+        powers = _powers(table, x, orders[x])
+        if set(powers[1:]).isdisjoint(span):
+            basis.append(x)
+            span = [table[s][p] for p in powers for s in span]
+    return basis if len(set(span)) == len(span) == g.order else None
+
+
+def basis_endomorphisms(g: FiniteGroup, basis) -> list[tuple[int, ...]]:
+    """The image table of every endomorphism of g, given a cyclic basis.
+
+    Each b_i of order m_i maps to each y whose order divides m_i, and every
+    such choice extends to exactly one endomorphism, since the sum is direct:
+    no law check is needed.  The table is the product list of the basis'
+    powers with y_i's powers folded in through the Cayley table, scattered
+    back to index order.  Unsorted.
+    """
+    if not basis:
+        return [(0,)]
+    table = g.table
+    orders = [g.element_order(x) for x in g.elements()]
+    span, choices = [0], []
+    for b in basis:
+        m = orders[b]
+        span = [table[s][p] for p in _powers(table, b, m) for s in span]
+        choices.append([_powers(table, y, m) for y in g.elements() if m % orders[y] == 0])
+    position = [0] * g.order
+    for k, x in enumerate(span):
+        position[x] = k
+    level = choices[0]  # the images of the span of b_1, one per choice of y_1
+    for powers in choices[1:]:
+        # f(s b^j) = f(s) y^j: each image of the span so far, translated by
+        # each power of y, one block after another as in the product list
+        rows = [[table[p] for p in q] for q in powers]
+        extended = []
+        for im in level:
+            get = itemgetter(*im)
+            extended += [sum(map(get, rq), ()) for rq in rows]
+        level = extended
+    scatter = itemgetter(*position)
+    for k, im in enumerate(level):  # in place, so each unscattered table is freed
+        level[k] = scatter(im)
+    return level
 
 
 class AutomorphismGroup:

@@ -19,6 +19,8 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    basis_endomorphisms,
+    cyclic_basis,
     group_from_dict,
     group_table_witness,
     group_to_dict,
@@ -268,6 +270,44 @@ def _enumerate_task(args) -> list[tuple[int, ...]]:
     return out
 
 
+def _operator_rows(g: FiniteGroup, bound: int, workers: int) -> list[tuple[int, ...]]:
+    """The image tables of `enumerate_rb_operators`, sorted and unwrapped."""
+    if g.order > bound:
+        raise BudgetError(f"enumeration bound exceeded: |G| = {g.order} > {bound}",
+                          stage="enumeration", size=g.order)
+    if g.order > ENUM_WARN_ORDER:
+        warnings.warn(
+            f"enumerating Rota-Baxter operators on a group of order {g.order}; "
+            "this may take a while",
+            stacklevel=3,
+        )
+    basis = cyclic_basis(g)
+    if basis is not None:
+        rows = basis_endomorphisms(g, basis)
+        orders = [g.element_order(b) for b in basis]
+        want = math.prod(math.gcd(a, b) for a in orders for b in orders)
+        if len(rows) != want:
+            raise AssertionError(f"listed {len(rows)} endomorphisms, not {want}, off the basis")
+    else:
+        root, reps, moves = _search_root(g)
+        chunks = min(workers, len(reps))
+        tasks = [(g.table, g.inverses, root, reps[k::chunks]) for k in range(chunks)]
+        if chunks > 1:
+            from concurrent.futures import ProcessPoolExecutor  # here only: it loads multiprocessing
+            with ProcessPoolExecutor(max_workers=chunks) as pool:
+                found = [im for chunk in pool.map(_enumerate_task, tasks) for im in chunk]
+        else:
+            found = _enumerate_task(tasks[0])
+        rows = _close(g, root, moves, found)
+    # the greatest table and the last one built: the least is always R = e,
+    # which passes on every group
+    for im in (max(rows), rows[-1]):
+        if (w := rb_witness(g, im)) is not None:
+            raise AssertionError(f"an operator found fails the law at (x, y) = {w}")
+    rows.sort()
+    return rows
+
+
 def enumerate_rb_operators(
     g: FiniteGroup,
     bound: int = DEFAULT_ENUM_BOUND,
@@ -275,37 +315,19 @@ def enumerate_rb_operators(
 ) -> list[RotaBaxterOperator]:
     """All weight-1 Rota-Baxter operators on g, sorted by image table.
 
-    The search runs once per orbit of the moves on R at a root (see the
-    notes above `_circle_rows`), in one strided chunk of orbits per worker,
-    and the moves rebuild the rest, so the result is the same for any
-    worker count.
+    On an abelian g the law R(x)R(y) = R(x R(x) y R(x)^-1) reads
+    R(x)R(y) = R(xy), so the operators are exactly the endomorphisms
+    (Guo-Lang-Sheng).  They are listed off a cyclic basis
+    g = Z_m1 + ... + Z_mk read from the Cayley table, in this process, and
+    their number must be the product of gcd(m_i, m_j) over all i, j.
+    Every other g, and an abelian one where no basis is found, is searched:
+    once per orbit of the moves on R at a root (see the notes above
+    `_circle_rows`), in one strided chunk of orbits per worker, and the
+    moves rebuild the rest, so the result is the same for any worker count.
+    On either path the greatest table and the last one built are checked
+    against the law.
     """
-    if g.order > bound:
-        raise BudgetError(f"enumeration bound exceeded: |G| = {g.order} > {bound}")
-    if g.order > ENUM_WARN_ORDER:
-        warnings.warn(
-            f"enumerating Rota-Baxter operators on a group of order {g.order}; "
-            "this may take a while",
-            stacklevel=2,
-        )
-    if g.order == 1:
-        return [trivial_operator(g)]
-    root, reps, moves = _search_root(g)
-    chunks = min(workers, len(reps))
-    tasks = [(g.table, g.inverses, root, reps[k::chunks]) for k in range(chunks)]
-    if chunks > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here only: it loads multiprocessing
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            found = [im for chunk in pool.map(_enumerate_task, tasks) for im in chunk]
-    else:
-        found = _enumerate_task(tasks[0])
-    closed = _close(g, root, moves, found)
-    # the greatest table and the last one the closure built: the least is
-    # always R = e, which passes on every group
-    for im in (max(closed), closed[-1]):
-        if (w := rb_witness(g, im)) is not None:
-            raise AssertionError(f"an operator found fails the law at (x, y) = {w}")
-    return [RotaBaxterOperator(g, im) for im in sorted(closed)]
+    return [RotaBaxterOperator(g, im) for im in _operator_rows(g, bound, workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +472,8 @@ def find_rb_inducing_brace(
     if w is not None:
         raise ValueError(f"not a skew brace: {w[0]} at {w[1]}")
     if brace.order > bound:
-        raise BudgetError(f"search bound exceeded: order {brace.order} > {bound}")
+        raise BudgetError(f"search bound exceeded: order {brace.order} > {bound}",
+                          stage="brace search", size=brace.order)
     add = brace.add_group()
     candidates = []
     for x in add.elements():

@@ -22,6 +22,7 @@ from rbgroups.cohomology import (
     d1_rbe,
     delta,
     enumerate_cochains,
+    h2_rbe,
     is_rb_module,
     is_two_cocycle,
 )
@@ -46,6 +47,8 @@ from rbgroups.operators import (
     rb_witness,
     skew_brace_witness,
 )
+from rbgroups.wells import act_on_pair, c_mu, check_wells_exactness, compose_pairs, wells_map
+
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -515,6 +518,40 @@ def brute_force_equivalent(e1, e2, budget=DEFAULT_THETA_BUDGET):
         ):
             return cand
     return None
+
+
+# ---------------------------------------------------------------------------
+# Wells oracle: the derivation law over every pair of C_mu
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_wells_report(ext):
+    """Oracle for `check_wells_exactness`: its report, with the derivation
+    law omega(c1 c2) = omega(c1)^c2 + omega(c2) checked over every pair
+    (c1, c2) of C_mu, not only for c2 in a generating set."""
+    report = check_wells_exactness(ext)
+    m = ext.module
+    h2, cmu = h2_rbe(m), c_mu(m)
+    omega_by_key = {(c[0].images, c[1].images): cls for c, cls in wells_map(ext, h2, cmu)}
+    witnesses = [w for w in report["witnesses"] if w["joint"] != "derivation"]
+    derivation_ok = True
+    for c1 in cmu:
+        for c2 in cmu:
+            c12 = compose_pairs(c1, c2)
+            lhs = omega_by_key[(c12[0].images, c12[1].images)]
+            cls1 = omega_by_key[(c1[0].images, c1[1].images)]
+            cls2 = omega_by_key[(c2[0].images, c2[1].images)]
+            rhs = h2.class_of(act_on_pair(m, c2, cls1).add(cls2))
+            if lhs.key() != rhs.key():
+                derivation_ok = False
+                witnesses.append(
+                    {
+                        "joint": "derivation",
+                        "c1": [list(c1[0].images), list(c1[1].images)],
+                        "c2": [list(c2[0].images), list(c2[1].images)],
+                    }
+                )
+    return {**report, "omega_is_derivation": derivation_ok, "witnesses": witnesses}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 
 from conftest import FIXTURES, all_modules, brute_force_operators
 
-from rbgroups.groups import endomorphisms, make_group
+from rbgroups.groups import endomorphisms, enumerate_homomorphisms, make_group
 from rbgroups.operators import (
     RotaBaxterOperator,
     enumerate_rb_operators,
@@ -143,7 +143,7 @@ def test_criterion_5_abelian_equivalence():
     for name in names:
         g = make_group(name)
         ops = {op.images for op in enumerate_rb_operators(g)}
-        endos = {f.images for f in endomorphisms(g)}
+        endos = {f.images for f in enumerate_homomorphisms(g, g)}
         if ops != endos:
             ok = False
     report(5, ok, f"operators == endomorphisms on {', '.join(names)}")

@@ -566,8 +566,11 @@ def test_tc1_refusal_names_its_size():
 
 def test_h2_budget_and_membership_beyond_budget():
     m = module_zx("Z2", "Z4")
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         z2_rbe(m, budget=3)
+    assert str(err.value) == ("TC^2 space of size 16 exceeds budget 3; "
+                              "membership predicates still work at this size")
+    assert (err.value.stage, err.value.size) == ("TC^2", 16)
     # membership still works regardless of the budget
     assert is_two_cocycle(m, CocyclePair.zero(m))
 

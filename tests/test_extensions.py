@@ -485,14 +485,19 @@ def test_census_frozen_counts_z2_d4():
 
 
 def test_census_budget():
+    # the walk over (mu, tau) has 8 members; all 8 solve, each with |D4| = 8 values of g(1)
     z2, d4 = make_group("Z2"), make_group("D4")
-    with pytest.raises(BudgetError):
-        h2_alpha(
-            RotaBaxterOperator(z2, (0, 0)),
-            trivial_operator(d4),
-            trivial_coupling(z2, d4),
-            budget=10,
-        )
+    for budget, stage, size in ((10, "triplet census (mu, tau, g)", 64),
+                                (5, "triplet census (mu, tau)", 8)):
+        with pytest.raises(BudgetError) as err:
+            h2_alpha(
+                RotaBaxterOperator(z2, (0, 0)),
+                trivial_operator(d4),
+                trivial_coupling(z2, d4),
+                budget=budget,
+            )
+        assert str(err.value) == f"triplet census of size {size} exceeds budget {budget}"
+        assert (err.value.stage, err.value.size) == (stage, size)
 
 
 def test_central_action_free_on_census():

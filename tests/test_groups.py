@@ -12,6 +12,7 @@ from rbgroups.groups import (
     automorphisms,
     center,
     compose,
+    cyclic_basis,
     direct_product,
     endomorphisms,
     enumerate_homomorphisms,
@@ -190,6 +191,42 @@ def test_automorphism_group_is_closed(s3):
 def test_endomorphism_count_klein_four():
     v4 = direct_product(make_group("Z2"), make_group("Z2"))
     assert len(endomorphisms(v4)) == 16
+
+
+# the abelian catalog groups up to Z2xZ2xZ8, less Z2xZ2xZ2xZ2, on which the
+# homomorphism search alone takes 2-3 s
+ABELIAN = ("Z1", "Z2", "Z5", "Z6", "Z8", "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z4xZ4",
+           "Z2xZ2xZ2", "Z2xZ8", "Z2xZ2xZ4", "Z2xZ2xZ2xZ3", "Z2xZ2xZ8")
+
+
+@pytest.mark.parametrize("name", ABELIAN)
+def test_endomorphisms_off_a_cyclic_basis_match_the_search(name):
+    for g in (make_group(name), relabelled(make_group(name), 3)):
+        assert cyclic_basis(g) is not None
+        got = endomorphisms(g)
+        assert got == enumerate_homomorphisms(g, g), g.name
+        assert all(f.domain is g and f.codomain is g for f in got)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ4xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2", "Z3xZ3xZ6"])
+def test_cyclic_basis_is_a_direct_decomposition(name):
+    # the product list of the basis' powers holds every element once
+    for g in (make_group(name), relabelled(make_group(name), 1), relabelled(make_group(name), 2)):
+        basis = cyclic_basis(g)
+        span = [0]
+        for b in basis:
+            powers = [0]
+            while g.table[powers[-1]][b] != 0:
+                powers.append(g.table[powers[-1]][b])
+            span = [g.table[s][p] for p in powers for s in span]
+        assert sorted(span) == list(g.elements()), g.name
+
+
+def test_cyclic_basis_refuses_non_abelian_groups(s3):
+    # <(1,2,3)> and <(1,2)> meet only in e and their product list is all of S3
+    assert cyclic_basis(s3) is None
+    assert cyclic_basis(make_group("D4xZ2")) is None
+    assert endomorphisms(s3) == enumerate_homomorphisms(s3, s3)
 
 
 def test_center_abelian_is_everything():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from rbgroups.groups import (
     BudgetError,
     GroupMap,
-    endomorphisms,
+    enumerate_homomorphisms,
+    group_from_perms,
     group_table_witness,
     make_group,
     subgroup_closure,
@@ -135,15 +136,22 @@ def test_worker_pool_is_capped_at_the_task_count(s3, monkeypatch):
     assert len(sizes) == 1 and sizes[0] <= 2
 
 
+def z7_by_z3():
+    """Z7 x| Z3, the non-abelian group of order 21: x -> x + 1 and x -> 2x on Z7."""
+    return group_from_perms([tuple((x + 1) % 7 for x in range(7)),
+                             tuple(2 * x % 7 for x in range(7))], 7, "Z7:Z3")
+
+
 @pytest.mark.parametrize(
     "name, seed",
-    [("S4xZ2", None), ("Z9", None), ("Z3xZ3", None), ("Z3xS3", None),
+    [("S4xZ2", None), ("Z9", None), ("Z3xZ3", None), ("Z3xS3", None), ("Z7:Z3", None),
      ("S3", None), ("D5", None), ("S4", None), ("D18", 3), ("S3xZ6", 4)],
 )
 def test_root_orbit_search_matches_the_plain_search(name, seed):
     # odd orders have no involution, so only conjugation acts; S3, D5 and
-    # S4 have a trivial centre
-    g = make_group(name)
+    # S4 have a trivial centre.  Z9 and Z3xZ3 are abelian, so they are
+    # listed off a cyclic basis; Z7:Z3 keeps an odd order on the search.
+    g = z7_by_z3() if name == "Z7:Z3" else make_group(name)
     if seed is not None:
         g = relabelled(g, seed)
     want = plain_operators(g)
@@ -303,10 +311,51 @@ def test_q8_has_eight_operators(q8):
 
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z2xZ2", "Z6"])
 def test_abelian_operators_are_exactly_endomorphisms(name):
+    # the operator search and the homomorphism search, neither of which
+    # uses the cyclic basis
     g = make_group(name)
-    ops = {op.images for op in enumerate_rb_operators(g)}
-    endos = {f.images for f in endomorphisms(g)}
-    assert ops == endos
+    endos = [f.images for f in enumerate_homomorphisms(g, g)]
+    assert plain_operators(g) == endos
+    assert [op.images for op in enumerate_rb_operators(g)] == endos
+
+
+ABELIAN_ORACLE_GROUPS = ("Z2xZ4", "Z3xZ3", "Z4xZ4", "Z2xZ6", "Z2xZ2xZ4", "Z2xZ2xZ2xZ3",
+                         "Z2xZ2xZ8", "Z2xZ2xZ2xZ2")
+
+
+@pytest.mark.parametrize("name", ABELIAN_ORACLE_GROUPS)
+def test_abelian_listing_matches_the_plain_search(name):
+    base = make_group(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for g in (base, relabelled(base, 1), relabelled(base, 2)):
+            want = plain_operators(g)
+            for workers in (1, 2, 3):
+                got = [op.images for op in enumerate_rb_operators(g, bound=32, workers=workers)]
+                assert got == want, (g.name, workers)
+
+
+def test_abelian_groups_without_a_basis_are_searched(monkeypatch):
+    from rbgroups import operators
+
+    monkeypatch.setattr(operators, "cyclic_basis", lambda g: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for g in (make_group("Z3xZ3"), make_group("Z2xZ2xZ4"), relabelled(make_group("Z2xZ6"), 1)):
+            want = plain_operators(g)
+            for workers in (1, 2, 3):
+                got = [op.images for op in enumerate_rb_operators(g, workers=workers)]
+                assert got == want, (g.name, workers)
+
+
+def test_abelian_listing_guards_its_count(monkeypatch):
+    from rbgroups import operators
+
+    listing = operators.basis_endomorphisms
+    monkeypatch.setattr(operators, "basis_endomorphisms", lambda g, basis: listing(g, basis)[:-1])
+    # Z2xZ4: the gcd(m_i, m_j) over m = (4, 2) multiply to 4 * 2 * 2 * 2 = 32
+    with pytest.raises(AssertionError, match="listed 31 endomorphisms, not 32"):
+        enumerate_rb_operators(make_group("Z2xZ4"))
 
 
 def test_worker_counts_agree(s3, q8):
@@ -320,8 +369,10 @@ def test_worker_counts_agree(s3, q8):
 
 
 def test_enumeration_bound():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         enumerate_rb_operators(make_group("Z6"), bound=4)
+    assert str(err.value) == "enumeration bound exceeded: |G| = 6 > 4"
+    assert (err.value.stage, err.value.size) == ("enumeration", 6)
 
 
 def test_trivial_group_enumeration():
@@ -602,7 +653,7 @@ def test_enumeration_regressions_at_larger_orders():
             warnings.simplefilter("ignore")
             assert len(enumerate_rb_operators(g)) == count
         if g.is_abelian:
-            assert count == len(endomorphisms(g))
+            assert count == len(enumerate_homomorphisms(g, g))
 
 
 def test_brace_roundtrip_for_every_s3_operator(s3):

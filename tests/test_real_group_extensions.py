@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, all_pairs_wells_report
 
 from rbgroups.groups import (
     GroupMap,
@@ -159,6 +159,8 @@ def test_wells_report_is_exact_on_literal_extensions(gname, op_file, gen):
     # the builder's carrier of the extracted cocycle gives the same report
     rebuilt = build_abelian_extension(ext.module, extract_cocycle(ext))
     assert check_wells_exactness(rebuilt) == report
+    # the derivation law over the generators of C_mu decides it as all pairs do
+    assert all_pairs_wells_report(ext) == report
 
 
 def test_q8_extension_is_non_split():

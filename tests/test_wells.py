@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, all_pairs_wells_report
 
 from rbgroups.groups import GroupMap, automorphisms, make_group
 from rbgroups.operators import (
@@ -270,3 +272,28 @@ def test_fiber_shift_in_aut_hi_iff_derivation():
             for x in ext.E.elements()
         )
         assert member == (theta.value_vector() in z1_keys)
+
+
+def test_derivation_check_over_generators_matches_all_pairs():
+    # the generators of C_mu decide the derivation law: the report, verdict
+    # and JSON alike, equals the oracle's over every pair of C_mu
+    z2g, z3, z4 = make_group("Z2"), make_group("Z3"), make_group("Z4")
+    v4, z3z3 = make_group("Z2xZ2"), make_group("Z3xZ3")
+    swap = (0, 2, 1, 3)  # the automorphism of Z2xZ2 exchanging the factors
+    modules = [
+        fixture_module(),
+        RBModule(RotaBaxterOperator(z2g, (0, 1)), z4, (0, 1, 2, 3), trivial_action(z2g, z4)),
+        RBModule(RotaBaxterOperator(z2g, (0, 0)), v4, (0, 0, 0, 0), trivial_action(z2g, v4)),
+        RBModule(RotaBaxterOperator(z2g, (0, 0)), v4, (0, 0, 0, 0), ((0, 1, 2, 3), swap)),
+    ]
+    cases = [(m, pair) for m in modules for pair in (z2_rbe(m)[0], z2_rbe(m)[-1])]
+    # |C_mu| = 96, generated by 5 of its pairs; the last cocycle, as the
+    # split extension Z3xZ3xZ3 has 11,232 automorphisms to enumerate
+    big = RBModule(trivial_operator(z3), z3z3, (0,) * 9, trivial_action(z3, z3z3))
+    cases.append((big, z2_rbe(big)[-1]))
+    for m, pair in cases:
+        ext = build_abelian_extension(m, pair)
+        got = check_wells_exactness(ext)
+        assert got["omega_is_derivation"]
+        want = all_pairs_wells_report(ext)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
