@@ -5,6 +5,11 @@ module condition, the maps Phi1/Phi2, and the degree 1..3 total complex
 with d1/d2.  Z1, Z2, B2 and H2 come from scanning flat value vectors against
 d1 and d2 compiled into rows of endomorphisms of I.
 
+The written maps evaluate through index stencils (per output, the input
+positions each term reads), cached on product tables, H's inverses, R_H and
+arity alone.  Nothing is cached on an RBModule: one module object serves
+every extension built on it, so a per-module cache would favour repeated calls.
+
 Sign conventions (each forced by the cochain-complex property and by the
 extension roundtrip, see the delta/phi2/d1 docstrings): the coboundary's last
 term carries (-1)^(n+1); d1(theta) = (delta theta, +Phi1 theta); Phi2 is
@@ -256,39 +261,52 @@ def enumerate_cochains(module: RBModule, arity: int, budget: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _coboundary(f: Cochain, prod, act) -> Cochain:
-    """Normalized coboundary with the bar-resolution sign (-1)^(n+1) on the
-    action term; any other sign breaks d(d(f)) = 0 already for trivial
+@cache
+def _coboundary_stencil(table, n: int):
+    """The arity-n coboundary over the product table, as index stencils: per
+    nondegenerate (n+1)-tuple args, in vector order, the positions of the
+    terms added (f(args[1:]) and the even merges), of the terms subtracted
+    (the odd merges), and the action term's (args[n], position of args[:n]).
+    A merge that hits the identity is degenerate, so f vanishes there and it
+    is left out."""
+    index = nondegenerate_tuples(len(table), n)
+    stencil = []
+    for args in nondegenerate_tuples(len(table), n + 1):
+        terms = ([index[args[1:]]], [])
+        for k in range(1, n + 1):
+            merged = args[: k - 1] + (table[args[k - 1]][args[k]],) + args[k + 1 :]
+            if merged in index:
+                terms[k % 2].append(index[merged])
+        stencil.append((tuple(terms[0]), tuple(terms[1]), args[n], index[args[:n]]))
+    return tuple(stencil)
+
+
+def _coboundary(f: Cochain, table, act) -> Cochain:
+    """Normalized coboundary of the group with product table table, acting
+    through the rows act[h] on I, with the bar-resolution sign (-1)^(n+1) on
+    the action term; any other sign breaks d(d(f)) = 0 already for trivial
     actions."""
     m, n = f.module, f.arity
-
-    def value(*args):
-        total = f(args[1:])
-        for k in range(1, n + 1):
-            merged = args[: k - 1] + (prod(args[k - 1], args[k]),) + args[k + 1 :]
-            term = f(merged)
-            if k % 2 == 1:
-                term = m.ineg(term)
-            total = m.iadd(total, term)
-        last = act(args[n], f(args[:n]))
-        if n % 2 == 0:
-            last = m.ineg(last)
-        return m.iadd(total, last)
-
-    return Cochain.from_callable(m, n + 1, value)
+    add, neg, v = m.I.table, m.I.inverses, f.vector
+    out = []
+    for plus, minus, h, q in _coboundary_stencil(table, n):
+        total = act[h][v[q]] if n % 2 else neg[act[h][v[q]]]
+        for p in plus:
+            total = add[total][v[p]]
+        for p in minus:
+            total = add[total][neg[v[p]]]
+        out.append(total)
+    return Cochain(m, n + 1, out)
 
 
 def delta(f: Cochain) -> Cochain:
     """Coboundary of (H, .) acting through mu."""
-    m = f.module
-    return _coboundary(f, lambda a, b: m.H.table[a][b], lambda h, y: m.action[h][y])
+    return _coboundary(f, f.module.H.table, f.module.action)
 
 
 def partial(f: Cochain) -> Cochain:
     """Coboundary of the circle group (H, o) acting through h -> mu_{R_H(h)}."""
-    m = f.module
-    circ = m.circle.table
-    return _coboundary(f, lambda a, b: circ[a][b], lambda h, y: m.action[m.rh[h]][y])
+    return _coboundary(f, f.module.circle.table, mu_twist_action(f.module))
 
 
 def validate_circle_action(module: RBModule, sigma) -> None:
@@ -320,9 +338,7 @@ def partial_circ(f: Cochain, sigma=None) -> Cochain:
         sigma = mu_twist_action(m)
     else:
         validate_circle_action(m, sigma)
-    sigma = tuple(tuple(row) for row in sigma)
-    circ = m.circle.table
-    return _coboundary(f, lambda a, b: circ[a][b], lambda h, y: sigma[h][y])
+    return _coboundary(f, m.circle.table, sigma)
 
 
 def bar(f: Cochain) -> Cochain:
@@ -389,10 +405,32 @@ def phi1(theta: Cochain) -> Cochain:
     if theta.arity != 1:
         raise ValueError("phi1 takes a 1-cochain")
 
-    def value(h):
-        return m.isub(m.ri[m.act(m.rh[h], theta((h,)))], theta((m.rh[h],)))
+    v, ri, act, add, neg = theta.vector + (0,), m.ri, m.action, m.I.table, m.I.inverses
+    # position h - 1 holds theta(h); R_H(h) = e reads the appended 0
+    return Cochain(m, 1, [add[ri[act[r][v[h - 1]]]][neg[v[r - 1]]]
+                          for h, r in enumerate(m.rh[1:], 1)])
 
-    return Cochain.from_callable(m, 1, value)
+
+@cache
+def _phi2_stencil(table, inverses, rh):
+    """phi2 over H's product table, inverses and R_H, as index stencils: per
+    nondegenerate (h1, h2), in vector order, with r_k = R_H(h_k), the
+    positions of a = f(h1 r1, h2 r1^-1), of b = f(h1, r1) with b's action
+    subscript h2 r1^-1, of c = f(h2, r1^-1) and d = f(r1, r1^-1), the twist
+    subscript r1 r2, and the position of f(r1, r2).  A degenerate pair has
+    position -1, which reads the 0 appended to the vector."""
+    index = nondegenerate_tuples(len(table), 2)
+
+    def pos(*t):
+        return index.get(t, -1)
+
+    stencil = []
+    for h1, h2 in index:
+        r1, r2 = rh[h1], rh[h2]
+        r1i = inverses[r1]
+        stencil.append((pos(table[h1][r1], table[h2][r1i]), table[h2][r1i], pos(h1, r1),
+                        pos(h2, r1i), pos(r1, r1i), table[r1][r2], pos(r1, r2)))
+    return tuple(stencil)
 
 
 def phi2(f: Cochain) -> Cochain:
@@ -408,21 +446,11 @@ def phi2(f: Cochain) -> Cochain:
     m = f.module
     if f.arity != 2:
         raise ValueError("phi2 takes a 2-cochain")
-    h, i = m.H, m.I
-    rh = m.rh
-
-    def value(h1, h2):
-        r1, r2 = rh[h1], rh[h2]
-        r1i = h.inverses[r1]
-        a = f((h.table[h1][r1], h.table[h2][r1i]))
-        b = m.act(h.table[h2][r1i], f((h1, r1)))
-        c = f((h2, r1i))
-        d = f((r1, r1i))
-        total = i.table[i.table[a][b]][i.table[c][i.inverses[d]]]
-        twisted = m.ri[m.act(h.table[r1][r2], total)]
-        return m.isub(twisted, f((r1, r2)))
-
-    return Cochain.from_callable(m, 2, value)
+    v, ri, act, add, neg = f.vector + (0,), m.ri, m.action, m.I.table, m.I.inverses
+    return Cochain(m, 2, [
+        add[ri[act[twist][add[add[v[a]][act[hb][v[b]]]][add[v[c]][neg[v[d]]]]]]][neg[v[e]]]
+        for a, hb, b, c, d, twist, e in _phi2_stencil(m.H.table, m.H.inverses, m.rh)
+    ])
 
 
 @dataclass(frozen=True)
@@ -485,18 +513,14 @@ def d2_rbe(pair: CocyclePair) -> tuple[Cochain, Cochain]:
     """
     tau, g = pair.tau, pair.g
     m = tau.module
-    h = m.H
-    pg = partial(g)
-    p2 = phi2(tau)
-
-    def beta(h1, h2):
-        gh1 = g((h1,))
-        mid = m.ri[
-            m.isub(m.act(h.table[h2][m.rh[h2]], gh1), m.act(m.rh[h2], gh1))
-        ]
-        return m.isub(m.isub(pg((h1, h2)), mid), p2((h1, h2)))
-
-    return (delta(tau), Cochain.from_callable(m, 2, beta))
+    h, rh, ri, act, add, neg = m.H.table, m.rh, m.ri, m.action, m.I.table, m.I.inverses
+    gv, pg, p2 = g.vector, partial(g).vector, phi2(tau).vector
+    beta = []
+    for k, (h1, h2) in enumerate(nondegenerate_tuples(m.H.order, 2)):
+        gh1 = gv[h1 - 1]
+        mid = ri[add[act[h[h2][rh[h2]]][gh1]][neg[act[rh[h2]][gh1]]]]
+        beta.append(add[add[pg[k]][neg[mid]]][neg[p2[k]]])
+    return (delta(tau), Cochain(m, 2, beta))
 
 
 def is_two_cocycle(module: RBModule, pair: CocyclePair) -> bool:
@@ -522,18 +546,16 @@ def _compile(module: RBModule, width: int, fn) -> list[list[tuple[int, tuple[int
     gens = _greedy_generators(i.table)
     order, parent = _discovery_order(i, gens)
     zero = tuple(fn([0] * width))
-    columns = []
+    rows = [[] for _ in zero]
     for j in range(width):
         probes = [fn([0] * j + [s] + [0] * (width - j - 1)) for s in gens]
         images = [zero] * i.order
         for y in order[1:]:
             p, k = parent[y]
             images[y] = _vadd(i.table, images[p], probes[k])
-        columns.append(images)
-    rows = []
-    for o in range(len(zero)):
-        entries = [(j, tuple(out[o] for out in images)) for j, images in enumerate(columns)]
-        rows.append([(j, e) for j, e in entries if any(e)])
+        for row, e in zip(rows, zip(*images)):  # e: output o's images over I
+            if any(e):
+                row.append((j, e))
     return rows
 
 

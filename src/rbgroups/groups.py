@@ -380,7 +380,7 @@ class GroupMap:
     def __post_init__(self):
         if len(self.images) != self.domain.order:
             raise ValueError("map is not total on its domain")
-        if any(not 0 <= v < self.codomain.order for v in self.images):
+        if self.images and (min(self.images) < 0 or max(self.images) >= self.codomain.order):
             raise ValueError("map image out of range")
 
     def __call__(self, x: int) -> int:

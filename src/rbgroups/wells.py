@@ -15,7 +15,7 @@ from .groups import (
     is_homomorphism,
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Result,
-                         RBModule, h2_rbe, z1_rbe)
+                         RBModule, _vadd, h2_rbe, z1_rbe)
 from .extensions import Extension
 from .operators import RotaBaxterOperator
 
@@ -206,6 +206,21 @@ def z1_iso_check(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> dict:
     return _z1_iso(ext, z1_rbe(ext.module), aut_HI(ext, bound))
 
 
+def _sum_generators(add, z1: list[Cochain]) -> list[Cochain]:
+    """Each cochain of z1, in order, outside the subgroup the ones before it
+    generate under I's addition table add: a greedy generating set."""
+    gens, span = [], set()
+    for lam in z1:
+        if lam.vector not in span:
+            gens.append(lam)
+            span = span or {(0,) * len(lam.vector)}  # grown to span + <lam> by its cosets
+            coset = [_vadd(add, x, lam.vector) for x in span]
+            while coset[0] not in span:
+                span.update(coset)
+                coset = [_vadd(add, x, lam.vector) for x in coset]
+    return gens
+
+
 def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
     eta_images = {}
     ok = True
@@ -228,9 +243,12 @@ def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
         lam = zeta(ext, f)
         if eta(ext, lam).images != f.images:
             ok = False
-    # eta is a homomorphism: pointwise sums map to compositions
+    # eta is a homomorphism: pointwise sums map to compositions.  Checked for
+    # every a and each generator b, it holds for every b, a nonempty sum of
+    # generators, by induction on the length of the sum
+    gens = _sum_generators(ext.module.I.table, z1)
     for a in z1:
-        for b in z1:
+        for b in gens:
             if eta(ext, a.add(b)).images != compose(eta(ext, a), eta(ext, b)).images:
                 ok = False
     return {"z1_order": len(z1), "autHI_order": len(hi), "isomorphic": ok}

@@ -10,12 +10,14 @@ from rbgroups.groups import (
     FiniteGroup,
     GroupMap,
     automorphisms,
+    compose,
     endomorphisms,
     is_homomorphism,
     make_group,
 )
 from rbgroups.cohomology import (
     DEFAULT_COHOMOLOGY_BUDGET,
+    Cochain,
     CocyclePair,
     H2Result,
     RBModule,
@@ -25,6 +27,7 @@ from rbgroups.cohomology import (
     h2_rbe,
     is_rb_module,
     is_two_cocycle,
+    z1_rbe,
 )
 from rbgroups.extensions import (
     DEFAULT_THETA_BUDGET,
@@ -47,7 +50,16 @@ from rbgroups.operators import (
     rb_witness,
     skew_brace_witness,
 )
-from rbgroups.wells import act_on_pair, c_mu, check_wells_exactness, compose_pairs, wells_map
+from rbgroups.wells import (
+    act_on_pair,
+    aut_HI,
+    c_mu,
+    check_wells_exactness,
+    compose_pairs,
+    eta,
+    wells_map,
+    zeta,
+)
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -293,6 +305,94 @@ def relabelled(g, seed):
 
 
 # ---------------------------------------------------------------------------
+# cochain-map oracles: each output value by its formula, read through
+# Cochain.__call__, with the products and actions as functions
+# ---------------------------------------------------------------------------
+
+
+def closure_coboundary(f, prod, act):
+    """Oracle for cohomology._coboundary: the normalized coboundary of the
+    group with product prod, acting through act(h, y), with the
+    bar-resolution sign (-1)^(n+1) on the action term."""
+    m, n = f.module, f.arity
+
+    def value(*args):
+        total = f(args[1:])
+        for k in range(1, n + 1):
+            merged = args[: k - 1] + (prod(args[k - 1], args[k]),) + args[k + 1 :]
+            term = f(merged)
+            if k % 2 == 1:
+                term = m.ineg(term)
+            total = m.iadd(total, term)
+        last = act(args[n], f(args[:n]))
+        if n % 2 == 0:
+            last = m.ineg(last)
+        return m.iadd(total, last)
+
+    return Cochain.from_callable(m, n + 1, value)
+
+
+def closure_delta(f):
+    m = f.module
+    return closure_coboundary(f, lambda a, b: m.H.table[a][b], lambda h, y: m.action[h][y])
+
+
+def closure_partial(f, sigma=None):
+    """partial, or partial_circ with the circle action sigma."""
+    m = f.module
+    circ = m.circle.table
+    if sigma is None:
+        return closure_coboundary(f, lambda a, b: circ[a][b], lambda h, y: m.action[m.rh[h]][y])
+    return closure_coboundary(f, lambda a, b: circ[a][b], lambda h, y: sigma[h][y])
+
+
+def closure_phi1(theta):
+    """Oracle for cohomology.phi1."""
+    m = theta.module
+    return Cochain.from_callable(
+        m, 1, lambda h: m.isub(m.ri[m.act(m.rh[h], theta((h,)))], theta((m.rh[h],))))
+
+
+def closure_phi2(f):
+    """Oracle for cohomology.phi2: R_I(mu_{R_H(h1)R_H(h2)}(four-term sum))
+    - f(R_H(h1), R_H(h2))."""
+    m = f.module
+    h, i = m.H, m.I
+    rh = m.rh
+
+    def value(h1, h2):
+        r1, r2 = rh[h1], rh[h2]
+        r1i = h.inverses[r1]
+        a = f((h.table[h1][r1], h.table[h2][r1i]))
+        b = m.act(h.table[h2][r1i], f((h1, r1)))
+        c = f((h2, r1i))
+        d = f((r1, r1i))
+        total = i.table[i.table[a][b]][i.table[c][i.inverses[d]]]
+        twisted = m.ri[m.act(h.table[r1][r2], total)]
+        return m.isub(twisted, f((r1, r2)))
+
+    return Cochain.from_callable(m, 2, value)
+
+
+def closure_d2_rbe(pair):
+    """Oracle for cohomology.d2_rbe, built on the closure oracles above."""
+    tau, g = pair.tau, pair.g
+    m = tau.module
+    h = m.H
+    pg = closure_partial(g)
+    p2 = closure_phi2(tau)
+
+    def beta(h1, h2):
+        gh1 = g((h1,))
+        mid = m.ri[
+            m.isub(m.act(h.table[h2][m.rh[h2]], gh1), m.act(m.rh[h2], gh1))
+        ]
+        return m.isub(m.isub(pg((h1, h2)), mid), p2((h1, h2)))
+
+    return (closure_delta(tau), Cochain.from_callable(m, 2, beta))
+
+
+# ---------------------------------------------------------------------------
 # cohomology oracles: Z1, Z2, B2 and H2 by scanning Cochain objects
 # ---------------------------------------------------------------------------
 
@@ -525,15 +625,49 @@ def brute_force_equivalent(e1, e2, budget=DEFAULT_THETA_BUDGET):
 # ---------------------------------------------------------------------------
 
 
+def all_pairs_z1_iso(ext, z1, hi):
+    """Oracle for `wells._z1_iso`: eta and zeta are mutually inverse, with
+    eta(a + b) = eta(a) eta(b) checked for every pair (a, b) of Z1, not only
+    for b in a generating set."""
+    eta_images = {}
+    ok = True
+    for lam in z1:
+        f = eta(ext, lam)
+        if not is_homomorphism(f):
+            ok = False
+        if not all(
+            f.images[ext.operator.images[x]] == ext.operator.images[f.images[x]]
+            for x in ext.E.elements()
+        ):
+            ok = False
+        if zeta(ext, f).value_vector() != lam.value_vector():
+            ok = False
+        eta_images[f.images] = lam
+    if {f.images for f in hi} != set(eta_images):
+        ok = False
+    for f in hi:
+        if eta(ext, zeta(ext, f)).images != f.images:
+            ok = False
+    for a in z1:
+        for b in z1:
+            if eta(ext, a.add(b)).images != compose(eta(ext, a), eta(ext, b)).images:
+                ok = False
+    return {"z1_order": len(z1), "autHI_order": len(hi), "isomorphic": ok}
+
+
 def all_pairs_wells_report(ext):
-    """Oracle for `check_wells_exactness`: its report, with the derivation
-    law omega(c1 c2) = omega(c1)^c2 + omega(c2) checked over every pair
-    (c1, c2) of C_mu, not only for c2 in a generating set."""
+    """Oracle for `check_wells_exactness`: its report, with the eta
+    homomorphism law checked over every pair of Z1 (`all_pairs_z1_iso`), and
+    the derivation law omega(c1 c2) = omega(c1)^c2 + omega(c2) over every
+    pair (c1, c2) of C_mu, not only for c2 in a generating set."""
     report = check_wells_exactness(ext)
     m = ext.module
     h2, cmu = h2_rbe(m), c_mu(m)
     omega_by_key = {(c[0].images, c[1].images): cls for c, cls in wells_map(ext, h2, cmu)}
-    witnesses = [w for w in report["witnesses"] if w["joint"] != "derivation"]
+    exact_at_autI = all_pairs_z1_iso(ext, z1_rbe(m), aut_HI(ext))["isomorphic"]
+    witnesses = [] if exact_at_autI else [
+        {"joint": "autI", "reason": "Z1 does not match Ker(rho)"}]
+    witnesses += [w for w in report["witnesses"] if w["joint"] not in ("autI", "derivation")]
     derivation_ok = True
     for c1 in cmu:
         for c2 in cmu:
@@ -551,7 +685,8 @@ def all_pairs_wells_report(ext):
                         "c2": [list(c2[0].images), list(c2[1].images)],
                     }
                 )
-    return {**report, "omega_is_derivation": derivation_ok, "witnesses": witnesses}
+    return {**report, "exact_at_autI": exact_at_autI, "omega_is_derivation": derivation_ok,
+            "witnesses": witnesses}
 
 
 # ---------------------------------------------------------------------------

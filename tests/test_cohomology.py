@@ -12,11 +12,17 @@ from conftest import (
     brute_force_h2,
     brute_force_z1,
     brute_force_z2,
+    closure_d2_rbe,
+    closure_delta,
+    closure_partial,
+    closure_phi1,
+    closure_phi2,
     element_probe_compile,
     pairwise_verify_closed,
 )
 
 from rbgroups.groups import BudgetError, _greedy_generators, endomorphisms, make_group
+from rbgroups import cohomology
 from rbgroups.operators import RotaBaxterOperator
 from rbgroups.cohomology import (
     _compile,
@@ -36,6 +42,7 @@ from rbgroups.cohomology import (
     h2_rbe,
     is_rb_module,
     is_two_cocycle,
+    mu_twist_action,
     partial,
     partial_circ,
     partial_rb,
@@ -44,6 +51,7 @@ from rbgroups.cohomology import (
     rb_module_witness,
     ri_after,
     trivial_action,
+    validate_circle_action,
     z1_rbe,
     z2_rbe,
 )
@@ -674,3 +682,97 @@ def test_phi2_whole_sum_twist_matches_construction():
                 constructive.add(pair.key())
     assert formula == constructive
     assert len(formula) == 16  # frozen; first-term-only twisting keeps just 4
+
+
+# ---------------------------------------------------------------------------
+# index stencils against the closure oracles
+# ---------------------------------------------------------------------------
+
+
+def circle_actions(m):
+    """Every circle action sigma that partial_circ accepts on m."""
+    out = []
+    for sigma in anti_actions(m.circle, m.I):
+        try:
+            validate_circle_action(m, sigma)
+        except ValueError:
+            continue
+        out.append(sigma)
+    return out
+
+
+def check_stencils_against_closures(m, rng):
+    """The stencil maps equal the closure oracles on seeded cochains of
+    arities 1-3; returns how many (nontrivial R_H, non-default sigma) and
+    (nontrivial phi2 twist) cases it checked."""
+    k1, identity = m.H.order - 1, tuple(m.I.elements())
+    sigmas = circle_actions(m)
+    other_sigma = twisted = 0
+    for arity in (1, 2, 3):
+        for _ in range(4):
+            f = Cochain(m, arity, [rng.randrange(m.I.order) for _ in range(k1 ** arity)])
+            assert delta(f) == closure_delta(f)
+            assert partial(f) == partial_circ(f) == closure_partial(f)
+            for sigma in sigmas:
+                assert partial_circ(f, sigma) == closure_partial(f, sigma)
+                other_sigma += any(m.rh) and sigma != mu_twist_action(m)
+            if arity == 1:
+                assert phi1(f) == closure_phi1(f)
+            if arity == 2:
+                assert phi2(f) == closure_phi2(f)
+                twisted += any(m.action[m.H.table[m.rh[a]][m.rh[b]]] != identity
+                               for a in range(1, m.H.order) for b in range(1, m.H.order))
+                g = Cochain(m, 1, [rng.randrange(m.I.order) for _ in range(k1)])
+                pair = CocyclePair(f, g)
+                assert d2_rbe(pair) == closure_d2_rbe(pair)
+    return other_sigma, twisted
+
+
+@pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)
+def test_stencil_maps_match_closure_oracles(hname, iname):
+    rng = random.Random(f"{hname} on {iname}")
+    for m in all_modules(hname, iname):
+        check_stencils_against_closures(m, rng)
+
+
+def test_stencil_maps_match_closure_oracles_on_twisted_instances():
+    # Z2 on Z2xZ2 has non-default circle actions with R_H = id; the
+    # 3-cycle module has a nontrivial phi2 twist subscript
+    rng = random.Random(17)
+    other_sigma = sum(check_stencils_against_closures(m, rng)[0]
+                      for m in all_modules("Z2", "Z2xZ2"))
+    assert other_sigma > 0
+    assert check_stencils_against_closures(discriminating_module(), rng)[1] > 0
+
+
+def _plain(x) -> bool:
+    return type(x) is int or (type(x) is tuple and all(map(_plain, x)))
+
+
+def test_stencil_cache_keys_hold_only_tables_tuples_and_ints(monkeypatch):
+    seen = []
+    for name in ("_coboundary_stencil", "_phi2_stencil"):
+        def record(*key, built=getattr(cohomology, name)):
+            seen.append(key)
+            return built(*key)
+
+        monkeypatch.setattr(cohomology, name, record)
+    m = discriminating_module()
+    h2_rbe(m)
+    partial_circ(Cochain.zero(m, 3), mu_twist_action(m))
+    assert {len(key) for key in seen} == {2, 3}  # both stencils were built
+    assert all(_plain(key) for key in seen)
+
+
+def test_stencil_caches_do_not_grow_per_module():
+    stencils = (cohomology._coboundary_stencil, cohomology._phi2_stencil)
+    for built in stencils:
+        built.cache_clear()
+    m = discriminating_module()
+    h2_rbe(m)
+    sizes = [built.cache_info().currsize for built in stencils]
+    assert all(sizes)
+    same = RBModule(m.hop, m.I, m.ri, m.action)  # a new module on the same tables
+    assert [p.key() for p in h2_rbe(same).representatives] == [
+        p.key() for p in h2_rbe(m).representatives]
+    assert [built.cache_info().currsize for built in stencils] == sizes

@@ -255,6 +255,17 @@ def test_homomorphism_predicates(s3):
     assert is_homomorphism(both) and is_anti_homomorphism(both)
 
 
+@pytest.mark.parametrize("images,message", [
+    ((0, 1, 2), "map is not total on its domain"),
+    ((0, 1, 2, 3, 4, 6), "map image out of range"),
+    ((0, -1, 2, 3, 4, 5), "map image out of range"),
+])
+def test_group_map_checks_totality_then_range(s3, images, message):
+    with pytest.raises(ValueError, match=message):
+        GroupMap(s3, s3, images)
+    assert GroupMap(s3, s3, (5, 0, 1, 2, 3, 4)).images == (5, 0, 1, 2, 3, 4)
+
+
 def test_inner_automorphism_at_identity(s3):
     assert inner_automorphism(s3, 0).images == tuple(s3.elements())
     for g in s3.elements():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, all_pairs_wells_report
+from conftest import FIXTURES, all_modules, all_pairs_wells_report, all_pairs_z1_iso
 
 from rbgroups.groups import GroupMap, automorphisms, make_group
 from rbgroups.operators import (
@@ -297,3 +297,34 @@ def test_derivation_check_over_generators_matches_all_pairs():
         assert got["omega_is_derivation"]
         want = all_pairs_wells_report(ext)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z2", "Z2xZ2"), ("Z3", "Z3"), ("Z2", "Z6")])
+def test_z1_homomorphism_check_over_generators_matches_all_pairs(hname, iname):
+    # eta(a + b) = eta(a) eta(b) over the generators of Z1 gives the verdict
+    # of every pair, on the least and greatest cocycle of every module
+    for m in all_modules(hname, iname):
+        z1 = z1_rbe(m)
+        gens = wells._sum_generators(m.I.table, z1)
+        span = {(0,) * (m.H.order - 1)}
+        while True:  # the sums of the generators are all of Z1
+            grown = span | {tuple(m.I.table[x][y] for x, y in zip(s, g.vector))
+                            for s in span for g in gens}
+            if grown == span:
+                break
+            span = grown
+        assert span == {lam.vector for lam in z1}
+        assert len(gens) < len(z1) or len(z1) <= 2
+        for pair in (z2_rbe(m)[0], z2_rbe(m)[-1]):
+            ext = build_abelian_extension(m, pair)
+            hi = aut_HI(ext)
+            assert wells._z1_iso(ext, z1, hi) == all_pairs_z1_iso(ext, z1, hi)
+            assert wells._z1_iso(ext, z1, hi)["isomorphic"]
+
+
+def test_z1_generators_start_with_the_first_cochain():
+    m = fixture_module()  # Z1 = Hom(Z2, Z4) = {0, 2}: <2> holds 0, so 0 is listed first
+    z1 = z1_rbe(m)
+    assert [lam.vector for lam in z1] == [(0,), (2,)]
+    assert [lam.vector for lam in wells._sum_generators(m.I.table, z1)] == [(0,), (2,)]
+    assert [lam.vector for lam in wells._sum_generators(m.I.table, z1[::-1])] == [(2,)]
