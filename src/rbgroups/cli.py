@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .groups import (
@@ -58,23 +57,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class JobSpec:
-    """A resolved CLI job; budgets must be positive."""
-
-    workers: int = 1
-    budget: int | None = None
-    bound: int | None = None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.bound is not None and self.bound < 1:
-            raise ValueError("bound must be positive")
-
-
 def _looks_like_path(spec: str) -> bool:
     return spec.endswith(".json") or "/" in spec or Path(spec).exists()
 
@@ -112,6 +94,8 @@ def _resolve_action(spec: str, h: FiniteGroup, igroup: FiniteGroup):
         return trivial_action(h, igroup)
     data = json.loads(Path(spec).read_text())
     maps = data["maps"] if isinstance(data, dict) else data
+    if not isinstance(maps, list) or not all(isinstance(row, list) for row in maps):
+        raise ValueError("action file must hold a list of maps, each a list of images")
     if len(maps) != h.order:
         raise ValueError(f"action file has {len(maps)} maps for |H| = {h.order}")
     return tuple(
@@ -141,6 +125,8 @@ def _load_cochain(module: RBModule, spec: str | None, arity: int) -> Cochain:
 def _load_map_images(spec: str, domain: FiniteGroup, codomain: FiniteGroup):
     data = json.loads(Path(spec).read_text())
     raw = data["images"] if isinstance(data, dict) else data
+    if not isinstance(raw, list):
+        raise ValueError("map file must hold a list of images")
     if len(raw) != domain.order:
         raise ValueError(f"map file has {len(raw)} images for |H| = {domain.order}")
     images = tuple(json_element(v, f"map file entry {k}", codomain) for k, v in enumerate(raw))
@@ -356,11 +342,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        JobSpec(
-            workers=getattr(args, "workers", 1),
-            budget=getattr(args, "budget", None),
-            bound=args.bound,
-        )
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("worker count must be positive")
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise ValueError("budget must be positive")
+        if args.bound is not None and args.bound < 1:
+            raise ValueError("bound must be positive")
         return args.func(args)
     except BudgetError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)

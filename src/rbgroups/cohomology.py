@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .groups import (BudgetError, FiniteGroup, _discovery_order, _greedy_generators,
-                     _orbit_classes, action_witness, json_element)
+from .groups import (BudgetError, FiniteGroup, _generated, _orbit_classes, action_witness,
+                     json_element)
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -225,6 +225,8 @@ class Cochain:
     @classmethod
     def from_dict(cls, module: RBModule, data: dict) -> "Cochain":
         """Read to_dict's format; keys must lie in (H - {e})^arity, values in I."""
+        if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
+            raise ValueError("a cochain must be an object whose 'values' is an object")
         arity, nh = json_element(data["arity"], "cochain arity"), module.H.order
         positions = nondegenerate_tuples(nh, arity)
         vector = [0] * len(positions)
@@ -543,8 +545,7 @@ def _compile(module: RBModule, width: int, fn) -> list[list[tuple[int, tuple[int
     so fn is probed only at the greedy generators s and each e is extended
     along their discovery tree by e(p s) = e(p) + e(s)."""
     i = module.I
-    gens = _greedy_generators(i.table)
-    order, parent = _discovery_order(i, gens)
+    gens, order, parent = _generated(i.elements(), i.mul, 0)
     zero = tuple(fn([0] * width))
     rows = [[] for _ in zero]
     for j in range(width):
@@ -592,50 +593,64 @@ def _d2_map(module: RBModule):
     return d2
 
 
+def _coset_generators(add, vectors, within=None) -> list[int] | None:
+    """Positions of the greedy generators of value vectors under I's addition
+    table add: each vector outside the subgroup C the ones before it generate
+    (the first always).  C grows to C + <v> by its cosets C + v, C + 2v, ...
+    until they return to C, one addition per member; None once a coset leaves
+    within.  The abelian case of groups._generated, apart because that walk
+    multiplies each new member by every generator (2-3x slower here)."""
+    gens, span = [], set()
+    for k, v in enumerate(vectors):
+        if v in span:
+            continue
+        gens.append(k)
+        span = span or {(0,) * len(v)}
+        coset = [_vadd(add, x, v) for x in span]
+        while coset[0] not in span:
+            if within is not None and not within.issuperset(coset):
+                return None
+            span.update(coset)
+            coset = [_vadd(add, x, v) for x in coset]
+    return gens
+
+
 def _verify_closed(add, keys, name: str) -> None:
     """Raise unless the value vectors keys (over I's addition table add) are
-    closed under addition; an empty list passes.
-
-    A nonempty finite set is closed iff it holds 0 and the subgroup it
-    generates.  That subgroup C is grown from {0} by each key k outside it,
-    in order, as C + <k>: the cosets C + k, C + 2k, ... until they return to
-    C.  So each member is reached by one addition, O(|keys|) in all instead
-    of every pair."""
+    closed under addition; an empty list passes.  A nonempty finite set is
+    closed iff it holds 0 and the subgroup it generates, grown coset by
+    coset without leaving it: O(|keys|) additions instead of every pair."""
     if not keys:
         return
-    keyed, zero = set(keys), (0,) * len(keys[0])
-    if zero not in keyed:
+    keyed = set(keys)
+    if (0,) * len(keys[0]) not in keyed or _coset_generators(add, keys, keyed) is None:
         raise AssertionError(f"{name} is not closed under addition")
-    closure = {zero}
-    for k in keys:
-        if k in closure:
-            continue
-        coset = [_vadd(add, c, k) for c in closure]
-        while coset[0] not in closure:
-            if not keyed.issuperset(coset):
-                raise AssertionError(f"{name} is not closed under addition")
-            closure.update(coset)
-            coset = [_vadd(add, x, k) for x in coset]
 
 
 def _d1_scan(module: RBModule, budget: int):
-    """The rows of d1 and every 1-cochain value vector, budget permitting."""
+    """Z1 = ker d1 and B2 = im d1 as sorted value vectors, each checked
+    closed, from one compile of d1 and one scan of TC^1, budget permitting."""
     nh, ni = module.H.order, module.I.order
     size = ni ** (nh - 1)
     if size > budget:
         raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}",
                           stage="TC^1", size=size)
-    rows = _compile(module, nh - 1, _d1_map(module))
-    return rows, itertools.product(module.I.elements(), repeat=nh - 1)
+    rows, add = _compile(module, nh - 1, _d1_map(module)), module.I.table
+    kernel, image = [], set()
+    for v in itertools.product(module.I.elements(), repeat=nh - 1):
+        d = tuple(_apply(add, row, v) for row in rows)
+        image.add(d)
+        if not any(d):
+            kernel.append(v)
+    image = sorted(image)
+    _verify_closed(add, kernel, "Z1")
+    _verify_closed(add, image, "B2")
+    return kernel, image
 
 
 def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Cochain]:
     """Kernel of d1: derivations lambda with lambda(R(h)) = R_I(mu_{R(h)}(lambda(h)))."""
-    rows, vectors = _d1_scan(module, budget)
-    add = module.I.table
-    keys = [v for v in vectors if not any(_apply(add, row, v) for row in rows)]
-    _verify_closed(add, keys, "Z1")
-    return [Cochain.from_vector(module, 1, v) for v in keys]
+    return [Cochain.from_vector(module, 1, v) for v in _d1_scan(module, budget)[0]]
 
 
 def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
@@ -678,10 +693,7 @@ def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
 
 def b2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
     """Image of d1, sorted by value vector."""
-    rows, vectors = _d1_scan(module, budget)
-    keys = sorted({tuple(_apply(module.I.table, row, v) for row in rows) for v in vectors})
-    _verify_closed(module.I.table, keys, "B2")
-    return [_pair(module, k) for k in keys]
+    return [_pair(module, k) for k in _d1_scan(module, budget)[1]]
 
 
 @dataclass
@@ -726,8 +738,18 @@ class H2Result:
 
 def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Result:
     """H2 = Z2/B2 with lexicographically least coset representatives."""
+    return _h2(module, z2_rbe(module, budget), b2_rbe(module, budget))
+
+
+def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[Cochain]]:
+    """h2_rbe and z1_rbe with one compile and scan of d1 for both."""
     z2 = z2_rbe(module, budget)
-    b2 = b2_rbe(module, budget)
+    z1, b2 = _d1_scan(module, budget)
+    return (_h2(module, z2, [_pair(module, k) for k in b2]),
+            [Cochain.from_vector(module, 1, v) for v in z1])
+
+
+def _h2(module: RBModule, z2: list[CocyclePair], b2: list[CocyclePair]) -> H2Result:
     z2_keys = [p.key() for p in z2]
     b2_keys = [b.key() for b in b2]
     if not set(z2_keys).issuperset(b2_keys):

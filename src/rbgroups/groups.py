@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -63,8 +64,8 @@ def group_table_witness(table) -> tuple[str, tuple] | None:
         if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
             return ("inverse", (a,))
     rows = [tuple(row) for row in table]
-    # 0 is a two-sided identity, so every element is a product of the
-    # generators (closure under right multiplication starts at 0)
+    # 0 is a two-sided identity, so the span _generated builds, the right
+    # products of the generators from 0, is every element
     if all(rows[ra[b]] == tuple(map(ra.__getitem__, rows[b]))
            for b in _greedy_generators(rows) for ra in rows):
         return None
@@ -87,6 +88,9 @@ class FiniteGroup:
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.order:
             raise ValueError(f"{name}: {len(self.labels)} labels for order {self.order}")
+        repeated = [x for x, k in Counter(self.labels or ()).items() if k > 1]
+        if repeated:
+            raise ValueError(f"{name}: element label {repeated[0]!r} is repeated")
         if check:
             witness = group_table_witness(self.table)
             if witness is not None:
@@ -202,18 +206,7 @@ def group_from_perms(generators, degree: int, name: str) -> FiniteGroup:
     That ordering puts the identity first and reproduces the usual textbook
     listings (e.g. S3 as e,(1,2),(1,3),(2,3),(1,2,3),(1,3,2)).
     """
-    identity = tuple(range(degree))
-    elems = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = perm_mul(p, g)
-                if q not in elems:
-                    elems.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    _, elems, _ = _generated(generators, perm_mul, tuple(range(degree)))
     ordered = sorted(elems, key=lambda p: (_moved(p), perm_to_cycles(p)))
     index = {p: i for i, p in enumerate(ordered)}
     table = [[index[perm_mul(a, b)] for b in ordered] for a in ordered]
@@ -341,8 +334,10 @@ def group_from_dict(
 ) -> FiniteGroup:
     """Read a Cayley-table dict; an order above `bound` is refused before the
     axiom check runs."""
-    if "table" not in data:
+    if not isinstance(data, dict) or "table" not in data:
         raise ValueError("Cayley-table JSON needs a 'table' field")
+    if not isinstance(data["table"], list) or not all(isinstance(r, list) for r in data["table"]):
+        raise ValueError("Cayley-table JSON 'table' must be a list of rows, each a list")
     if len(data["table"]) > bound:
         raise BudgetError(f"group {name} has order {len(data['table'])} > bound {bound}",
                           stage="group order", size=len(data["table"]))
@@ -352,7 +347,10 @@ def group_from_dict(
         [json_element(v, f"Cayley-table entry ({a}, {b})") for b, v in enumerate(row)]
         for a, row in enumerate(data["table"])
     ]
-    return FiniteGroup(table, labels=data.get("labels"), name=name)
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("Cayley-table JSON 'labels' must be a list")
+    return FiniteGroup(table, labels=labels, name=name)
 
 
 def load_group(path, bound: int = DEFAULT_GROUP_BOUND) -> FiniteGroup:
@@ -486,11 +484,39 @@ def center(g: FiniteGroup) -> tuple[int, ...]:
     )
 
 
+def _generated(members, mul, one):
+    """(gens, span, parent) for the subgroup that members generate under mul.
+
+    gens: each member, in order, outside the span of the ones before it.
+    span: that subgroup in discovery order from one, grown incrementally and
+    kept closed under right multiplication by the generators: a new
+    generator multiplies every element found so far, and each new element
+    multiplies every generator.  So it holds only right products of the
+    generators from one, which is what Light's test needs on a table that
+    may not be associative.  parent: x -> (p, k) with x = mul(p, gens[k])
+    and p found before x; parent[one] is None.
+    """
+    gens, span, parent = [], [one], {one: None}
+    for x in members:
+        if x in parent:
+            continue
+        gens.append(x)
+        k, new, i = len(gens) - 1, len(span), 0
+        while i < len(span):  # by index: the elements found here join the walk
+            a = span[i]
+            for j in range(k if i < new else 0, k + 1):
+                b = mul(a, gens[j])
+                if b not in parent:
+                    parent[b] = (a, j)
+                    span.append(b)
+            i += 1
+    return gens, span, parent
+
+
 def is_subgroup(g: FiniteGroup, elems) -> bool:
+    """True iff elems is the span of its own greedy generators."""
     s = set(elems)
-    if 0 not in s:
-        return False
-    return all(g.table[a][b] in s for a in s for b in s)
+    return set(_generated(s, g.mul, 0)[1]) == s
 
 
 def is_normal(g: FiniteGroup, elems) -> bool:
@@ -499,23 +525,7 @@ def is_normal(g: FiniteGroup, elems) -> bool:
 
 
 def subgroup_closure(g: FiniteGroup, gens) -> set[int]:
-    return _right_closure(g.table, gens)
-
-
-def _right_closure(table, gens) -> set[int]:
-    """The elements reached from 0 by right multiplication by `gens`."""
-    out = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for x in gens:
-                b = table[a][x]
-                if b not in out:
-                    out.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return out
+    return set(_generated(gens, g.mul, 0)[1])
 
 
 def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, GroupMap]:
@@ -562,44 +572,8 @@ def generating_set(g: FiniteGroup) -> list[int]:
 
 
 def _greedy_generators(table) -> list[int]:
-    """Each element, in index order, that right multiplication by the ones
-    before it does not reach from 0."""
-    gens: list[int] = []
-    closure = {0}
-    for x in range(len(table)):
-        if x not in closure:
-            gens.append(x)
-            closure = _right_closure(table, gens)
-            if len(closure) == len(table):
-                break
-    return gens
-
-
-def _discovery_order(g: FiniteGroup, gens):
-    """BFS discovery of every element as parent*gen, for image extension."""
-    parent = {0: None}
-    order = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gi, x in enumerate(gens):
-                b = g.table[a][x]
-                if b not in parent:
-                    parent[b] = (a, gi)
-                    order.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    return order, parent
-
-
-def _extend_images(g: FiniteGroup, h: FiniteGroup, gens, gen_images, order, parent):
-    images = [-1] * g.order
-    images[0] = 0
-    for a in order[1:]:
-        pa, gi = parent[a]
-        images[a] = h.table[images[pa]][gen_images[gi]]
-    return images
+    """Each element, in index order, outside the span of the ones before it."""
+    return _generated(range(len(table)), lambda a, b: table[a][b], 0)[0]
 
 
 def enumerate_homomorphisms(
@@ -618,8 +592,7 @@ def enumerate_homomorphisms(
             f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}",
             stage="homomorphism enumeration", size=max(g.order, h.order),
         )
-    gens = generating_set(g)
-    order, parent = _discovery_order(g, gens)
+    gens, span, parent = _generated(g.elements(), g.mul, 0)
     gen_orders = [g.element_order(x) for x in gens]
     candidates = []
     for k in gen_orders:
@@ -630,7 +603,10 @@ def enumerate_homomorphisms(
         candidates.append(cands)
     found = []
     for gen_images in itertools.product(*candidates):
-        images = _extend_images(g, h, gens, gen_images, order, parent)
+        images = [0] * g.order  # extended along the discovery tree
+        for a in span[1:]:
+            p, k = parent[a]
+            images[a] = h.table[images[p]][gen_images[k]]
         f = GroupMap(g, h, tuple(images))
         if bijective_only and not is_bijective(f):
             continue

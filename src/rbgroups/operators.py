@@ -19,6 +19,7 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _generated,
     basis_endomorphisms,
     cyclic_basis,
     group_from_dict,
@@ -30,7 +31,6 @@ from .groups import (
     is_subgroup,
     json_element,
     make_group,
-    subgroup_closure,
 )
 
 DEFAULT_ENUM_BOUND = 16
@@ -229,22 +229,21 @@ def _close(g: FiniteGroup, root: int, moves, found) -> list[tuple[int, ...]]:
     automorphisms that fix the root, and uses R~ only if r^2 = e.
     """
     table, inv = g.table, g.inverses
-    gens, span, by_rep = [], {0}, {}
+    for c in _generated([c for _, c, _ in moves], g.mul, 0)[0]:
+        conj = inner_automorphism(g, c)
+        if not (is_bijective(conj) and is_homomorphism(conj) and conj(root) == root):
+            raise AssertionError(f"conjugation by {c} does not fix the search root {root}")
+    by_rep = {}
     for v, (rep, c, t) in enumerate(moves):
         if t and table[root][root] != 0:
             raise AssertionError(f"R~ moves R({root}) only when {root} is an involution")
-        conj = inner_automorphism(g, c)
-        if c not in span:
-            if not (is_bijective(conj) and is_homomorphism(conj) and conj(root) == root):
-                raise AssertionError(f"conjugation by {c} does not fix the search root {root}")
-            gens.append(c)
-            span = subgroup_closure(g, gens)
         if v != rep:
             # (c R~^t c^-1)(x) = p[j R(j)] if t else p[R(j)], with p the
             # conjugation by c and j = c^-1 x^(-1)^t c
+            p = inner_automorphism(g, c).images.__getitem__
             js = [g.conj(inv[c], inv[x] if t else x) for x in g.elements()]
             rows = [table[j] if t else table[0] for j in js]
-            by_rep.setdefault(rep, []).append((conj.images.__getitem__, rows, itemgetter(*js)))
+            by_rep.setdefault(rep, []).append((p, rows, itemgetter(*js)))
     closed = list(found)
     for im in found:
         for p, rows, get in by_rep.get(im[root], ()):
@@ -505,6 +504,8 @@ def operator_to_dict(op: RotaBaxterOperator, group_name: str | None = None) -> d
 
 def operator_from_dict(data: dict, group: FiniteGroup | None = None) -> RotaBaxterOperator:
     """Read an operator; image entries may be indices or element labels."""
+    if not isinstance(data, dict) or not isinstance(data.get("images"), list):
+        raise ValueError("operator JSON must be an object whose 'images' is a list")
     if group is None:
         spec = data.get("group")
         if spec is None:

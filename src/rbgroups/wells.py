@@ -10,12 +10,13 @@ import dataclasses
 from .groups import (
     FiniteGroup,
     GroupMap,
+    _generated,
     automorphisms,
     compose,
     is_homomorphism,
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Result,
-                         RBModule, _vadd, h2_rbe, z1_rbe)
+                         RBModule, _coset_generators, _h2_and_z1, h2_rbe, z1_rbe)
 from .extensions import Extension
 from .operators import RotaBaxterOperator
 
@@ -118,26 +119,14 @@ def compose_pairs(c1, c2):
 def _pair_generators(cmu: list[tuple[GroupMap, GroupMap]]) -> list[tuple[GroupMap, GroupMap]]:
     """Each pair of C_mu, in order, outside the subgroup the ones before it
     generate: a greedy generating set of the group C_mu."""
+    by_key = {(phi.images, psi.images): (phi, psi) for phi, psi in cmu}
     phi, psi = cmu[0]
     one = (tuple(range(len(phi.images))), tuple(range(len(psi.images))))
-    gens, keys, span = [], [], {one}
-    for c in cmu:
-        key = (c[0].images, c[1].images)
-        if key in span:
-            continue
-        gens.append(c)
-        keys.append(key)
-        span, frontier = {one}, [one]
-        while frontier:  # right multiplication by the generators, from the identity
-            nxt = []
-            for a in frontier:
-                for b in keys:  # the key of compose_pairs(a, b)
-                    ab = (tuple(map(a[0].__getitem__, b[0])), tuple(map(a[1].__getitem__, b[1])))
-                    if ab not in span:
-                        span.add(ab)
-                        nxt.append(ab)
-            frontier = nxt
-    return gens
+
+    def mul(a, b):  # the key of compose_pairs(a, b)
+        return tuple(map(a[0].__getitem__, b[0])), tuple(map(a[1].__getitem__, b[1]))
+
+    return [by_key[key] for key in _generated(by_key, mul, one)[0]]
 
 
 def twist_extension(ext: Extension, c: tuple[GroupMap, GroupMap]) -> Extension:
@@ -209,16 +198,7 @@ def z1_iso_check(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> dict:
 def _sum_generators(add, z1: list[Cochain]) -> list[Cochain]:
     """Each cochain of z1, in order, outside the subgroup the ones before it
     generate under I's addition table add: a greedy generating set."""
-    gens, span = [], set()
-    for lam in z1:
-        if lam.vector not in span:
-            gens.append(lam)
-            span = span or {(0,) * len(lam.vector)}  # grown to span + <lam> by its cosets
-            coset = [_vadd(add, x, lam.vector) for x in span]
-            while coset[0] not in span:
-                span.update(coset)
-                coset = [_vadd(add, x, lam.vector) for x in coset]
-    return gens
+    return [z1[k] for k in _coset_generators(add, [lam.vector for lam in z1])]
 
 
 def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
@@ -267,14 +247,14 @@ def check_wells_exactness(
     """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses.
 
     Aut_I(E) is built once; rho, its kernel and the Z1 check all use it.
+    One scan of TC^1 against d1 gives both Z1 and the B2 inside H2.
     """
     m = ext.module
-    h2 = h2_rbe(m, budget)
+    h2, z1 = _h2_and_z1(m, budget)
     cmu = c_mu(m, bound=bound)
     auti = aut_I(ext, bound)
     rho_list = _rho(ext, auti)
     hi = _rho_kernel(ext, rho_list)
-    z1 = z1_rbe(m, budget)
     witnesses = []
 
     exact_at_autI = _z1_iso(ext, z1, hi)["isomorphic"]

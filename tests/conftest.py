@@ -9,6 +9,7 @@ from rbgroups.groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _generated,
     automorphisms,
     compose,
     endomorphisms,
@@ -114,6 +115,86 @@ def full_scan_witness(table):
                 if rab[c] != ra[rb[c]]:
                     return ("associativity", (a, b, c))
     return None
+
+
+# ---------------------------------------------------------------------------
+# subgroup-growth oracles: the walks groups._generated replaced
+# ---------------------------------------------------------------------------
+
+
+def right_closure(gens, mul, one) -> set:
+    """Oracle for the span of groups._generated: the elements reached from
+    one by right multiplication by gens, breadth first."""
+    out, frontier = {one}, [one]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for x in gens:
+                b = mul(a, x)
+                if b not in out:
+                    out.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return out
+
+
+def recomputed_greedy_generators(members, mul, one) -> list:
+    """Oracle for the generators of groups._generated: each member, in order,
+    outside the right closure of the ones before it, recomputed from scratch
+    after every new generator."""
+    gens, closure = [], {one}
+    for x in members:
+        if x not in closure:
+            gens.append(x)
+            closure = right_closure(gens, mul, one)
+    return gens
+
+
+def bfs_discovery_order(gens, mul, one):
+    """Oracle for the discovery tree of groups._generated: breadth-first
+    discovery of every element as parent * generator, with its parent map."""
+    parent, order, frontier = {one: None}, [one], [one]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for k, x in enumerate(gens):
+                b = mul(a, x)
+                if b not in parent:
+                    parent[b] = (a, k)
+                    order.append(b)
+                    nxt.append(b)
+        frontier = nxt
+    return order, parent
+
+
+def pair_key_mul(a, b):
+    """The key (phi images, psi images) of compose_pairs on two keys."""
+    return tuple(a[0][x] for x in b[0]), tuple(a[1][x] for x in b[1])
+
+
+def walked_pair_generators(cmu) -> list:
+    """Oracle for wells._pair_generators: the greedy generators of C_mu,
+    each span walked from the identity over the keys of compose_pairs."""
+    phi, psi = cmu[0]
+    one = (tuple(range(len(phi.images))), tuple(range(len(psi.images))))
+    by_key = {(c[0].images, c[1].images): c for c in cmu}
+    return [by_key[k] for k in recomputed_greedy_generators(by_key, pair_key_mul, one)]
+
+
+def check_generated(members, mul, one):
+    """_generated(members, mul, one) against the oracles: the same generators
+    and span, and a discovery tree whose parents come first."""
+    gens, span, parent = _generated(members, mul, one)
+    assert gens == recomputed_greedy_generators(members, mul, one)
+    want = right_closure(gens, mul, one)
+    assert set(span) == want == set(bfs_discovery_order(gens, mul, one)[0])
+    assert span[0] == one and parent[one] is None
+    assert len(span) == len(want) == len(parent)
+    position = {x: k for k, x in enumerate(span)}
+    for x in span[1:]:
+        p, k = parent[x]
+        assert x == mul(p, gens[k]) and position[p] < position[x]
+    return gens, span
 
 
 def brute_force_operators(g):

@@ -162,6 +162,33 @@ def test_cochain_file_rejects_non_integer_arity(tmp_path, capsys):
     assert "cochain arity is 1.9, not an integer element index" in err
 
 
+@pytest.mark.parametrize("argv,name,data,message", [
+    (("wells", "--H", "Z2", "--I", "Z4", "--g"), "g.json", {"arity": 1, "values": [1]},
+     "a cochain must be an object whose 'values' is an object"),
+    (("cohomology", "--H", "Z2", "--I", "Z2", "--action"), "act.json", [1, 0],
+     "action file must hold a list of maps, each a list of images"),
+    (("verify", "--operator", "zero", "--group"), "group.json", {"table": [0, 1]},
+     "Cayley-table JSON 'table' must be a list of rows, each a list"),
+    (("split", "--H", "Z2", "--I", "Z3", "--g"), "g.json", {"images": 3},
+     "map file must hold a list of images"),
+    (("verify", "--group", "S3", "--operator"), "op.json", {"images": 3},
+     "operator JSON must be an object whose 'images' is a list"),
+])
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, name, data, message):
+    code, out, err = run_cli(capsys, *argv, _write_json(tmp_path, name, data))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_repeated_group_labels_are_usage_errors(tmp_path, capsys):
+    z3 = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "labels": ["a", "a", "b"]}
+    group = _write_json(tmp_path, "z3.json", z3)
+    op = _write_json(tmp_path, "op.json", {"images": ["a", "b", "a"]})
+    code, out, err = run_cli(capsys, "verify", "--group", group, "--operator", op)
+    assert code == 2 and out == ""
+    assert err == "error: z3: element label 'a' is repeated\n"
+
+
 def test_group_names_and_files_honour_the_bound(tmp_path, capsys):
     s3 = str(tmp_path / "s3.json")
     rbgroups.save_group(rbgroups.make_group("S3"), s3)

@@ -21,10 +21,12 @@ from conftest import (
     pairwise_verify_closed,
 )
 
-from rbgroups.groups import BudgetError, _greedy_generators, endomorphisms, make_group
+from rbgroups.groups import (BudgetError, _generated, _greedy_generators, endomorphisms,
+                             make_group)
 from rbgroups import cohomology
 from rbgroups.operators import RotaBaxterOperator
 from rbgroups.cohomology import (
+    _coset_generators,
     _compile,
     _d1_map,
     _d2_map,
@@ -551,6 +553,27 @@ def test_closure_by_generators_matches_pairwise_oracle(iname):
                      _closure_verdict(pairwise_verify_closed, i.table, keys)) for keys in cases]
         assert [got for got, _ in verdicts] == [want for _, want in verdicts]
         assert {want for _, want in verdicts} == {None, "S is not closed under addition"}
+
+
+@pytest.mark.parametrize("iname", ["Z2", "Z3", "Z4", "Z2xZ2", "Z6"])
+def test_coset_generators_match_the_general_routine(iname):
+    # the abelian helper lists the greedy generators _generated finds under
+    # vector addition, and also a leading zero, since it grows from {}
+    i = make_group(iname)
+    rng = random.Random(iname)
+    for k in (1, 2, 3):
+        vectors = list(itertools.product(i.elements(), repeat=k))
+        zero = vectors[0]
+
+        def vadd(a, b):
+            return tuple(i.table[x][y] for x, y in zip(a, b))
+
+        for _ in range(100):
+            members = [rng.choice(vectors) for _ in range(rng.randint(1, 6))]
+            want = _generated(members, vadd, zero)[0]
+            if members[0] == zero:
+                want = [zero] + want
+            assert [members[j] for j in _coset_generators(i.table, members)] == want
 
 
 def test_scan_budget_refusals_match_oracles():

@@ -1,14 +1,16 @@
 import itertools
 import json
+import random
 
 import pytest
-from conftest import full_scan_witness, relabelled
+from conftest import check_generated, full_scan_witness, relabelled
 
 from rbgroups.groups import (
     AxiomError,
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _generated,
     automorphisms,
     center,
     compose,
@@ -16,7 +18,9 @@ from rbgroups.groups import (
     direct_product,
     endomorphisms,
     enumerate_homomorphisms,
+    generating_set,
     group_from_dict,
+    group_from_perms,
     group_table_witness,
     group_to_dict,
     identity_map,
@@ -29,6 +33,9 @@ from rbgroups.groups import (
     is_subgroup,
     load_group,
     make_group,
+    perm_from_cycles,
+    perm_mul,
+    perm_to_cycles,
     quotient,
     save_group,
     subgroup_closure,
@@ -315,3 +322,67 @@ def test_enumerate_homomorphisms_is_sorted(s3):
 def test_automorphisms_budget():
     with pytest.raises(BudgetError):
         automorphisms(make_group("Z6"), bound=3)
+
+
+def test_repeated_labels_are_refused():
+    data = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "labels": ["a", "a", "b"]}
+    with pytest.raises(ValueError, match="z3: element label 'a' is repeated"):
+        group_from_dict(data, name="z3")
+    data["labels"] = ["a", "b", "c"]
+    assert group_from_dict(data).label_index("c") == 2
+
+
+@pytest.mark.parametrize("data,message", [
+    ([[0]], "needs a 'table' field"),
+    ({"table": 1}, "must be a list of rows"),
+    ({"table": [0, 1]}, "must be a list of rows"),
+    ({"table": [[0, 1], [1, 0]], "labels": 5}, "'labels' must be a list"),
+])
+def test_loader_refuses_malformed_shapes(data, message):
+    with pytest.raises(ValueError, match=message):
+        group_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# _generated against the walks it replaced
+# ---------------------------------------------------------------------------
+
+
+CATALOG_TO_48 = ["Z1", "Z2", "Z7", "Z12", "Z2xZ2", "Z2xZ2xZ2", "Z4xZ4", "Z2xZ4xZ6", "S3", "S4",
+                 "D4", "D5", "D6", "D12", "D24", "Q8", "Q8xZ2", "Q8xZ6", "D4xZ2", "D4xZ6",
+                 "S3xS3", "S3xZ6", "S4xZ2", "Z3xS3"]
+
+
+@pytest.mark.parametrize("name", CATALOG_TO_48)
+def test_generated_matches_the_walk_oracles_on_catalog_groups(name):
+    base = make_group(name)
+    rng = random.Random(name)
+    for g in (base, relabelled(base, 1), relabelled(base, 2)):
+        gens, span = check_generated(g.elements(), g.mul, 0)
+        assert gens == generating_set(g) and sorted(span) == list(g.elements())
+        for _ in range(6):  # proper subgroups, from a few members in any order
+            members = rng.sample(range(g.order), rng.randint(1, min(3, g.order)))
+            _, span = check_generated(members, g.mul, 0)
+            assert subgroup_closure(g, members) == set(span)
+
+
+@pytest.mark.parametrize("name,degree,cycles", [
+    ("S5", 5, [[(1, 2)], [(1, 2, 3, 4, 5)]]),
+    ("D6", 6, [[(1, 2, 3, 4, 5, 6)], [(1, 6), (2, 5), (3, 4)]]),
+    ("Q8", 8, [[(1, 2, 3, 4), (5, 6, 7, 8)], [(1, 5, 3, 7), (2, 8, 4, 6)]]),
+])
+def test_generated_matches_the_walk_oracles_on_permutations(name, degree, cycles):
+    perms = [perm_from_cycles(c, degree) for c in cycles]
+    _, span = check_generated(perms, perm_mul, tuple(range(degree)))
+    g = group_from_perms(perms, degree, name)
+    assert g.order == len(span) == {"S5": 120, "D6": 12, "Q8": 8}[name]
+    assert set(g.labels) == {perm_to_cycles(p) for p in span}
+
+
+@pytest.mark.parametrize("name", ["Z6", "Z2xZ2", "S3", "D4", "Q8"])
+def test_is_subgroup_matches_the_pairwise_check_on_every_subset(name):
+    g = make_group(name)
+    for size in range(g.order + 1):
+        for s in itertools.combinations(g.elements(), size):
+            want = 0 in s and all(g.table[a][b] in s for a in s for b in s)
+            assert is_subgroup(g, s) == want

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, all_modules, all_pairs_wells_report, all_pairs_z1_iso
+from conftest import (
+    FIXTURES,
+    all_modules,
+    all_pairs_wells_report,
+    all_pairs_z1_iso,
+    check_generated,
+    pair_key_mul,
+    walked_pair_generators,
+)
 
 from rbgroups.groups import GroupMap, automorphisms, make_group
 from rbgroups.operators import (
@@ -10,6 +18,7 @@ from rbgroups.operators import (
     load_operator,
     trivial_operator,
 )
+from rbgroups import cohomology
 from rbgroups.cohomology import (
     CocyclePair,
     RBModule,
@@ -328,3 +337,42 @@ def test_z1_generators_start_with_the_first_cochain():
     assert [lam.vector for lam in z1] == [(0,), (2,)]
     assert [lam.vector for lam in wells._sum_generators(m.I.table, z1)] == [(0,), (2,)]
     assert [lam.vector for lam in wells._sum_generators(m.I.table, z1[::-1])] == [(2,)]
+
+
+@pytest.mark.parametrize("hname,iname", [("Z4", "Z2"), ("Z3", "Z3"), ("Z2", "Z2xZ2"), ("Z2", "Z8")])
+def test_pair_generators_match_the_walk_oracle(hname, iname):
+    for m in all_modules(hname, iname):
+        cmu = c_mu(m)
+        gens = wells._pair_generators(cmu)
+        assert gens == walked_pair_generators(cmu)
+        keys = [(phi.images, psi.images) for phi, psi in cmu]
+        _, span = check_generated(keys, pair_key_mul, keys[0])  # keys[0] is (id, id)
+        assert set(span) == set(keys)
+        for c1, c2 in zip(cmu, gens):  # the product the walk uses is compose_pairs
+            c12 = compose_pairs(c1, c2)
+            assert pair_key_mul((c1[0].images, c1[1].images), (c2[0].images, c2[1].images)) == (
+                c12[0].images, c12[1].images)
+
+
+@pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z3", "Z3"), ("Z2", "Z2xZ2")])
+def test_wells_report_compiles_d2_once_and_d1_once(monkeypatch, hname, iname):
+    widths, compile_ = [], cohomology._compile
+
+    def counted(module, width, fn):
+        widths.append(width)
+        return compile_(module, width, fn)
+
+    cases = []
+    for m in all_modules(hname, iname):
+        h2, z1 = cohomology._h2_and_z1(m, cohomology.DEFAULT_COHOMOLOGY_BUDGET)
+        assert [p.key() for p in h2.representatives] == [
+            p.key() for p in h2_rbe(m).representatives]
+        assert [p.key() for p in h2.b2] == [p.key() for p in b2_rbe(m)]
+        assert [lam.vector for lam in z1] == [lam.vector for lam in z1_rbe(m)]
+        cases += [(m, h2.z2[0]), (m, h2.z2[-1])]
+    monkeypatch.setattr(cohomology, "_compile", counted)
+    for m, pair in cases:
+        widths.clear()
+        check_wells_exactness(build_abelian_extension(m, pair))
+        k1 = m.H.order - 1
+        assert sorted(widths) == [k1, k1 * k1 + k1]  # d1 on 1-cochains, d2 on pair keys
