@@ -37,7 +37,7 @@ from .groups import (
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, RBModule, d2_rbe,
                          h2_rbe, is_two_cocycle)
-from .operators import RotaBaxterOperator, rb_witness
+from .operators import RotaBaxterOperator, is_rb_operator, rb_witness
 
 DEFAULT_THETA_BUDGET = 10**4
 DEFAULT_TRIPLET_BUDGET = 10**6
@@ -656,7 +656,8 @@ def h2_alpha(
     (i) leaves each slot of tau one Z(I)-coset or nothing, which rejects mu;
     (ii) filters the product of those cosets, walked in index order.  The
     table of each (mu, tau) left is built and checked by group_table_witness
-    as a guard, then the Rota-Baxter law once per g.
+    as a guard, then the Rota-Baxter law once per g, over the generators of
+    the operator's graph (`is_rb_operator`).
 
     The budget bounds what is walked: mu-lifts x |Z(I)|^((|H|-1)^2) tau
     before the walk, then the solved (mu, tau) x |I|^(|H|-1) g values before
@@ -704,7 +705,7 @@ def h2_alpha(
         e_group = FiniteGroup(table, name="candidate", check=False)
         for g_vals in itertools.product(i.elements(), repeat=nh - 1):
             g = (0,) + g_vals
-            if rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
+            if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g)):
                 valid.append(Triplet(mu, tau, g))
 
     def orbit(k: int):

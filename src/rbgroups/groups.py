@@ -52,22 +52,26 @@ def group_table_witness(table) -> tuple[str, tuple] | None:
     for a, row in enumerate(table):
         if len(row) != n:
             return ("shape", (a,))
-        for b, v in enumerate(row):
-            if not (0 <= v < n):
-                return ("range", (a, b))
+        if min(row) < 0 or max(row) >= n:
+            for b, v in enumerate(row):
+                if not (0 <= v < n):
+                    return ("range", (a, b))
     for a in range(n):
         if table[0][a] != a:
             return ("identity", (0, a))
         if table[a][0] != a:
             return ("identity", (a, 0))
-    for a in range(n):
+    for a, row in enumerate(table):
+        if 0 in row and table[row.index(0)][a] == 0:
+            continue
         if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
             return ("inverse", (a,))
     rows = [tuple(row) for row in table]
     # 0 is a two-sided identity, so the span _generated builds, the right
-    # products of the generators from 0, is every element
-    if all(rows[ra[b]] == tuple(map(ra.__getitem__, rows[b]))
-           for b in _greedy_generators(rows) for ra in rows):
+    # products of the generators from 0, is every element; for each b, the
+    # rows of ab against a(bc) over every a at once
+    if all(itemgetter(*[ra[b] for ra in rows])(rows) == tuple(map(itemgetter(*rows[b]), rows))
+           for b in _greedy_generators(rows)):
         return None
     for a, ra in enumerate(rows):
         for b, ab in enumerate(ra):
@@ -82,7 +86,7 @@ class FiniteGroup:
     """A finite group on indices 0..n-1; index 0 is always the identity."""
 
     def __init__(self, table, labels=None, name: str = "G", check: bool = True):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.order = len(self.table)
         self.name = name
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
@@ -96,10 +100,7 @@ class FiniteGroup:
             if witness is not None:
                 kind, w = witness
                 raise AxiomError(f"{name}: {kind} axiom fails at {w}", witness=w)
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = self.table[a].index(0)
-        self.inverses = tuple(inv)
+        self.inverses = tuple(row.index(0) for row in self.table)
 
     @property
     def identity(self) -> int:
@@ -206,10 +207,17 @@ def group_from_perms(generators, degree: int, name: str) -> FiniteGroup:
     That ordering puts the identity first and reproduces the usual textbook
     listings (e.g. S3 as e,(1,2),(1,3),(2,3),(1,2,3),(1,3,2)).
     """
-    _, elems, _ = _generated(generators, perm_mul, tuple(range(degree)))
+    gens, elems, parent = _generated(generators, perm_mul, tuple(range(degree)))
     ordered = sorted(elems, key=lambda p: (_moved(p), perm_to_cycles(p)))
     index = {p: i for i, p in enumerate(ordered)}
-    table = [[index[perm_mul(a, b)] for b in ordered] for a in ordered]
+    # column x of the table is a -> ax; along the discovery tree, x = p t
+    # for a generator t, so column x is column p followed by a -> at
+    right = [[index[perm_mul(a, t)] for a in ordered] for t in gens]
+    columns = {elems[0]: range(len(ordered))}
+    for x in elems[1:]:
+        p, k = parent[x]
+        columns[x] = itemgetter(*columns[p])(right[k])
+    table = list(zip(*map(columns.__getitem__, ordered)))
     labels = [perm_to_cycles(p) for p in ordered]
     return FiniteGroup(table, labels=labels, name=name)
 
@@ -344,7 +352,8 @@ def group_from_dict(
     if json_element(data.get("identity", 0), "identity") != 0:
         raise ValueError("Cayley-table JSON must use index 0 as the identity")
     table = [
-        [json_element(v, f"Cayley-table entry ({a}, {b})") for b, v in enumerate(row)]
+        row if set(map(type, row)) <= {int}
+        else [json_element(v, f"Cayley-table entry ({a}, {b})") for b, v in enumerate(row)]
         for a, row in enumerate(data["table"])
     ]
     labels = data.get("labels")

@@ -69,10 +69,42 @@ def identity_operator(g: FiniteGroup) -> RotaBaxterOperator:
     return RotaBaxterOperator(g, tuple(g.elements()))
 
 
+def _rb_law(table, inv, im) -> bool | None:
+    """Whether im satisfies the Rota-Baxter law on the group `table`, by
+    checking it at the generators of its graph (see the notes above
+    `_circle_rows`); None when im is not a map of the elements (a wrong
+    length, or an image outside 0..n-1), which is left to the scan."""
+    n = len(table)
+    if len(im) != n or min(im) < 0 or max(im) >= n:
+        return None
+    if im[0]:
+        return False
+    gens, span, seen = [], [0], [True] + [False] * (n - 1)
+    for x in range(1, n):
+        if seen[x]:
+            continue
+        gens.append(x)
+        newest, new = [x], len(span)
+        for i, w in enumerate(span):  # the elements found here join the walk
+            rw = im[w]
+            w_row, rwi, rw_row = table[table[w][rw]], inv[rw], table[rw]
+            for t in newest if i < new else gens:
+                z = table[w_row[t]][rwi]  # w o t
+                if im[z] != rw_row[im[t]]:
+                    return False
+                if not seen[z]:
+                    seen[z] = True
+                    span.append(z)
+    return True
+
+
 def rb_witness(g: FiniteGroup, images) -> tuple[int, int] | None:
-    """First (x, y) violating the Rota-Baxter law, scanning in index order."""
+    """First (x, y) violating the Rota-Baxter law, scanning in index order;
+    the scan runs only where `_rb_law` does not find that the law holds."""
     table, inv = g.table, g.inverses
     im = tuple(images)
+    if _rb_law(table, inv, im):
+        return None
     for x in g.elements():
         rx = im[x]
         xrx = table[x][rx]
@@ -86,7 +118,9 @@ def rb_witness(g: FiniteGroup, images) -> tuple[int, int] | None:
 
 def is_rb_operator(g: FiniteGroup, images) -> bool:
     images = images.images if isinstance(images, RotaBaxterOperator) else images
-    return rb_witness(g, images) is None
+    im = tuple(images)
+    holds = _rb_law(g.table, g.inverses, im)
+    return rb_witness(g, im) is None if holds is None else holds
 
 
 def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
@@ -110,9 +144,20 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 #   g_x g_y = (x R(x) y R(y), R(x) R(y)), and (a, b) -> a b^-1 sends it to x o y
 #   as it sends each g_x to x; so g_x g_y is in the graph iff it is g_{x o y},
 #   iff R(x o y) = R(x) R(y).  A finite set closed under products is a subgroup.
-# So the fixed elements are the images of the subgroup generated by g_g, g in
-# `gens` (the root, then each branch point), and a branch fails exactly when
-# that subgroup meets the diagonal nontrivially: two elements, one x.
+#
+# So a given R is checked at generators, as Light's test checks a table
+# (`_rb_law`, O(n |gens|) products against the n^2 pairs of the scan).  Grow
+# the greedy generators t of (G, o_R) from e, as `groups._generated` does,
+# and check R(w o t) = R(w) R(t), i.e. g_w g_t = g_(w o t), once for every w
+# and each t.  Each x is found as w o t from a w found before it, so g_x is
+# a product of the g_t, from g_e = (e, e) (so R(e) = e is checked first).
+# Each g_t maps the graph into itself, hence so does each product of them,
+# that is each g_x: the graph is closed under products, which is the law.
+#
+# In the search, the fixed elements are the images of the subgroup generated
+# by g_g, g in `gens` (the root, then each branch point), and a branch fails
+# exactly when that subgroup meets the diagonal nontrivially: two elements,
+# one x.
 #
 # `rows[x][r][y]` is x o y when R(x) = r: built once per search (n^3
 # entries), it makes each circle product one lookup.  Invariant: `done` is

@@ -10,11 +10,14 @@ from rbgroups.groups import (
     FiniteGroup,
     GroupMap,
     _generated,
+    _moved,
     automorphisms,
     compose,
     endomorphisms,
     is_homomorphism,
     make_group,
+    perm_mul,
+    perm_to_cycles,
 )
 from rbgroups.cohomology import (
     DEFAULT_COHOMOLOGY_BUDGET,
@@ -48,7 +51,6 @@ from rbgroups.operators import (
     RotaBaxterOperator,
     _circle_rows,
     enumerate_rb_operators,
-    rb_witness,
     skew_brace_witness,
 )
 from rbgroups.wells import (
@@ -167,6 +169,17 @@ def bfs_discovery_order(gens, mul, one):
     return order, parent
 
 
+def pairwise_perm_group(generators, degree: int, name: str):
+    """Oracle: `group_from_perms` with every table entry its own permutation
+    product, n^2 of them."""
+    _, elems, _ = _generated(generators, perm_mul, tuple(range(degree)))
+    ordered = sorted(elems, key=lambda p: (_moved(p), perm_to_cycles(p)))
+    index = {p: i for i, p in enumerate(ordered)}
+    table = [[index[perm_mul(a, b)] for b in ordered] for a in ordered]
+    labels = [perm_to_cycles(p) for p in ordered]
+    return FiniteGroup(table, labels=labels, name=name)
+
+
 def pair_key_mul(a, b):
     """The key (phi images, psi images) of compose_pairs on two keys."""
     return tuple(a[0][x] for x in b[0]), tuple(a[1][x] for x in b[1])
@@ -197,12 +210,28 @@ def check_generated(members, mul, one):
     return gens, span
 
 
+def scan_rb_witness(g, images):
+    """Oracle: the first (x, y) violating the Rota-Baxter law, by scanning
+    every pair in index order."""
+    table, inv = g.table, g.inverses
+    im = tuple(images)
+    for x in g.elements():
+        rx = im[x]
+        xrx = table[x][rx]
+        rxi = inv[rx]
+        for y in g.elements():
+            z = table[table[xrx][y]][rxi]
+            if table[rx][im[y]] != im[z]:
+                return (x, y)
+    return None
+
+
 def brute_force_operators(g):
     """Oracle: scan every map with R(e) = e against the law directly."""
     found = []
     for rest in itertools.product(range(g.order), repeat=g.order - 1):
         im = (0,) + rest
-        if rb_witness(g, im) is None:
+        if scan_rb_witness(g, im) is None:
             found.append(im)
     return sorted(found)
 
@@ -656,7 +685,7 @@ def table_filter_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
             e_group = FiniteGroup(table, name="candidate", check=False)
             for g_vals in itertools.product(i.elements(), repeat=h.order - 1):
                 g = (0,) + g_vals
-                if rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
+                if scan_rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
                     valid.append(Triplet(mu, tau, g))
     return _census_of(h_rb, i_rb, alpha, valid)
 
@@ -829,5 +858,5 @@ def dfs_inducing_brace(brace, bound=DEFAULT_ENUM_BOUND):
     if not dfs():
         return None
     op = RotaBaxterOperator(add, found[0])
-    assert rb_witness(add, op.images) is None
+    assert scan_rb_witness(add, op.images) is None
     return op

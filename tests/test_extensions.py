@@ -5,7 +5,7 @@ import pytest
 from collections import Counter
 
 from conftest import (all_modules, brute_force_census, brute_force_equivalent, relabelled,
-                      table_filter_census)
+                      scan_rb_witness, table_filter_census)
 
 from rbgroups import extensions, groups, operators
 
@@ -21,6 +21,7 @@ from rbgroups.groups import (
 from rbgroups.operators import (
     RotaBaxterOperator,
     enumerate_rb_operators,
+    is_rb_operator,
     rb_witness,
     trivial_operator,
 )
@@ -786,6 +787,23 @@ def test_z3_on_s3_census_answers_and_matches_table_filter_oracle():
     census = _census("Z3/S3")
     assert census.triplets
     _assert_census_matches_oracle(census, table_filter_census, budget=10**7)
+
+
+@pytest.mark.parametrize("pair", ["D4", "S3", "Q8", "D5", "Z3/S3"])
+@pytest.mark.parametrize("seed", [None, 1])
+def test_census_law_checks_match_the_scan_on_every_candidate(pair, seed, monkeypatch):
+    verdicts = []
+
+    def checked(e_group, images):
+        verdict = is_rb_operator(e_group, images)
+        want = scan_rb_witness(e_group, images)
+        assert rb_witness(e_group, images) == want and verdict == (want is None), images
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(extensions, "is_rb_operator", checked)
+    census = _census(pair, seed=seed)
+    assert verdicts.count(True) == len(census.triplets) > 0 and False in verdicts
 
 
 @pytest.mark.parametrize("rh", [(0, 0, 0), (0, 1, 2)])

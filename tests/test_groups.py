@@ -3,8 +3,9 @@ import json
 import random
 
 import pytest
-from conftest import check_generated, full_scan_witness, relabelled
+from conftest import check_generated, full_scan_witness, pairwise_perm_group, relabelled
 
+from rbgroups import groups
 from rbgroups.groups import (
     AxiomError,
     BudgetError,
@@ -165,6 +166,35 @@ def test_loader_rejects_non_integer_table_entries(s3, entry):
     data["table"][0][1] = entry  # reads as the right index 1 under int()
     with pytest.raises(ValueError, match=r"Cayley-table entry \(0, 1\) is .*not an integer"):
         group_from_dict(data)
+
+
+Z3_ROWS = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("row,error,message", [
+    ([1, True, 0], ValueError, "Cayley-table entry (1, 1) is true, not an integer element index"),
+    ([1, 2.5, 0], ValueError, "Cayley-table entry (1, 1) is 2.5, not an integer element index"),
+    ([1, "2", 0], ValueError, 'Cayley-table entry (1, 1) is "2", not an integer element index'),
+    ([1, 3, 0], AxiomError, "z3: range axiom fails at (1, 1)"),
+    ([1, -1, 0], AxiomError, "z3: range axiom fails at (1, 1)"),
+    ([1, 2], AxiomError, "z3: shape axiom fails at (1,)"),
+    ([1, 2, 2], AxiomError, "z3: inverse axiom fails at (1,)"),  # no 0 in the row
+])
+def test_loader_messages_name_the_first_bad_entry(row, error, message):
+    with pytest.raises(error) as err:
+        group_from_dict({"table": [Z3_ROWS[0], row, Z3_ROWS[2]]}, name="z3")
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("table,witness", [
+    # the only 0 of row 1 is one-sided: 1 2 = 0 but 2 1 = 2
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], ("inverse", (1,))),
+    # the first 0 of row 1 is one-sided (1 2 = 0, 2 1 = 3), the second
+    # two-sided (1 3 = 3 1 = 0)
+    ([[0, 1, 2, 3], [1, 3, 0, 0], [2, 3, 1, 0], [3, 0, 0, 1]], ("associativity", (1, 1, 2))),
+])
+def test_inverse_check_falls_back_to_the_scan(table, witness):
+    assert group_table_witness(table) == full_scan_witness(table) == witness
 
 
 @pytest.mark.parametrize(
@@ -377,6 +407,19 @@ def test_generated_matches_the_walk_oracles_on_permutations(name, degree, cycles
     g = group_from_perms(perms, degree, name)
     assert g.order == len(span) == {"S5": 120, "D6": 12, "Q8": 8}[name]
     assert set(g.labels) == {perm_to_cycles(p) for p in span}
+
+
+PERMUTATION_CATALOG = (["S1", "S2", "S3", "S4", "S5", "Q8"] + [f"D{n}" for n in range(2, 19)]
+                       + ["S3xS3", "S3xZ6", "Z3xS3", "D4xZ2", "Q8xZ2", "Q8xZ4", "S4xZ2", "Q8xD4"])
+
+
+@pytest.mark.parametrize("name", PERMUTATION_CATALOG)
+def test_catalog_tables_by_columns_match_the_pairwise_products(name, monkeypatch):
+    g = make_group(name, bound=120)
+    monkeypatch.setattr(groups, "group_from_perms", pairwise_perm_group)
+    want = make_group(name, bound=120)
+    assert (g.name, g.labels, g.table) == (want.name, want.labels, want.table)
+    assert json.dumps(group_to_dict(g)) == json.dumps(group_to_dict(want))
 
 
 @pytest.mark.parametrize("name", ["Z6", "Z2xZ2", "S3", "D4", "Q8"])

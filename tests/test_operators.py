@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 import warnings
 
@@ -24,6 +25,7 @@ from conftest import (
     pairwise_task,
     plain_operators,
     relabelled,
+    scan_rb_witness,
 )
 from rbgroups.operators import (
     RotaBaxterOperator,
@@ -84,6 +86,93 @@ def test_r_at_identity_is_forced():
         for im in itertools.product(range(g.order), repeat=g.order):
             if rb_witness(g, im) is None:
                 assert im[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the law over the generators of the graph against the pairwise scan
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """fn(*args), or IndexError if it raises one."""
+    try:
+        return fn(*args)
+    except IndexError:
+        return IndexError
+
+
+def assert_law_matches_scan(g, im):
+    want = outcome(scan_rb_witness, g, im)
+    assert outcome(rb_witness, g, im) == want, im
+    assert outcome(is_rb_operator, g, im) == (want if isinstance(want, type) else want is None), im
+
+
+@pytest.mark.parametrize("name,pinned", [("Z4", False), ("Z2xZ2", False), ("S3", False),
+                                         ("Z6", True)])
+def test_law_at_generators_matches_the_scan_on_every_map(name, pinned):
+    # pinned: only the maps with R(e) = e; else every map, R(e) != e included
+    g = make_group(name)
+    passed = 0
+    for rest in itertools.product(g.elements(), repeat=g.order - 1):
+        for first in (0,) if pinned else g.elements():
+            im = (first, *rest)
+            assert_law_matches_scan(g, im)
+            passed += rb_witness(g, im) is None
+    assert passed == len(enumerate_rb_operators(g))
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8"])
+def test_law_at_generators_matches_the_scan_on_maps_into_small_subgroups(name):
+    # a map into a small subgroup passes more of the checks than most maps:
+    # on D4, some of these pass every check of a walk that multiplies the
+    # elements found for a later generator by that generator only
+    g = make_group(name)
+    small = {frozenset(subgroup_closure(g, [a, b])) for a in g.elements() for b in g.elements()}
+    for h in sorted(sorted(s) for s in small if 1 < len(s) <= 4):
+        for rest in itertools.product(h, repeat=g.order - 1):
+            assert_law_matches_scan(g, (0, *rest))
+
+
+PERTURBED = ["S3", "D4", "Q8", "Z2xZ2xZ2", "D5", "D6", "Z3xS3", "Q8xZ2", "D8", "Z4xZ6", "S4",
+             "D12", "S3xZ6", "D18"]
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+@pytest.mark.parametrize("seed", [None, 1])
+def test_law_at_generators_matches_the_scan_on_perturbed_operators(name, seed):
+    base = make_group(name)
+    g = base if seed is None else relabelled(base, seed)
+    rng = random.Random(f"{name}/{seed}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ops = enumerate_rb_operators(g, bound=36)
+    assert g.order <= 36 and ops
+    failed = 0
+    for op in ops:
+        assert rb_witness(g, op.images) is None and is_rb_operator(g, op)
+        for k in (1, 2):  # change one entry, then two
+            im = list(op.images)
+            for x in rng.sample(range(g.order), k):
+                im[x] = rng.randrange(g.order)
+            assert_law_matches_scan(g, tuple(im))
+            failed += scan_rb_witness(g, im) is not None
+    assert failed > 0
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3", "D4"])
+def test_law_at_generators_leaves_malformed_maps_to_the_scan(name):
+    # the scan indexes with whatever it is given: a short map raises, a long
+    # one is read up to n, and a negative image wraps round (-1 is n - 1)
+    g = make_group(name)
+    n = g.order
+    maps = [(), (0,), tuple(range(n - 1)), (0,) * (n - 1), (0,) * (n + 1),
+            tuple(range(n)) + (n,), (0,) * (n - 1) + (n,), (n,) + (0,) * (n - 1),
+            (0,) * (n - 1) + (-1,), (0, -1) + (0,) * (n - 2), (0,) * (n - 1) + (-n,),
+            tuple(g.inverses[:-1]) + (-1,), (0,) * (n - 1) + (-n - 1,)]
+    for im in maps:
+        assert_law_matches_scan(g, im)
+    outcomes = {outcome(scan_rb_witness, g, im) for im in maps}
+    assert None in outcomes and IndexError in outcomes and len(outcomes) > 2
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3"])
