@@ -334,13 +334,14 @@ def mu_twist_action(module: RBModule):
 
 
 def partial_circ(f: Cochain, sigma=None) -> Cochain:
-    """Coboundary of (H, o) acting through an explicit circle action sigma."""
-    m = f.module
+    """Coboundary of (H, o) through a circle action sigma, by default mu_{R_H}
+    (`partial`), which is always anti-homomorphic on (H, o), as R_H maps (H, o)
+    to (H, .).  Only an explicit sigma is checked for R_I sigma = mu_R R_I; the
+    combined complex guards itself through `_require_rb_automorphisms`."""
     if sigma is None:
-        sigma = mu_twist_action(m)
-    else:
-        validate_circle_action(m, sigma)
-    return _coboundary(f, m.circle.table, sigma)
+        return partial(f)
+    validate_circle_action(f.module, sigma)
+    return _coboundary(f, f.module.circle.table, sigma)
 
 
 def bar(f: Cochain) -> Cochain:

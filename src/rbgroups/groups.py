@@ -6,8 +6,8 @@ tables, so construction always re-verifies the group axioms exhaustively.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -585,44 +585,103 @@ def _greedy_generators(table) -> list[int]:
     return _generated(range(len(table)), lambda a, b: table[a][b], 0)[0]
 
 
+# The one assign-and-propagate search, for operators, brace lifts and
+# homomorphisms.  values[x] is -1 until assigned, values[e] = e, and the law
+# is values[x * y] = values[x] values[y] in `table`, `rows[x][v][y]` being
+# x * y when values[x] = v: x o y when R(x) = v for operators
+# (`operators._circle_rows`), xy in g for every v for homomorphisms.  Either
+# law holds iff a graph is a subgroup ({(x, f(x))}, or the notes above
+# `operators._circle_rows`), so it is checked at the branch elements `gens`:
+# `done` stays closed under right *-multiplication by them, so it is the
+# subgroup they generate.  A new generator x checks w * g for each newly
+# fixed w (the `trail`, x first, where most wrong values fail) and g in
+# `gens`, and h * x for each h in `done`: O(|new| |gens| + |done|) checks, in
+# an order that changes neither the fixed set nor the verdict.  Undoing a
+# branch truncates `done` to its mark and pops its generator.  The branch at
+# x, the least unassigned element, tries domains[x] in increasing order, so
+# tables come out sorted; the search stops after `limit` tables.
+
+
+def _propagate(rows, table, values, trail, done, gens) -> bool:
+    i = 0
+    while i < len(trail):
+        w = trail[i]
+        i += 1
+        rw = values[w]
+        w_row = rows[w][rw]
+        rw_row = table[rw]
+        for g in gens:
+            z = w_row[g]
+            want = rw_row[values[g]]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
+        if i == 1:  # w is the new generator
+            for h in done:
+                rh = values[h]
+                z = rows[h][rh][w]
+                want = table[rh][rw]
+                have = values[z]
+                if have < 0:
+                    values[z] = want
+                    trail.append(z)
+                elif have != want:
+                    return False
+    done += trail
+    return True
+
+
+def _dfs(rows, table, values, done, gens, out, domains, limit) -> None:
+    if -1 not in values:
+        out.append(tuple(values))
+        return
+    x = values.index(-1)
+    mark = len(done)
+    gens.append(x)
+    for v in domains[x]:
+        trail = [x]
+        values[x] = v
+        if _propagate(rows, table, values, trail, done, gens):
+            _dfs(rows, table, values, done, gens, out, domains, limit)
+        for t in trail:
+            values[t] = -1
+        del done[mark:]
+        if len(out) >= limit:
+            break
+    gens.pop()
+
+
 def enumerate_homomorphisms(
     g: FiniteGroup,
     h: FiniteGroup,
     bound: int = DEFAULT_GROUP_BOUND,
     bijective_only: bool = False,
 ) -> list[GroupMap]:
-    """All homomorphisms g -> h, canonically ordered by image table.
-
-    Backtracks over generator images; a generator of order k may only map to
-    an element whose order divides k (equals k when bijective_only).
-    """
+    """All homomorphisms g -> h, canonically ordered by image table, by the
+    search above `_propagate`: x maps only to the elements whose order divides
+    ord(x) (equals it when bijective_only, which keeps the bijections).  The
+    greatest table found and the last one are checked against the law."""
     if g.order > bound or h.order > bound:
         raise BudgetError(
             f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}",
             stage="homomorphism enumeration", size=max(g.order, h.order),
         )
-    gens, span, parent = _generated(g.elements(), g.mul, 0)
-    gen_orders = [g.element_order(x) for x in gens]
-    candidates = []
-    for k in gen_orders:
-        if bijective_only:
-            cands = [y for y in h.elements() if h.element_order(y) == k]
-        else:
-            cands = [y for y in h.elements() if k % h.element_order(y) == 0]
-        candidates.append(cands)
-    found = []
-    for gen_images in itertools.product(*candidates):
-        images = [0] * g.order  # extended along the discovery tree
-        for a in span[1:]:
-            p, k = parent[a]
-            images[a] = h.table[images[p]][gen_images[k]]
-        f = GroupMap(g, h, tuple(images))
-        if bijective_only and not is_bijective(f):
-            continue
-        if is_homomorphism(f):
-            found.append(f)
-    found.sort(key=lambda f: f.images)
-    return found
+    h_orders = [h.element_order(y) for y in h.elements()]
+    domains = [[y for y, m in enumerate(h_orders) if (m == k if bijective_only else k % m == 0)]
+               for k in map(g.element_order, g.elements())]
+    found: list[tuple[int, ...]] = []
+    rows = [[row] * h.order for row in g.table]
+    _dfs(rows, h.table, [0] + [-1] * (g.order - 1), [0], [], found, domains, math.inf)
+    if bijective_only:
+        found = [im for im in found if len(set(im)) == g.order == h.order]
+    for im in (max(found), found[-1]) if found else ():
+        if not is_homomorphism(GroupMap(g, h, im)):
+            raise AssertionError(f"a homomorphism found fails the law: {im}")
+    found.sort()
+    return [GroupMap(g, h, im) for im in found]
 
 
 def endomorphisms(g: FiniteGroup, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupMap]:

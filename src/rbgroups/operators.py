@@ -19,7 +19,9 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _dfs,
     _generated,
+    _propagate,
     basis_endomorphisms,
     cyclic_basis,
     group_from_dict,
@@ -137,7 +139,7 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # ---------------------------------------------------------------------------
 #
 # Depth-first assignment of R over elements in index order with R(e) = e
-# pinned (forced by the law at x = y = e: R(e)^2 = R(e)).
+# pinned (forced by the law at x = y = e: R(e)^2 = R(e)), by `groups._dfs`.
 #
 # Graph lemma (Guo-Lang-Sheng): R is an operator iff its graph, the set of
 # g_x = (x R(x), R(x)), is a subgroup of G x G.  Proof, with x o y = x R(x) y R(x)^-1:
@@ -157,18 +159,8 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # In the search, the fixed elements are the images of the subgroup generated
 # by g_g, g in `gens` (the root, then each branch point), and a branch fails
 # exactly when that subgroup meets the diagonal nontrivially: two elements,
-# one x.
-#
-# `rows[x][r][y]` is x o y when R(x) = r: built once per search (n^3
-# entries), it makes each circle product one lookup.  Invariant: `done` is
-# closed under right o-multiplication by `gens`, so it is the subgroup they
-# generate.  A new generator x checks w o g for each newly fixed w (the
-# `trail`, x first, where most wrong values fail) and g in `gens`, and h o x
-# for each h in `done`: O(|new| |gens| + |done|) checks.  Their order changes
-# neither the fixed set nor the verdict, so the tree is that of closing every
-# pair.  Undoing a branch truncates `done` to its mark and pops its
-# generator.  The branch at x tries domains[x] in increasing order; the
-# search stops after `limit` tables.
+# one x.  `_circle_rows` builds its rows once per search (n^3 entries), so
+# each circle product is one lookup.
 #
 # Conjugation R -> c R c^-1 and R -> R~, R~(x) = x^-1 R(x^-1)
 # (Guo-Lang-Sheng), map operators to operators and commute.  At a root r the
@@ -183,58 +175,6 @@ def _circle_rows(table, inv) -> list[list[tuple[int, ...]]]:
     right = [tuple(row[inv[r]] for row in table) for r in range(n)]  # s -> s r^-1
     getters = [itemgetter(*row) for row in table]
     return [[getters[xr](right[r]) for r, xr in enumerate(x_row)] for x_row in table]
-
-
-def _propagate(rows, table, values, trail, done, gens) -> bool:
-    i = 0
-    while i < len(trail):
-        w = trail[i]
-        i += 1
-        rw = values[w]
-        w_row = rows[w][rw]
-        rw_row = table[rw]
-        for g in gens:
-            z = w_row[g]
-            want = rw_row[values[g]]
-            have = values[z]
-            if have < 0:
-                values[z] = want
-                trail.append(z)
-            elif have != want:
-                return False
-        if i == 1:  # w is the new generator
-            for h in done:
-                rh = values[h]
-                z = rows[h][rh][w]
-                want = table[rh][rw]
-                have = values[z]
-                if have < 0:
-                    values[z] = want
-                    trail.append(z)
-                elif have != want:
-                    return False
-    done += trail
-    return True
-
-
-def _dfs(rows, table, values, done, gens, out, domains, limit) -> None:
-    if -1 not in values:
-        out.append(tuple(values))
-        return
-    x = values.index(-1)
-    mark = len(done)
-    gens.append(x)
-    for v in domains[x]:
-        trail = [x]
-        values[x] = v
-        if _propagate(rows, table, values, trail, done, gens):
-            _dfs(rows, table, values, done, gens, out, domains, limit)
-        for t in trail:
-            values[t] = -1
-        del done[mark:]
-        if len(out) >= limit:
-            break
-    gens.pop()
 
 
 def _search_root(g: FiniteGroup):
@@ -507,7 +447,7 @@ def find_rb_inducing_brace(
 
     R(x) is pinned up to the centralizer by R(x) y R(x)^-1 = x^-1 (x o y);
     the remaining constraint is that R be a homomorphism (G, o) -> (G, .),
-    which the enumeration's search propagates over these candidate lists.
+    which the search `groups._dfs` propagates over these candidate lists.
     Values it propagates stay candidates, because lambda_x(y) = x^-1 (x o y)
     is a homomorphism from (G, o), so every table it reaches induces the
     brace.  Returns the lexicographically first solution, or None.
@@ -525,10 +465,9 @@ def find_rb_inducing_brace(
         candidates.append(
             [z for z in add.elements() if all(add.conj(z, y) == t for y, t in enumerate(target))]
         )
-    values = [0] + [-1] * (add.order - 1)
     found: list[tuple[int, ...]] = []
     rows = _circle_rows(add.table, add.inverses)
-    _dfs(rows, add.table, values, [0], [], found, candidates, 1)
+    _dfs(rows, add.table, [0] + [-1] * (add.order - 1), [0], [], found, candidates, 1)
     if not found:
         return None
     op = RotaBaxterOperator(add, found[0])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rbgroups.groups import (
+    DEFAULT_GROUP_BOUND,
     BudgetError,
     FiniteGroup,
     GroupMap,
@@ -14,6 +15,7 @@ from rbgroups.groups import (
     automorphisms,
     compose,
     endomorphisms,
+    is_bijective,
     is_homomorphism,
     make_group,
     perm_mul,
@@ -208,6 +210,47 @@ def check_generated(members, mul, one):
         p, k = parent[x]
         assert x == mul(p, gens[k]) and position[p] < position[x]
     return gens, span
+
+
+def product_homomorphisms(
+    g: FiniteGroup,
+    h: FiniteGroup,
+    bound: int = DEFAULT_GROUP_BOUND,
+    bijective_only: bool = False,
+) -> list[GroupMap]:
+    """Oracle for `groups.enumerate_homomorphisms`: the full product of
+    generator images, each candidate checked against the law.
+
+    Backtracks over generator images; a generator of order k may only map to
+    an element whose order divides k (equals k when bijective_only).
+    """
+    if g.order > bound or h.order > bound:
+        raise BudgetError(
+            f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}",
+            stage="homomorphism enumeration", size=max(g.order, h.order),
+        )
+    gens, span, parent = _generated(g.elements(), g.mul, 0)
+    gen_orders = [g.element_order(x) for x in gens]
+    candidates = []
+    for k in gen_orders:
+        if bijective_only:
+            cands = [y for y in h.elements() if h.element_order(y) == k]
+        else:
+            cands = [y for y in h.elements() if k % h.element_order(y) == 0]
+        candidates.append(cands)
+    found = []
+    for gen_images in itertools.product(*candidates):
+        images = [0] * g.order  # extended along the discovery tree
+        for a in span[1:]:
+            p, k = parent[a]
+            images[a] = h.table[images[p]][gen_images[k]]
+        f = GroupMap(g, h, tuple(images))
+        if bijective_only and not is_bijective(f):
+            continue
+        if is_homomorphism(f):
+            found.append(f)
+    found.sort(key=lambda f: f.images)
+    return found
 
 
 def scan_rb_witness(g, images):

@@ -21,8 +21,8 @@ from conftest import (
     pairwise_verify_closed,
 )
 
-from rbgroups.groups import (BudgetError, _generated, _greedy_generators, endomorphisms,
-                             make_group)
+from rbgroups.groups import (BudgetError, _generated, _greedy_generators, action_witness,
+                             endomorphisms, make_group)
 from rbgroups import cohomology
 from rbgroups.operators import RotaBaxterOperator
 from rbgroups.cohomology import (
@@ -267,6 +267,27 @@ def test_partial_circ_rejects_bad_sigma():
     sigma_bad_intertwine = ((0, 1, 2), (0, 2, 1))
     with pytest.raises(ValueError, match="intertwining"):
         partial_circ(f, sigma_bad_intertwine)
+
+
+def test_default_circle_action_is_partial_where_it_does_not_intertwine():
+    # mu_{R_H} is an anti-homomorphism of (H, o) into Aut(I) on every module;
+    # where mu_{R_H(h)} does not commute with R_I an explicit sigma = mu_{R_H}
+    # fails the intertwining, and the default partial_circ is still partial
+    modules = all_modules("Z2", "Z2xZ2")
+    refused = []
+    for m in modules:
+        assert action_witness(m.I, mu_twist_action(m), m.circle.table) is None
+        try:
+            validate_circle_action(m, mu_twist_action(m))
+        except ValueError as e:
+            assert "intertwining" in str(e)
+            refused.append(m)
+    assert len(modules) == 68 and len(refused) == 6
+    assert not any(m.mu_commutes_with_ri() for m in refused)
+    for m in refused:
+        for arity in (1, 2, 3):
+            for f in enumerate_cochains(m, arity):
+                assert partial_circ(f) == partial(f)
 
 
 def test_partial_circ_trivial_sigma_with_zero_ri():

@@ -831,6 +831,8 @@ def test_couplings_and_census_build_no_automorphism_group(monkeypatch):
 
     monkeypatch.setattr(groups, "enumerate_homomorphisms", refuse)
     z2, d4 = make_group("Z2"), make_group("D4")
+    with pytest.raises(AssertionError, match="a coupling enumerated homomorphisms"):
+        automorphisms(d4)  # the patch is live
     alpha = trivial_coupling(z2, d4)
     census = h2_alpha(RotaBaxterOperator(z2, (0, 0)), trivial_operator(d4), alpha)
     assert coupling_of(census.representatives[0], z2, d4) == alpha

@@ -3,7 +3,8 @@ import json
 import random
 
 import pytest
-from conftest import check_generated, full_scan_witness, pairwise_perm_group, relabelled
+from conftest import (check_generated, full_scan_witness, pairwise_perm_group,
+                      product_homomorphisms, relabelled)
 
 from rbgroups import groups
 from rbgroups.groups import (
@@ -199,7 +200,8 @@ def test_inverse_check_falls_back_to_the_scan(table, witness):
 
 @pytest.mark.parametrize(
     "name,count",
-    [("Z1", 1), ("S3", 6), ("Z4", 2)],
+    [("Z1", 1), ("S3", 6), ("Z4", 2), ("D4", 8), ("Q8", 24), ("Z2xZ2", 6), ("Z6", 2),
+     ("Z2xZ4", 8)],
 )
 def test_automorphism_counts_against_brute_force(name, count):
     g = make_group(name)
@@ -230,10 +232,9 @@ def test_endomorphism_count_klein_four():
     assert len(endomorphisms(v4)) == 16
 
 
-# the abelian catalog groups up to Z2xZ2xZ8, less Z2xZ2xZ2xZ2, on which the
-# homomorphism search alone takes 2-3 s
+# the abelian catalog groups up to Z2xZ2xZ8
 ABELIAN = ("Z1", "Z2", "Z5", "Z6", "Z8", "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z4xZ4",
-           "Z2xZ2xZ2", "Z2xZ8", "Z2xZ2xZ4", "Z2xZ2xZ2xZ3", "Z2xZ2xZ8")
+           "Z2xZ2xZ2", "Z2xZ8", "Z2xZ2xZ4", "Z2xZ2xZ2xZ3", "Z2xZ2xZ8", "Z2xZ2xZ2xZ2")
 
 
 @pytest.mark.parametrize("name", ABELIAN)
@@ -347,6 +348,37 @@ def test_enumerate_homomorphisms_is_sorted(s3):
         if is_homomorphism(f):
             brute += 1
     assert brute == len(homs)
+
+
+# the catalog groups of order <= 8, and those of CATALOG_UP_TO_36 up to order
+# 24, D4xZ2 among them
+HOM_CATALOG = [f"Z{n}" for n in range(1, 9)] + ["D2", "D3", "D4", "S3", "Q8", "Z2xZ2", "Z2xZ4",
+                                               "Z2xZ2xZ2"]
+AUT_CATALOG = [name for name in CATALOG_UP_TO_36 if make_group(name).order <= 24]
+
+
+@pytest.mark.parametrize("name", HOM_CATALOG)
+def test_homomorphisms_match_the_product_search(name):
+    for seed in (None, 1, 2):
+        for h_name in HOM_CATALOG:
+            g, h = make_group(name), make_group(h_name)
+            if seed is not None:
+                g, h = relabelled(g, seed), relabelled(h, seed)
+            got = enumerate_homomorphisms(g, h)
+            assert got == product_homomorphisms(g, h), (g.name, h.name)
+            assert all(f.domain is g and f.codomain is h for f in got)
+            # and the bijections, none between groups of different orders
+            want = product_homomorphisms(g, h, bijective_only=True)
+            assert enumerate_homomorphisms(g, h, bijective_only=True) == want, (g.name, h.name)
+
+
+@pytest.mark.parametrize("name", AUT_CATALOG)
+def test_automorphisms_match_the_product_search(name):
+    for seed in (None, 1, 2):
+        g = make_group(name) if seed is None else relabelled(make_group(name), seed)
+        want = product_homomorphisms(g, g, bijective_only=True)
+        assert automorphisms(g).elements == want, g.name
+        assert enumerate_homomorphisms(g, g, bijective_only=True) == want, g.name
 
 
 def test_automorphisms_budget():
