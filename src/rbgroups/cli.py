@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 from .groups import (
@@ -156,9 +157,9 @@ def cmd_enumerate(args) -> int:
     rows = _operator_rows(group, bound, args.workers)  # the images of enumerate_rb_operators
     elapsed = time.perf_counter() - start
     if args.stream:  # the bytes of json.dumps(operator_to_dict(op, args.group), sort_keys=True)
-        line = '{"group": ' + json.dumps(args.group).replace("%", "%%") + ', "images": ['
-        line += ", ".join(["%d"] * group.order) + "]}\n"
-        sys.stdout.writelines(map(line.__mod__, rows))
+        pre = '{"group": ' + json.dumps(args.group) + ', "images": ['
+        text = [str(x) for x in group.elements()] + [""]  # index -1: a tuple when |G| = 1
+        sys.stdout.writelines(pre + ", ".join(itemgetter(*r, -1)(text)[:-1]) + "]}\n" for r in rows)
     summary = {"command": "enumerate", "group": args.group, "count": len(rows)}
     _emit(summary, args.format)
     print(f"enumerated {len(rows)} operators in {elapsed:.3f}s", file=sys.stderr)

@@ -654,14 +654,16 @@ def h2_alpha(
       (ii) tau(h1 h2, h3) mu_{h3}(tau(h1,h2)) = tau(h1, h2 h3) tau(h2,h3)
            for all h1, h2, h3.
     (i) leaves each slot of tau one Z(I)-coset or nothing, which rejects mu;
-    (ii) filters the product of those cosets, walked in index order.  The
-    table of each (mu, tau) left is built and checked by group_table_witness
-    as a guard, then the Rota-Baxter law once per g, over the generators of
-    the operator's graph (`is_rb_operator`).
-
-    The budget bounds what is walked: mu-lifts x |Z(I)|^((|H|-1)^2) tau
-    before the walk, then the solved (mu, tau) x |I|^(|H|-1) g values before
-    the g loops.
+    (ii) filters the product of those cosets, walked in index order.  A
+    section shift (`triplets_equivalent`) moves (mu, tau) without reading g,
+    and shifts form a group action, so every valid triplet is a shift of one
+    over the first solved pair of its theta-orbit.  The g loop runs there
+    (and at every pair of an orbit with no g): the table is built and
+    guarded by group_table_witness, and each g tested by the Rota-Baxter law
+    at the generators of the graph (`is_rb_operator`).  One pass of shifts
+    from each g not yet reached gives its class, and so the orbit's
+    triplets.  The budget bounds candidates, not work: mu-lifts x
+    |Z(I)|^((|H|-1)^2) tau before the walk, then solved (mu, tau) x |I|^(|H|-1) g.
     """
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
@@ -697,23 +699,42 @@ def h2_alpha(
         raise BudgetError(f"triplet census of size {total} exceeds budget {budget}",
                           stage="triplet census (mu, tau, g)", size=total)
 
-    valid: list[Triplet] = []
-    for mu, tau in solved:
+    index = {pair: k for k, pair in enumerate(solved)}
+    found: list[dict] = [{} for _ in solved]  # per pair, its valid g -> class
+    n_classes = 0
+    for p, (mu, tau) in enumerate(solved):
+        if found[p]:
+            continue
         table = _candidate_table(h, i, mu, tau)
         if (w := group_table_witness(table)) is not None:
             raise AssertionError(f"Schreier's conditions passed a table failing {w}")
         e_group = FiniteGroup(table, name="candidate", check=False)
-        for g_vals in itertools.product(i.elements(), repeat=nh - 1):
-            g = (0,) + g_vals
-            if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g)):
-                valid.append(Triplet(mu, tau, g))
+        gs = [g for g in ((0,) + rest for rest in itertools.product(i.elements(), repeat=nh - 1))
+              if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g))]
+        orbit = set()
+        for g in gs:
+            if g not in found[p]:
+                for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):
+                    t = _shift_triplet(Triplet(mu, tau, g), theta, h_rb, i_rb)
+                    if (q := index.get((t.mu, t.tau))) is None:
+                        raise AssertionError("a section shift leaves the solved (mu, tau)")
+                    if found[q].setdefault(t.g, n_classes) != n_classes:
+                        raise AssertionError("two classes overlap")
+                    orbit.add(q)
+                n_classes += 1
+        if sorted(found[p]) != gs or any(len(found[q]) != len(gs) for q in orbit):
+            raise AssertionError("the classes disagree with the g loop on an orbit's pairs")
 
-    def orbit(k: int):
-        for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):
-            yield _shift_triplet(valid[k], theta, h_rb, i_rb).key()
-
-    classes = _orbit_classes([t.key() for t in valid], orbit)
-    reps = [min((valid[i] for i in cls), key=lambda t: t.key()) for cls in classes]
+    valid, classes = [], [[] for _ in range(n_classes)]
+    for (mu, tau), at in zip(solved, found):
+        for g in sorted(at):
+            classes[at[g]].append(len(valid))
+            valid.append(Triplet(mu, tau, g))
+    for t in (max(valid, key=Triplet.key), valid[-1]) if valid else ():
+        if rb_witness(FiniteGroup(_candidate_table(h, i, t.mu, t.tau), check=False),
+                      _candidate_operator(h_rb, i_rb, t.mu, t.g)) is not None:
+            raise AssertionError(f"a transported triplet fails the law: {t}")
+    reps = [min((valid[k] for k in cls), key=Triplet.key) for cls in classes]
     return TripletCensus(h_rb, i_rb, alpha, valid, classes, reps)
 
 

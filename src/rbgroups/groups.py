@@ -599,7 +599,10 @@ def _greedy_generators(table) -> list[int]:
 # an order that changes neither the fixed set nor the verdict.  Undoing a
 # branch truncates `done` to its mark and pops its generator.  The branch at
 # x, the least unassigned element, tries domains[x] in increasing order, so
-# tables come out sorted; the search stops after `limit` tables.
+# tables come out sorted; the search stops after `limit` tables.  Lagrange:
+# the graph's points over `done` form the subgroup generated at `gens`, inside
+# the graph of any extension, which has order |G|; so |done| divides |G|, or
+# the branch fails (never for homomorphisms: there `done` is a subgroup).
 
 
 def _propagate(rows, table, values, trail, done, gens) -> bool:
@@ -631,7 +634,7 @@ def _propagate(rows, table, values, trail, done, gens) -> bool:
                 elif have != want:
                     return False
     done += trail
-    return True
+    return len(values) % len(done) == 0
 
 
 def _dfs(rows, table, values, done, gens, out, domains, limit) -> None:

@@ -11,6 +11,7 @@ from rbgroups.groups import (
     FiniteGroup,
     GroupMap,
     _generated,
+    group_table_witness,
     _moved,
     automorphisms,
     compose,
@@ -44,7 +45,10 @@ from rbgroups.extensions import (
     _candidate_table,
     _mu_witness,
     _orbit_classes,
+    _schreier_cocycle,
+    _schreier_cosets,
     _shift_triplet,
+    _tau_choices,
     _thetas,
     verify_triplet,
 )
@@ -53,6 +57,7 @@ from rbgroups.operators import (
     RotaBaxterOperator,
     _circle_rows,
     enumerate_rb_operators,
+    is_rb_operator,
     skew_brace_witness,
 )
 from rbgroups.wells import (
@@ -277,6 +282,40 @@ def brute_force_operators(g):
         if scan_rb_witness(g, im) is None:
             found.append(im)
     return sorted(found)
+
+
+def unpruned_propagate(rows, table, values, trail, done, gens) -> bool:
+    """`groups._propagate` without the Lagrange prune: a branch fails only
+    when the law does."""
+    i = 0
+    while i < len(trail):
+        w = trail[i]
+        i += 1
+        rw = values[w]
+        w_row = rows[w][rw]
+        rw_row = table[rw]
+        for g in gens:
+            z = w_row[g]
+            want = rw_row[values[g]]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
+        if i == 1:  # w is the new generator
+            for h in done:
+                rh = values[h]
+                z = rows[h][rh][w]
+                want = table[rh][rw]
+                have = values[z]
+                if have < 0:
+                    values[z] = want
+                    trail.append(z)
+                elif have != want:
+                    return False
+    done += trail
+    return True
 
 
 def _pairwise_propagate(rows, table, values, trail, done) -> bool:
@@ -658,8 +697,8 @@ def brute_force_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# census oracles: verify_triplet on every (mu, tau, g) candidate, and the
-# group check on every (mu, tau) table
+# census oracles: verify_triplet on every (mu, tau, g) candidate, the group
+# check on every (mu, tau) table, and the g loop at every solved (mu, tau)
 # ---------------------------------------------------------------------------
 
 
@@ -730,6 +769,57 @@ def table_filter_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
                 g = (0,) + g_vals
                 if scan_rb_witness(e_group, _candidate_operator(h_rb, i_rb, mu, g)) is None:
                     valid.append(Triplet(mu, tau, g))
+    return _census_of(h_rb, i_rb, alpha, valid)
+
+
+def g_loop_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
+    """Oracle: the census that solves (mu, tau) by Schreier's conditions, as
+    h2_alpha does, then tests every g at every solved pair and classifies
+    the valid triplets by their theta-orbits afterwards."""
+    h, i = h_rb.group, i_rb.group
+    nh, ni = h.order, i.order
+    if alpha.kernel != i.table:
+        raise ValueError("coupling is over a different kernel")
+    identity = tuple(i.elements())
+    lifts = [alpha.coset_members(hh) for hh in h.elements()]
+    if identity not in lifts[0]:
+        raise ValueError("coupling must be trivial at the identity")
+    cosets = _schreier_cosets(i)
+    tau_slots = [(h1, h2) for h1 in range(1, nh) for h2 in range(1, nh)]
+    total = len(cosets[identity]) ** len(tau_slots)
+    for hh in range(1, nh):
+        total *= len(lifts[hh])
+    if total > budget:
+        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}",
+                          stage="triplet census (mu, tau)", size=total)
+
+    solved = []
+    for mu_choice in itertools.product(*lifts[1:]):
+        mu = (identity,) + mu_choice
+        if _mu_witness(mu, i) is not None:
+            continue
+        for tau_vals in itertools.product(*_tau_choices(h, mu, cosets, tau_slots)):
+            tau_tab = [[0] * nh for _ in range(nh)]
+            for (h1, h2), v in zip(tau_slots, tau_vals):
+                tau_tab[h1][h2] = v
+            tau = tuple(tuple(row) for row in tau_tab)
+            if _schreier_cocycle(h, i, mu, tau):
+                solved.append((mu, tau))
+    total = len(solved) * ni ** (nh - 1)
+    if total > budget:
+        raise BudgetError(f"triplet census of size {total} exceeds budget {budget}",
+                          stage="triplet census (mu, tau, g)", size=total)
+
+    valid = []
+    for mu, tau in solved:
+        table = _candidate_table(h, i, mu, tau)
+        if (w := group_table_witness(table)) is not None:
+            raise AssertionError(f"Schreier's conditions passed a table failing {w}")
+        e_group = FiniteGroup(table, name="candidate", check=False)
+        for g_vals in itertools.product(i.elements(), repeat=nh - 1):
+            g = (0,) + g_vals
+            if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g)):
+                valid.append(Triplet(mu, tau, g))
     return _census_of(h_rb, i_rb, alpha, valid)
 
 

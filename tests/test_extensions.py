@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 
 import pytest
 
 from collections import Counter
 
-from conftest import (all_modules, brute_force_census, brute_force_equivalent, relabelled,
-                      scan_rb_witness, table_filter_census)
+from conftest import (all_modules, brute_force_census, brute_force_equivalent, g_loop_census,
+                      relabelled, scan_rb_witness, table_filter_census)
 
 from rbgroups import extensions, groups, operators
 
@@ -39,6 +40,9 @@ from rbgroups.extensions import (
     ExtensionError,
     Triplet,
     TripletCensus,
+    _candidate_operator,
+    _shift_triplet,
+    _thetas,
     _translate,
     are_equivalent,
     build_abelian_extension,
@@ -789,6 +793,18 @@ def test_z3_on_s3_census_answers_and_matches_table_filter_oracle():
     _assert_census_matches_oracle(census, table_filter_census, budget=10**7)
 
 
+def _first_pairs_of_orbits(census):
+    """The first (mu, tau) of each theta-orbit, in census order."""
+    seen, firsts = set(), []
+    for t in census.triplets:
+        if (t.mu, t.tau) not in seen:
+            firsts.append((t.mu, t.tau))
+            for theta in _thetas(census.h_rb.group, census.i_rb.group, "test", 10**4):
+                shifted = _shift_triplet(t, theta, census.h_rb, census.i_rb)
+                seen.add((shifted.mu, shifted.tau))
+    return firsts
+
+
 @pytest.mark.parametrize("pair", ["D4", "S3", "Q8", "D5", "Z3/S3"])
 @pytest.mark.parametrize("seed", [None, 1])
 def test_census_law_checks_match_the_scan_on_every_candidate(pair, seed, monkeypatch):
@@ -803,7 +819,12 @@ def test_census_law_checks_match_the_scan_on_every_candidate(pair, seed, monkeyp
 
     monkeypatch.setattr(extensions, "is_rb_operator", checked)
     census = _census(pair, seed=seed)
-    assert verdicts.count(True) == len(census.triplets) > 0 and False in verdicts
+    # the law is checked only at the first pair of each orbit; the other
+    # triplets are shifts of the ones found there
+    firsts = set(_first_pairs_of_orbits(census))
+    at_firsts = sum((t.mu, t.tau) in firsts for t in census.triplets)
+    assert verdicts.count(True) == at_firsts > 0 and False in verdicts
+    _assert_census_matches_oracle(census, g_loop_census)
 
 
 @pytest.mark.parametrize("rh", [(0, 0, 0), (0, 1, 2)])
@@ -818,6 +839,104 @@ def test_z3_census_matches_per_candidate_oracle(rh):
     assert census.triplets
     _assert_census_matches_oracle(census)
     _assert_census_matches_oracle(census, table_filter_census)
+
+
+# ---------------------------------------------------------------------------
+# the census by transport along section shifts, against the g loop at every
+# solved (mu, tau)
+# ---------------------------------------------------------------------------
+
+
+def _z3_on_v4(rh):
+    """Z3 acting on Z2xZ2 through a 3-cycle, R_I = id: a coupling whose mu is
+    not the identity."""
+    z3, v4 = make_group("Z3"), make_group("Z2xZ2")
+    sigma = (0, 2, 3, 1)
+    mu = (tuple(v4.elements()), sigma, tuple(sigma[y] for y in sigma))
+    alpha = coupling_of(Triplet(mu, ((0, 0, 0),) * 3, (0, 0, 0)), z3, v4)
+    return RotaBaxterOperator(z3, rh), RotaBaxterOperator(v4, tuple(v4.elements())), alpha
+
+
+def _z2_rh_on_s3():
+    z2, s3 = make_group("Z2"), make_group("S3")
+    return RotaBaxterOperator(z2, (0, 1)), trivial_operator(s3), trivial_coupling(z2, s3)
+
+
+@pytest.mark.parametrize("iname", ["D4", "S3", "Q8", "D5", "D6", "Q8xZ2", "D4xZ2",
+                                   "Z3/S3", "Z4/S3"])
+@pytest.mark.parametrize("seed", [None, 1])
+def test_census_matches_g_loop_oracle(iname, seed):
+    census = _census(iname, seed=seed)
+    assert census.triplets
+    _assert_census_matches_oracle(census, g_loop_census)
+
+
+@pytest.mark.parametrize("setup", [_z2_rh_on_s3, lambda: _z3_on_v4((0, 0, 0)),
+                                   lambda: _z3_on_v4((0, 1, 2))],
+                         ids=["Z2-RH-id/S3", "Z3/V4", "Z3-RH-id/V4"])
+def test_census_with_moving_g_matches_g_loop_oracle(setup):
+    # here a section shift moves g as well as (mu, tau)
+    census = h2_alpha(*setup())
+    assert census.triplets
+    _assert_census_matches_oracle(census, g_loop_census)
+
+
+def test_z2xz2_on_d4_census_is_pinned():
+    # 1,024 solved (mu, tau) in 8 orbits, so 8 x 512 g are tried, not
+    # 1,024 x 512; the digest is of the g loop census's triplet keys
+    z22, d4 = make_group("Z2xZ2"), make_group("D4")
+    census = h2_alpha(RotaBaxterOperator(z22, (0, 0, 2, 2)), trivial_operator(d4),
+                      trivial_coupling(z22, d4))
+    assert len(census.triplets) == 16384
+    assert census.num_classes == 64
+    assert len(_first_pairs_of_orbits(census)) == 8
+    keys = repr([t.key() for t in census.triplets]).encode()
+    assert hashlib.sha256(keys).hexdigest() == (
+        "147ce8b2c6667c74d92f3eab71797f3094aa9c90028f23bac0b7bcd553be46ee")
+
+
+def _wrong_shift(kind):
+    """_shift_triplet broken one way; theta = 0 still reads t back."""
+    def shift(t, theta, h_rb, i_rb):
+        s = _shift_triplet(t, theta, h_rb, i_rb)
+        moved = (s.mu, s.tau) != (t.mu, t.tau)
+        if kind == "leaves" and any(theta):
+            return Triplet(s.mu, tuple(tuple(v and v + 1 for v in row) for row in s.tau), s.g)
+        if kind == "collapses" and moved:
+            return Triplet(s.mu, s.tau, (0,) * len(s.g))
+        if kind == "keeps g" and moved:
+            return Triplet(s.mu, s.tau, t.g)
+        if kind == "keeps every g":
+            return Triplet(s.mu, s.tau, t.g)
+        return s
+    return shift
+
+
+@pytest.mark.parametrize("kind,setup,message", [
+    ("leaves", lambda: _z3_on_v4((0, 1, 2)), "a section shift leaves the solved"),
+    ("collapses", _z2_rh_on_s3, "two classes overlap"),
+    ("keeps g", lambda: _z3_on_v4((0, 1, 2)), "classes disagree with the g loop"),
+    ("keeps every g", _z2_rh_on_s3, "a transported triplet fails the law"),
+])
+def test_census_guards_catch_a_wrong_shift(kind, setup, message, monkeypatch):
+    monkeypatch.setattr(extensions, "_shift_triplet", _wrong_shift(kind))
+    with pytest.raises(AssertionError, match=message):
+        h2_alpha(*setup())
+
+
+def test_census_guard_catches_a_g_the_loop_missed(monkeypatch):
+    # Z3 on Z2xZ2 has one class: its other members at the first pair are
+    # shifts of the first g, so a g the loop rejects shows up there
+    h_rb, i_rb, alpha = _z3_on_v4((0, 1, 2))
+    missed = h2_alpha(h_rb, i_rb, alpha).triplets[1]
+
+    def law(e_group, images):
+        rejected = images == _candidate_operator(h_rb, i_rb, missed.mu, missed.g)
+        return not rejected and is_rb_operator(e_group, images)
+
+    monkeypatch.setattr(extensions, "is_rb_operator", law)
+    with pytest.raises(AssertionError, match="classes disagree with the g loop"):
+        h2_alpha(h_rb, i_rb, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from conftest import (
     plain_operators,
     relabelled,
     scan_rb_witness,
+    unpruned_propagate,
 )
+from rbgroups import groups, operators
 from rbgroups.operators import (
     RotaBaxterOperator,
     SkewBrace,
@@ -763,3 +765,28 @@ def test_rb_law_is_circle_homomorphism_property(s3, q8):
         for op in enumerate_rb_operators(g):
             circ = induced_circle_group(g, op)
             assert is_homomorphism(GroupMap(circ, g, op.images))
+
+
+@pytest.mark.parametrize("name", ["D18", "S3xZ6"])
+def test_lagrange_prune_cuts_branches_and_keeps_the_operators(name, monkeypatch):
+    # a branch whose fixed set cannot divide |G| fails before the law does
+    g = make_group(name)
+
+    def search(propagate):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return propagate(*args)
+
+        monkeypatch.setattr(groups, "_propagate", counted)
+        monkeypatch.setattr(operators, "_propagate", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = operators._operator_rows(g, g.order, 1)
+        return rows, len(calls)
+
+    pruned, pruned_calls = search(groups._propagate)
+    plain, plain_calls = search(unpruned_propagate)
+    assert pruned == plain
+    assert pruned_calls < plain_calls
