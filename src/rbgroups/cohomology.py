@@ -2,8 +2,8 @@
 
 Carries the plain (dot) and circle coboundaries, the combined complexes, the
 module condition, the maps Phi1/Phi2, and the degree 1..3 total complex
-with d1/d2.  Z1, Z2, B2 and H2 come from scanning flat value vectors against
-d1 and d2 compiled into rows of endomorphisms of I.
+with d1/d2.  Z1 and Z2 are kernels, and B2 an image, of d1 and d2 compiled
+into rows of endomorphisms of I on flat value vectors, found from generators.
 
 The written maps evaluate through index stencils (per output, the input
 positions each term reads), cached on product tables, H's inverses, R_H and
@@ -532,7 +532,7 @@ def is_two_cocycle(module: RBModule, pair: CocyclePair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Z1, Z2, B2, H2 by scanning flat value vectors
+# Z1, Z2, B2, H2 as kernels and images of the compiled d1 and d2
 # ---------------------------------------------------------------------------
 
 
@@ -594,19 +594,20 @@ def _d2_map(module: RBModule):
     return d2
 
 
-def _coset_generators(add, vectors, within=None) -> list[int] | None:
+def _coset_generators(add, vectors, within=None, span=None) -> list[int] | None:
     """Positions of the greedy generators of value vectors under I's addition
     table add: each vector outside the subgroup C the ones before it generate
     (the first always).  C grows to C + <v> by its cosets C + v, C + 2v, ...
     until they return to C, one addition per member; None once a coset leaves
-    within.  The abelian case of groups._generated, apart because that walk
-    multiplies each new member by every generator (2-3x slower here)."""
-    gens, span = [], set()
+    within, or in span if given (a subgroup).  The abelian case of
+    groups._generated, apart because that walk multiplies each new member by
+    every generator (2-3x slower here)."""
+    gens, span = [], set() if span is None else span
     for k, v in enumerate(vectors):
         if v in span:
             continue
         gens.append(k)
-        span = span or {(0,) * len(v)}
+        span.add((0,) * len(v))
         coset = [_vadd(add, x, v) for x in span]
         while coset[0] not in span:
             if within is not None and not within.issuperset(coset):
@@ -614,6 +615,12 @@ def _coset_generators(add, vectors, within=None) -> list[int] | None:
             span.update(coset)
             coset = [_vadd(add, x, v) for x in coset]
     return gens
+
+
+def _span(add, vectors, width: int) -> list[tuple[int, ...]]:
+    """The subgroup of width-long value vectors that vectors generate, sorted."""
+    _coset_generators(add, vectors, span=(span := {(0,) * width}))
+    return sorted(span)
 
 
 def _verify_closed(add, keys, name: str) -> None:
@@ -628,40 +635,69 @@ def _verify_closed(add, keys, name: str) -> None:
         raise AssertionError(f"{name} is not closed under addition")
 
 
-def _d1_scan(module: RBModule, budget: int):
-    """Z1 = ker d1 and B2 = im d1 as sorted value vectors, each checked
-    closed, from one compile of d1 and one scan of TC^1, budget permitting."""
+def _kernel(add, neg, rows, gens) -> tuple[list[tuple[int, ...]], int]:
+    """Generators of the vectors of <gens> that every compiled row sends to 0,
+    and their index in <gens>, by Schreier's lemma a row at a time: per
+    generator s with value v, the row's image so far (one preimage per value)
+    grows by its cosets + v, + 2v, ... until it holds k v, and keeps
+    k s - preimage(k v).  The index is the product of the image sizes."""
+    index = 1
+    for row in rows:
+        if not gens:
+            break
+        image, kernel = {0: (0,) * len(gens[0])}, []
+        for s in gens:
+            v = _apply(add, row, s)
+            cs, cv, old = s, v, list(image.items())
+            while cv not in image:  # no c v with c < k meets the cosets added so far
+                image.update((add[y][cv], _vadd(add, p, cs)) for y, p in old)
+                cs, cv = _vadd(add, cs, s), add[cv][v]
+            if any(k := _vadd(add, cs, [neg[y] for y in image[cv]])):
+                kernel.append(k)
+        index *= len(image)
+        gens = kernel
+    return gens, index
+
+
+def _cocycles(module: RBModule, width: int, fn, name: str):
+    """ker fn (see _compile) as sorted value vectors, fn's rows, and the unit
+    vectors (each generator of I at each coordinate) it is grown from; guarded
+    by rows sending each kernel generator to 0 and |ker| x its index = |I|^width."""
+    i = module.I
+    rows = _compile(module, width, fn)
+    units = [(0,) * j + (s,) + (0,) * (width - j - 1) for j in range(width) for s in i._generators]
+    gens, index = _kernel(i.table, i.inverses, rows, units)
+    if any(_apply(i.table, row, v) for row in rows for v in gens):
+        raise AssertionError(f"a listed {name} vector is not sent to 0")
+    if len(keys := _span(i.table, gens, width)) * index != i.order ** width:
+        raise AssertionError(f"|{name}| times the index of the kernel is not |I|^{width}")
+    return keys, rows, units
+
+
+def _z1_b2(module: RBModule, budget: int):
+    """Z1 = ker d1 and B2 = im d1 (the span of d1 at generators of TC^1) as
+    sorted value vectors from one compile of d1, guarded by |Z1| |B2| = |TC^1|."""
     nh, ni = module.H.order, module.I.order
     size = ni ** (nh - 1)
     if size > budget:
         raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}",
                           stage="TC^1", size=size)
-    rows, add = _compile(module, nh - 1, _d1_map(module)), module.I.table
-    kernel, image = [], set()
-    for v in itertools.product(module.I.elements(), repeat=nh - 1):
-        d = tuple(_apply(add, row, v) for row in rows)
-        image.add(d)
-        if not any(d):
-            kernel.append(v)
-    image = sorted(image)
-    _verify_closed(add, kernel, "Z1")
-    _verify_closed(add, image, "B2")
+    kernel, rows, units = _cocycles(module, nh - 1, _d1_map(module), "Z1")
+    add = module.I.table
+    image = _span(add, [tuple(_apply(add, row, u) for row in rows) for u in units], len(rows))
+    if len(kernel) * len(image) != size:
+        raise AssertionError("|Z1| times |B2| is not |TC^1|")
     return kernel, image
 
 
 def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Cochain]:
     """Kernel of d1: derivations lambda with lambda(R(h)) = R_I(mu_{R(h)}(lambda(h)))."""
-    return [Cochain.from_vector(module, 1, v) for v in _d1_scan(module, budget)[0]]
+    return [Cochain.from_vector(module, 1, v) for v in _z1_b2(module, budget)[0]]
 
 
 def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
-    """All 2-cocycle pairs, sorted by value vector.
-
-    Rows of d2 that read only tau are checked per tau up to the first nonzero
-    one.  Each other row splits into a tau part, evaluated once per surviving
-    tau, and a g part, evaluated once per g; the pair is a cocycle when the
-    parts cancel on every such row.
-    """
+    """All 2-cocycle pairs, sorted by value vector: the kernel of the
+    compiled d2 (`_kernel`), listed as the span of its generators."""
     i, k1 = module.I, module.H.order - 1
     total = i.order ** (k1 * k1 + k1)
     if total > budget:
@@ -670,31 +706,13 @@ def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
             "membership predicates still work at this size",
             stage="TC^2", size=total,
         )
-
-    tau_rows, tau_parts, g_parts = [], [], []
-    for row in _compile(module, k1 * k1 + k1, _d2_map(module)):
-        g_part = [(j - k1 * k1, e) for j, e in row if j >= k1 * k1]
-        if g_part:
-            tau_parts.append([(j, e) for j, e in row if j < k1 * k1])
-            g_parts.append(g_part)
-        elif row:
-            tau_rows.append(row)
-    solutions: dict = {}  # g part of d2 -> the g vectors giving it, in scan order
-    for g in itertools.product(i.elements(), repeat=k1):
-        solutions.setdefault(tuple(_apply(i.table, row, g) for row in g_parts), []).append(g)
-    keys = []
-    for tau in itertools.product(i.elements(), repeat=k1 * k1):
-        if any(_apply(i.table, row, tau) for row in tau_rows):
-            continue
-        want = tuple(i.inverses[_apply(i.table, row, tau)] for row in tau_parts)
-        keys += [tau + g for g in solutions.get(want, ())]
-    _verify_closed(i.table, keys, "Z2")
+    keys = _cocycles(module, k1 * k1 + k1, _d2_map(module), "Z2")[0]
     return [_pair(module, k) for k in keys]
 
 
 def b2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
     """Image of d1, sorted by value vector."""
-    return [_pair(module, k) for k in _d1_scan(module, budget)[1]]
+    return [_pair(module, k) for k in _z1_b2(module, budget)[1]]
 
 
 @dataclass
@@ -743,9 +761,9 @@ def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Resul
 
 
 def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[Cochain]]:
-    """h2_rbe and z1_rbe with one compile and scan of d1 for both."""
+    """h2_rbe and z1_rbe with one compile of d1 for both."""
     z2 = z2_rbe(module, budget)
-    z1, b2 = _d1_scan(module, budget)
+    z1, b2 = _z1_b2(module, budget)
     return (_h2(module, z2, [_pair(module, k) for k in b2]),
             [Cochain.from_vector(module, 1, v) for v in z1])
 

@@ -148,17 +148,15 @@ def _triplet_pair(module: RBModule, t: Triplet) -> CocyclePair:
 
 def _candidate_table(h: FiniteGroup, i: FiniteGroup, mu, tau) -> list[list[int]]:
     """Cayley table of H x I under (h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) mu_{h2}(y1) y2)."""
-    ni = i.order
-    n = h.order * ni
-    table = [[0] * n for _ in range(n)]
+    ni, add = i.order, i.table
+    table = []
     for h1 in h.elements():
         for y1 in i.elements():
-            row = table[h1 * ni + y1]
+            row = []
             for h2 in h.elements():
-                my1 = mu[h2][y1]
-                for y2 in i.elements():
-                    yy = i.table[i.table[tau[h1][h2]][my1]][y2]
-                    row[h2 * ni + y2] = h.table[h1][h2] * ni + yy
+                base = h.table[h1][h2] * ni
+                row += [base + yy for yy in add[add[tau[h1][h2]][mu[h2][y1]]]]
+            table.append(row)
     return table
 
 
@@ -432,13 +430,10 @@ def extension_to_dict(ext: Extension) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _shift_triplet(
-    t: Triplet, theta, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator
-) -> Triplet:
-    """t read through the section shifted by theta: triplets_equivalent's
-    relations, solved for t2."""
+def _shift_mu_tau(t: Triplet, theta, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
+    """The (mu, tau) of t read through the section shifted by theta."""
     h, i = h_rb.group, i_rb.group
-    mul, inv, rh = i.table, i.inverses, h_rb.images
+    mul, inv = i.table, i.inverses
     mu = tuple(
         tuple(mul[mul[inv[theta[a]]][t.mu[a][y]]][theta[a]] for y in i.elements())
         for a in h.elements()
@@ -450,11 +445,22 @@ def _shift_triplet(
         )
         for a in h.elements()
     )
-    g = []
-    for a in h.elements():
-        conj = mul[mul[inv[t.g[a]]][t.mu[rh[a]][theta[a]]]][t.g[a]]
-        g.append(mul[inv[theta[rh[a]]]][mul[t.g[a]][i_rb.images[conj]]])
-    return Triplet(mu, tau, tuple(g))
+    return mu, tau
+
+
+def _shift_g(t: Triplet, theta, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator):
+    """The g of t read through the section shifted by theta."""
+    mul, inv, rh, ri = i_rb.group.table, i_rb.group.inverses, h_rb.images, i_rb.images
+    conj = [mul[mul[inv[t.g[a]]][t.mu[rh[a]][theta[a]]]][t.g[a]] for a in h_rb.group.elements()]
+    return tuple(mul[inv[theta[rh[a]]]][mul[t.g[a]][ri[c]]] for a, c in enumerate(conj))
+
+
+def _shift_triplet(
+    t: Triplet, theta, h_rb: RotaBaxterOperator, i_rb: RotaBaxterOperator
+) -> Triplet:
+    """t read through the section shifted by theta: triplets_equivalent's
+    relations, solved for t2."""
+    return Triplet(*_shift_mu_tau(t, theta, h_rb, i_rb), _shift_g(t, theta, h_rb, i_rb))
 
 
 def _section_shift(t1, t2, h_rb, i_rb, stage: str, budget: int):
@@ -662,7 +668,8 @@ def h2_alpha(
     guarded by group_table_witness, and each g tested by the Rota-Baxter law
     at the generators of the graph (`is_rb_operator`).  One pass of shifts
     from each g not yet reached gives its class, and so the orbit's
-    triplets.  The budget bounds candidates, not work: mu-lifts x
+    triplets; each theta's target pair is found once per orbit, so a theta
+    costs one `_shift_g` per class.  The budget bounds candidates, not work: mu-lifts x
     |Z(I)|^((|H|-1)^2) tau before the walk, then solved (mu, tau) x |I|^(|H|-1) g.
     """
     h, i = h_rb.group, i_rb.group
@@ -711,18 +718,19 @@ def h2_alpha(
         e_group = FiniteGroup(table, name="candidate", check=False)
         gs = [g for g in ((0,) + rest for rest in itertools.product(i.elements(), repeat=nh - 1))
               if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g))]
-        orbit = set()
+        thetas = _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET) if gs else ()
+        moves = [(theta, index.get(_shift_mu_tau(Triplet(mu, tau, ()), theta, h_rb, i_rb)))
+                 for theta in thetas]  # each theta with its target pair
+        if any(q is None for _, q in moves):
+            raise AssertionError("a section shift leaves the solved (mu, tau)")
         for g in gs:
             if g not in found[p]:
-                for theta in _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET):
-                    t = _shift_triplet(Triplet(mu, tau, g), theta, h_rb, i_rb)
-                    if (q := index.get((t.mu, t.tau))) is None:
-                        raise AssertionError("a section shift leaves the solved (mu, tau)")
-                    if found[q].setdefault(t.g, n_classes) != n_classes:
+                t = Triplet(mu, tau, g)
+                for theta, q in moves:
+                    if found[q].setdefault(_shift_g(t, theta, h_rb, i_rb), n_classes) != n_classes:
                         raise AssertionError("two classes overlap")
-                    orbit.add(q)
                 n_classes += 1
-        if sorted(found[p]) != gs or any(len(found[q]) != len(gs) for q in orbit):
+        if sorted(found[p]) != gs or any(len(found[q]) != len(gs) for _, q in moves):
             raise AssertionError("the classes disagree with the g loop on an orbit's pairs")
 
     valid, classes = [], [[] for _ in range(n_classes)]
@@ -730,7 +738,7 @@ def h2_alpha(
         for g in sorted(at):
             classes[at[g]].append(len(valid))
             valid.append(Triplet(mu, tau, g))
-    for t in (max(valid, key=Triplet.key), valid[-1]) if valid else ():
+    for t in dict.fromkeys((max(valid, key=Triplet.key), valid[-1]) if valid else ()):
         if rb_witness(FiniteGroup(_candidate_table(h, i, t.mu, t.tau), check=False),
                       _candidate_operator(h_rb, i_rb, t.mu, t.g)) is not None:
             raise AssertionError(f"a transported triplet fails the law: {t}")
@@ -763,29 +771,32 @@ def center_module(census: TripletCensus) -> tuple[RBModule, tuple[int, ...]]:
     z_table = [[z_index[i.table[a][b]] for b in z_elems] for a in z_elems]
     z_group = FiniteGroup(z_table, name=f"Z({i.name})")
     z_ri = tuple(z_index[i_rb.images[z]] for z in z_elems)
-    actions = set()
-    for t in census.representatives or census.triplets:
-        act = tuple(
-            tuple(z_index[t.mu[hh][z]] for z in z_elems) for hh in h_rb.group.elements()
-        )
-        actions.add(act)
+    actions = {tuple(tuple(z_index[t.mu[hh][z]] for z in z_elems) for hh in h_rb.group.elements())
+               for t in census.representatives or census.triplets}
     if len(actions) > 1:
         raise AssertionError("census members induce different actions on Z(I)")
-    action = actions.pop()
-    module = RBModule(h_rb, z_group, z_ri, action)
-    return module, z_elems
+    return RBModule(h_rb, z_group, z_ri, actions.pop()), z_elems
+
+
+def _embed(pair: CocyclePair, h: FiniteGroup, z_elems):
+    """pair's tau and g over Z(I) as tables in I, through z_elems."""
+    hs = h.elements()
+    return (tuple(tuple(z_elems[pair.tau((a, b))] for b in hs) for a in hs),
+            tuple(z_elems[pair.g((a,))] for a in hs))
+
+
+def _times(t: Triplet, tables, i: FiniteGroup) -> Triplet:
+    """(mu, tau*tau', g*g') for the tables (tau', g') in I."""
+    mul, (tau, g) = i.table, tables
+    return Triplet(t.mu, tuple(tuple(mul[a][b] for a, b in zip(*rows)) for rows in zip(t.tau, tau)),
+                   tuple(mul[a][b] for a, b in zip(t.g, g)))
 
 
 def _translate(t: Triplet, pair: CocyclePair, h: FiniteGroup, i: FiniteGroup,
                z_elems) -> Triplet:
     """(mu, tau*tau', g*g') for (tau', g') = pair over Z(I), whose indices
     z_elems embeds into I."""
-    tau = tuple(
-        tuple(i.table[t.tau[h1][h2]][z_elems[pair.tau((h1, h2))]] for h2 in h.elements())
-        for h1 in h.elements()
-    )
-    g = tuple(i.table[t.g[hh]][z_elems[pair.g((hh,))]] for hh in h.elements())
-    return Triplet(t.mu, tau, g)
+    return _times(t, _embed(pair, h, z_elems), i)
 
 
 def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
@@ -805,8 +816,10 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGE
     witnesses = []
     for pi, rep_pair in enumerate(h2.representatives):
         row = []
+        rep_z = _embed(rep_pair, h, z_elems)
+        coset = [_embed(rep_pair.add(b), h, z_elems) for b in h2.b2]
         for ci, rep_t in enumerate(census.representatives):
-            target = census._class_index.get(_translate(rep_t, rep_pair, h, i, z_elems).key())
+            target = census._class_index.get(_times(rep_t, rep_z, i).key())
             if target is None:
                 raise AssertionError("translated triplet is no longer valid")
             row.append(target)
@@ -814,12 +827,11 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGE
                 free = False
                 witnesses.append({"h2_class": pi, "census_class": ci})
             # well-definedness: coboundary shifts of the pair act identically
-            for b in h2.b2:
-                if census.class_of(_translate(rep_t, rep_pair.add(b), h, i, z_elems)) != target:
+            for moved in coset:
+                if census.class_of(_times(rep_t, moved, i)) != target:
                     raise AssertionError("central action is not well-defined")
         action_table.append(row)
-    identity_row = action_table[0]
-    if identity_row != list(range(census.num_classes)):
+    if action_table[0] != list(range(census.num_classes)):
         raise AssertionError("identity class does not act as the identity")
     # orbit census (transitivity is measured, never asserted)
     orbits = len(_orbit_classes(

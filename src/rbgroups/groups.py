@@ -134,6 +134,10 @@ class FiniteGroup:
             for b in range(a + 1, self.order)
         )
 
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        return tuple(_greedy_generators(self.table))
+
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
@@ -437,12 +441,16 @@ def action_witness(i: FiniteGroup, maps, h_table=None):
     (maps[h1 h2] = maps[h2] maps[h1]); None when they are.
 
     Witnesses: ("bijective", (h,)), ("endomorphism", (h, a, b)) and
-    ("anti-homomorphism", (h1, h2)).
+    ("anti-homomorphism", (h1, h2)).  Rows are checked at each generator b
+    (a = e gives row(e) = e), and at every (a, b) only to name the witness.
     """
-    elems = list(i.elements())
+    elems, table = list(i.elements()), i.table
     for h, row in enumerate(maps):
         if sorted(row) != elems:
             return ("bijective", (h,))
+        if all([row[ab[b]] for ab in table] == [table[x][row[b]] for x in row]
+               for b in i._generators):
+            continue
         for a in elems:
             for b in elems:
                 if row[i.table[a][b]] != i.table[row[a]][row[b]]:

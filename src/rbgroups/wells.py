@@ -247,7 +247,7 @@ def check_wells_exactness(
     """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses.
 
     Aut_I(E) is built once; rho, its kernel and the Z1 check all use it.
-    One scan of TC^1 against d1 gives both Z1 and the B2 inside H2.
+    One compile of d1 gives both Z1, its kernel, and the B2 inside H2.
     """
     m = ext.module
     h2, z1 = _h2_and_z1(m, budget)

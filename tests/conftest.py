@@ -28,6 +28,13 @@ from rbgroups.cohomology import (
     CocyclePair,
     H2Result,
     RBModule,
+    _apply,
+    _compile,
+    _d1_map,
+    _d2_map,
+    _h2,
+    _pair,
+    _verify_closed,
     d1_rbe,
     delta,
     enumerate_cochains,
@@ -215,6 +222,24 @@ def check_generated(members, mul, one):
         p, k = parent[x]
         assert x == mul(p, gens[k]) and position[p] < position[x]
     return gens, span
+
+
+def scan_action_witness(i, maps, h_table=None):
+    """Oracle for groups.action_witness: the endomorphism law at every pair."""
+    elems = list(i.elements())
+    for h, row in enumerate(maps):
+        if sorted(row) != elems:
+            return ("bijective", (h,))
+        for a in elems:
+            for b in elems:
+                if row[i.table[a][b]] != i.table[row[a]][row[b]]:
+                    return ("endomorphism", (h, a, b))
+    if h_table is not None:
+        for h1, products in enumerate(h_table):
+            for h2, h12 in enumerate(products):
+                if tuple(maps[h12]) != tuple(maps[h2][maps[h1][y]] for y in elems):
+                    return ("anti-homomorphism", (h1, h2))
+    return None
 
 
 def product_homomorphisms(
@@ -601,6 +626,73 @@ def element_probe_compile(module, width, fn):
         entries = [(j, tuple(out[o] for out in images)) for j, images in enumerate(columns)]
         rows.append([(j, e) for j, e in entries if any(e)])
     return rows
+
+
+def scan_d1(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle for cohomology._z1_b2: Z1 = ker d1 and B2 = im d1 as sorted
+    value vectors, each checked closed, from one compile of d1 and one scan
+    of TC^1, budget permitting."""
+    nh, ni = module.H.order, module.I.order
+    size = ni ** (nh - 1)
+    if size > budget:
+        raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}",
+                          stage="TC^1", size=size)
+    rows, add = _compile(module, nh - 1, _d1_map(module)), module.I.table
+    kernel, image = [], set()
+    for v in itertools.product(module.I.elements(), repeat=nh - 1):
+        d = tuple(_apply(add, row, v) for row in rows)
+        image.add(d)
+        if not any(d):
+            kernel.append(v)
+    image = sorted(image)
+    _verify_closed(add, kernel, "Z1")
+    _verify_closed(add, image, "B2")
+    return kernel, image
+
+
+def scan_z2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle for cohomology.z2_rbe: all 2-cocycle pairs, sorted by value
+    vector, by a scan of TC^2.
+
+    Rows of d2 that read only tau are checked per tau up to the first nonzero
+    one.  Each other row splits into a tau part, evaluated once per surviving
+    tau, and a g part, evaluated once per g; the pair is a cocycle when the
+    parts cancel on every such row.
+    """
+    i, k1 = module.I, module.H.order - 1
+    total = i.order ** (k1 * k1 + k1)
+    if total > budget:
+        raise BudgetError(
+            f"TC^2 space of size {total} exceeds budget {budget}; "
+            "membership predicates still work at this size",
+            stage="TC^2", size=total,
+        )
+
+    tau_rows, tau_parts, g_parts = [], [], []
+    for row in _compile(module, k1 * k1 + k1, _d2_map(module)):
+        g_part = [(j - k1 * k1, e) for j, e in row if j >= k1 * k1]
+        if g_part:
+            tau_parts.append([(j, e) for j, e in row if j < k1 * k1])
+            g_parts.append(g_part)
+        elif row:
+            tau_rows.append(row)
+    solutions: dict = {}  # g part of d2 -> the g vectors giving it, in scan order
+    for g in itertools.product(i.elements(), repeat=k1):
+        solutions.setdefault(tuple(_apply(i.table, row, g) for row in g_parts), []).append(g)
+    keys = []
+    for tau in itertools.product(i.elements(), repeat=k1 * k1):
+        if any(_apply(i.table, row, tau) for row in tau_rows):
+            continue
+        want = tuple(i.inverses[_apply(i.table, row, tau)] for row in tau_parts)
+        keys += [tau + g for g in solutions.get(want, ())]
+    _verify_closed(i.table, keys, "Z2")
+    return [_pair(module, k) for k in keys]
+
+
+def scan_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle for cohomology.h2_rbe: _h2 over the scans of TC^2 and TC^1."""
+    z2 = scan_z2(module, budget)
+    return _h2(module, z2, [_pair(module, k) for k in scan_d1(module, budget)[1]])
 
 
 def pairwise_verify_closed(add, keys, name: str) -> None:

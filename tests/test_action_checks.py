@@ -6,7 +6,11 @@ family of automorphisms of I and, for three of them, an anti-homomorphism.
 Each reports a failure in its own words; these tests pin those words.
 """
 
+import itertools
+import random
+
 import pytest
+from conftest import anti_actions, scan_action_witness
 
 from rbgroups.cohomology import (
     RBModule,
@@ -15,7 +19,7 @@ from rbgroups.cohomology import (
     validate_circle_action,
 )
 from rbgroups.extensions import ExtensionError, Triplet, build_split_extension, verify_triplet
-from rbgroups.groups import action_witness, make_group
+from rbgroups.groups import action_witness, automorphisms, make_group
 from rbgroups.operators import RotaBaxterOperator
 
 Z3_ID, Z3_INV, Z3_ZERO = (0, 1, 2), (0, 2, 1), (0, 0, 0)
@@ -107,3 +111,29 @@ def test_split_builder_pins_messages():
     with pytest.raises(ValueError) as err:
         build_split_extension(hop, i_rb, (Z3_ID, Z3_INV), (1, 0))
     assert str(err.value) == "g must send the identity to the identity"
+
+
+@pytest.mark.parametrize("iname", ["Z2xZ2", "Z4", "S3", "D4", "Q8"])
+def test_action_witness_at_generators_matches_the_scan(iname):
+    i, z2 = make_group(iname), make_group("Z2")
+    identity = tuple(i.elements())
+    for hname in ("Z2", "Z3"):
+        h = make_group(hname)
+        for action in anti_actions(h, i):
+            assert action_witness(i, action, h.table) == scan_action_witness(i, action, h.table)
+    kinds = set()
+    for f in automorphisms(i).elements:  # two images swapped
+        for a, b in itertools.combinations(i.elements(), 2):
+            row = list(f.images)
+            row[a], row[b] = row[b], row[a]
+            maps = (identity, tuple(row))
+            want = scan_action_witness(i, maps, z2.table)
+            assert action_witness(i, maps, z2.table) == want
+            kinds.add(want and want[0])
+    rng = random.Random(iname)
+    for _ in range(100):  # bijections, most of them not homomorphic
+        row = list(identity)
+        rng.shuffle(row)
+        maps = (identity, tuple(row))
+        assert action_witness(i, maps, z2.table) == scan_action_witness(i, maps, z2.table)
+    assert "endomorphism" in kinds

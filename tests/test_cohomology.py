@@ -19,6 +19,9 @@ from conftest import (
     closure_phi2,
     element_probe_compile,
     pairwise_verify_closed,
+    scan_d1,
+    scan_h2,
+    scan_z2,
 )
 
 from rbgroups.groups import (BudgetError, _generated, _greedy_generators, action_witness,
@@ -26,10 +29,13 @@ from rbgroups.groups import (BudgetError, _generated, _greedy_generators, action
 from rbgroups import cohomology
 from rbgroups.operators import RotaBaxterOperator
 from rbgroups.cohomology import (
+    _apply,
     _coset_generators,
     _compile,
     _d1_map,
     _d2_map,
+    _kernel,
+    _span,
     _verify_closed,
     Cochain,
     CocyclePair,
@@ -504,6 +510,56 @@ def test_vector_scans_match_cochain_oracles(hname, iname):
         assert [p.key() for p in got.representatives] == [p.key() for p in want.representatives]
         for p in z2:
             assert got.class_of(p).key() == want.class_of(p).key()
+
+
+KERNEL_PAIRS = ORACLE_PAIRS + [
+    ("Z2", "Z8"), ("Z2", "Z2xZ4"), ("Z3", "Z6"), ("Z3", "Z4"), ("Z5", "Z2"),
+]
+
+
+@pytest.mark.parametrize("hname,iname", KERNEL_PAIRS)
+def test_kernels_match_the_scans(hname, iname):
+    for m in all_modules(hname, iname):
+        z1, b2 = scan_d1(m)
+        assert [c.key() for c in z1_rbe(m)] == z1
+        assert [p.key() for p in b2_rbe(m)] == b2
+        z2 = z2_rbe(m)
+        assert [p.key() for p in z2] == [p.key() for p in scan_z2(m)]
+        got, want = h2_rbe(m), scan_h2(m)
+        assert [p.key() for p in got.representatives] == [p.key() for p in want.representatives]
+        for p in z2:
+            assert got.class_of(p).key() == want.class_of(p).key()
+
+
+def _broken_kernel(kind):
+    """cohomology._kernel broken one way."""
+    def kernel(add, neg, rows, gens):
+        kept, index = _kernel(add, neg, rows, gens)
+        if kind == "drops":
+            return kept[1:], index
+        if kind == "keeps":  # a generator of the domain outside the kernel
+            return kept + [next(u for u in gens if any(_apply(add, r, u) for r in rows))], index
+        # "hides": drops a generator and shrinks the index to match
+        width = len(gens[0])
+        return kept[1:], index * len(_span(add, kept, width)) // len(_span(add, kept[1:], width))
+    return kernel
+
+
+@pytest.mark.parametrize("kind,listing,message", [
+    ("drops", z2_rbe, r"\|Z2\| times the index of the kernel"),
+    ("drops", z1_rbe, r"\|Z1\| times the index of the kernel"),
+    ("keeps", z2_rbe, "a listed Z2 vector is not sent to 0"),
+    ("keeps", b2_rbe, "a listed Z1 vector is not sent to 0"),
+    ("hides", z1_rbe, r"\|Z1\| times \|B2\| is not \|TC\^1\|"),
+])
+def test_kernel_guards_catch_a_wrong_kernel(kind, listing, message, monkeypatch):
+    # Z2 acting trivially on Z4 with R_I = 0: Z1, Z2 and B2 are all proper
+    # and nontrivial, and the kernel's first generator is not redundant
+    m = module_zx("Z2", "Z4", ri=(0, 0, 0, 0))
+    assert 1 < len(z1_rbe(m)) < 4 and 1 < len(b2_rbe(m)) < len(z2_rbe(m)) < 4 ** 2
+    monkeypatch.setattr(cohomology, "_kernel", _broken_kernel(kind))
+    with pytest.raises(AssertionError, match=message):
+        listing(m)
 
 
 @pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)

@@ -41,6 +41,8 @@ from rbgroups.extensions import (
     Triplet,
     TripletCensus,
     _candidate_operator,
+    _shift_g,
+    _shift_mu_tau,
     _shift_triplet,
     _thetas,
     _translate,
@@ -896,20 +898,27 @@ def test_z2xz2_on_d4_census_is_pinned():
 
 
 def _wrong_shift(kind):
-    """_shift_triplet broken one way; theta = 0 still reads t back."""
-    def shift(t, theta, h_rb, i_rb):
-        s = _shift_triplet(t, theta, h_rb, i_rb)
-        moved = (s.mu, s.tau) != (t.mu, t.tau)
-        if kind == "leaves" and any(theta):
-            return Triplet(s.mu, tuple(tuple(v and v + 1 for v in row) for row in s.tau), s.g)
+    """(name, patch): the census's _shift_mu_tau or _shift_g broken one way;
+    theta = 0 still reads t back."""
+    if kind == "leaves":
+        def shift_mu_tau(t, theta, h_rb, i_rb):
+            mu, tau = _shift_mu_tau(t, theta, h_rb, i_rb)
+            if any(theta):
+                return mu, tuple(tuple(v and v + 1 for v in row) for row in tau)
+            return mu, tau
+        return "_shift_mu_tau", shift_mu_tau
+
+    def shift_g(t, theta, h_rb, i_rb):
+        g = _shift_g(t, theta, h_rb, i_rb)
+        moved = _shift_mu_tau(t, theta, h_rb, i_rb) != (t.mu, t.tau)
         if kind == "collapses" and moved:
-            return Triplet(s.mu, s.tau, (0,) * len(s.g))
+            return (0,) * len(g)
         if kind == "keeps g" and moved:
-            return Triplet(s.mu, s.tau, t.g)
+            return t.g
         if kind == "keeps every g":
-            return Triplet(s.mu, s.tau, t.g)
-        return s
-    return shift
+            return t.g
+        return g
+    return "_shift_g", shift_g
 
 
 @pytest.mark.parametrize("kind,setup,message", [
@@ -919,7 +928,7 @@ def _wrong_shift(kind):
     ("keeps every g", _z2_rh_on_s3, "a transported triplet fails the law"),
 ])
 def test_census_guards_catch_a_wrong_shift(kind, setup, message, monkeypatch):
-    monkeypatch.setattr(extensions, "_shift_triplet", _wrong_shift(kind))
+    monkeypatch.setattr(extensions, *_wrong_shift(kind))
     with pytest.raises(AssertionError, match=message):
         h2_alpha(*setup())
 
