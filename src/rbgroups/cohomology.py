@@ -594,14 +594,14 @@ def _d2_map(module: RBModule):
     return d2
 
 
-def _coset_generators(add, vectors, within=None, span=None) -> list[int] | None:
+def _coset_generators(add, vectors, span=None) -> list[int]:
     """Positions of the greedy generators of value vectors under I's addition
     table add: each vector outside the subgroup C the ones before it generate
-    (the first always).  C grows to C + <v> by its cosets C + v, C + 2v, ...
-    until they return to C, one addition per member; None once a coset leaves
-    within, or in span if given (a subgroup).  The abelian case of
-    groups._generated, apart because that walk multiplies each new member by
-    every generator (2-3x slower here)."""
+    (the first always).  C, kept in span if given (a subgroup), grows to
+    C + <v> by its cosets C + v, C + 2v, ... until they return to C, one
+    addition per member.  The abelian case of groups._generated, apart
+    because that walk multiplies each new member by every generator (2-3x
+    slower here)."""
     gens, span = [], set() if span is None else span
     for k, v in enumerate(vectors):
         if v in span:
@@ -610,8 +610,6 @@ def _coset_generators(add, vectors, within=None, span=None) -> list[int] | None:
         span.add((0,) * len(v))
         coset = [_vadd(add, x, v) for x in span]
         while coset[0] not in span:
-            if within is not None and not within.issuperset(coset):
-                return None
             span.update(coset)
             coset = [_vadd(add, x, v) for x in coset]
     return gens
@@ -623,35 +621,34 @@ def _span(add, vectors, width: int) -> list[tuple[int, ...]]:
     return sorted(span)
 
 
-def _verify_closed(add, keys, name: str) -> None:
-    """Raise unless the value vectors keys (over I's addition table add) are
-    closed under addition; an empty list passes.  A nonempty finite set is
-    closed iff it holds 0 and the subgroup it generates, grown coset by
-    coset without leaving it: O(|keys|) additions instead of every pair."""
-    if not keys:
-        return
-    keyed = set(keys)
-    if (0,) * len(keys[0]) not in keyed or _coset_generators(add, keys, keyed) is None:
-        raise AssertionError(f"{name} is not closed under addition")
+def _grow(image, plus, add, s, v):
+    """Grow image, a subgroup of values each kept with one preimage, by its
+    cosets + v, + 2v, ... (v the value of s under plus, their preimages + s,
+    + 2s, ... under I's addition table add) until k v lies in it; (k s, k v)
+    for that least k.  No c v with c < k meets the cosets added before."""
+    cs, cv, old = s, v, list(image.items())
+    while cv not in image:
+        image.update((plus(y, cv), _vadd(add, p, cs)) for y, p in old)
+        cs, cv = _vadd(add, cs, s), plus(cv, v)
+    return cs, cv
 
 
 def _kernel(add, neg, rows, gens) -> tuple[list[tuple[int, ...]], int]:
     """Generators of the vectors of <gens> that every compiled row sends to 0,
     and their index in <gens>, by Schreier's lemma a row at a time: per
-    generator s with value v, the row's image so far (one preimage per value)
-    grows by its cosets + v, + 2v, ... until it holds k v, and keeps
-    k s - preimage(k v).  The index is the product of the image sizes."""
+    generator s with value v, the row's image so far grows (_grow) until it
+    holds k v, and keeps k s - preimage(k v); s itself when v = 0, as image[0]
+    is always the zero vector.  The index is the product of the image sizes."""
     index = 1
     for row in rows:
         if not gens:
             break
         image, kernel = {0: (0,) * len(gens[0])}, []
         for s in gens:
-            v = _apply(add, row, s)
-            cs, cv, old = s, v, list(image.items())
-            while cv not in image:  # no c v with c < k meets the cosets added so far
-                image.update((add[y][cv], _vadd(add, p, cs)) for y, p in old)
-                cs, cv = _vadd(add, cs, s), add[cv][v]
+            if not (v := _apply(add, row, s)):
+                kernel.append(s)
+                continue
+            cs, cv = _grow(image, lambda a, b: add[a][b], add, s, v)
             if any(k := _vadd(add, cs, [neg[y] for y in image[cv]])):
                 kernel.append(k)
         index *= len(image)
@@ -675,19 +672,22 @@ def _cocycles(module: RBModule, width: int, fn, name: str):
 
 
 def _z1_b2(module: RBModule, budget: int):
-    """Z1 = ker d1 and B2 = im d1 (the span of d1 at generators of TC^1) as
-    sorted value vectors from one compile of d1, guarded by |Z1| |B2| = |TC^1|."""
+    """Z1 = ker d1 as sorted value vectors, and B2 = im d1, the span of d1 at
+    generators of TC^1, as {member: a preimage} in sorted order, from one
+    compile of d1; guarded by |Z1| |B2| = |TC^1|."""
     nh, ni = module.H.order, module.I.order
     size = ni ** (nh - 1)
     if size > budget:
         raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}",
                           stage="TC^1", size=size)
     kernel, rows, units = _cocycles(module, nh - 1, _d1_map(module), "Z1")
-    add = module.I.table
-    image = _span(add, [tuple(_apply(add, row, u) for row in rows) for u in units], len(rows))
+    add, image = module.I.table, {(0,) * len(rows): (0,) * (nh - 1)}
+    for u in units:
+        _grow(image, lambda a, b: _vadd(add, a, b), add, u,
+              tuple(_apply(add, row, u) for row in rows))
     if len(kernel) * len(image) != size:
         raise AssertionError("|Z1| times |B2| is not |TC^1|")
-    return kernel, image
+    return kernel, dict(sorted(image.items()))
 
 
 def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Cochain]:
@@ -725,6 +725,7 @@ class H2Result:
     b2: list[CocyclePair]
     representatives: list[CocyclePair]
     _class_index: dict
+    _d1_preimages: dict | None = None  # {B2 key: a 1-cochain's values with d1 = it}
 
     @property
     def order_z2(self) -> int:
@@ -761,11 +762,13 @@ def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Resul
 
 
 def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[Cochain]]:
-    """h2_rbe and z1_rbe with one compile of d1 for both."""
+    """h2_rbe, keeping a d1 preimage of each member of B2, and z1_rbe with
+    one compile of d1 for both."""
     z2 = z2_rbe(module, budget)
     z1, b2 = _z1_b2(module, budget)
-    return (_h2(module, z2, [_pair(module, k) for k in b2]),
-            [Cochain.from_vector(module, 1, v) for v in z1])
+    h2 = _h2(module, z2, [_pair(module, k) for k in b2])
+    h2._d1_preimages = b2
+    return h2, [Cochain.from_vector(module, 1, v) for v in z1]
 
 
 def _h2(module: RBModule, z2: list[CocyclePair], b2: list[CocyclePair]) -> H2Result:

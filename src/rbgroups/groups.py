@@ -665,6 +665,14 @@ def _dfs(rows, table, values, done, gens, out, domains, limit) -> None:
     gens.pop()
 
 
+def _homomorphism_bound(g: FiniteGroup, h: FiniteGroup, bound: int) -> None:
+    if g.order > bound or h.order > bound:
+        raise BudgetError(
+            f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}",
+            stage="homomorphism enumeration", size=max(g.order, h.order),
+        )
+
+
 def enumerate_homomorphisms(
     g: FiniteGroup,
     h: FiniteGroup,
@@ -675,11 +683,7 @@ def enumerate_homomorphisms(
     search above `_propagate`: x maps only to the elements whose order divides
     ord(x) (equals it when bijective_only, which keeps the bijections).  The
     greatest table found and the last one are checked against the law."""
-    if g.order > bound or h.order > bound:
-        raise BudgetError(
-            f"homomorphism enumeration bound exceeded: {g.order}, {h.order} > {bound}",
-            stage="homomorphism enumeration", size=max(g.order, h.order),
-        )
+    _homomorphism_bound(g, h, bound)
     h_orders = [h.element_order(y) for y in h.elements()]
     domains = [[y for y, m in enumerate(h_orders) if (m == k if bijective_only else k % m == 0)]
                for k in map(g.element_order, g.elements())]

@@ -1,6 +1,17 @@
-"""Automorphism-group machinery for extensions: the compatible-pair group,
-the action on cocycle pairs, the Wells derivation, the kernel isomorphism
-with Z1, and exactness of the resulting four-term sequence.
+"""Automorphism-group machinery for extensions: C_mu and its action on
+cocycle pairs, Aut_I(E) and rho, the Wells derivation omega, the kernel
+isomorphism with Z1, and exactness of 0 -> Z1 -> Aut_I(E) -> C_mu -> H2.
+
+Lemma: every gamma in Aut_I(E) is gamma(s(h) i(y)) = s(phi h) i(psi(lambda(h)
++ y)) with (phi, psi) = gamma_parts and lambda a normalized 1-cochain, and
+such a map is a Rota-Baxter automorphism iff (phi, psi) lies in C_mu and
+d1(lambda) = pair - pair^(phi, psi), pair^c being act_on_pair.  Sketch:
+multiplicativity reads psi mu_h = mu_{phi h} psi and, after psi^-1,
+delta1(lambda) = tau - tau^c; gamma R_E = R_E gamma reads phi R_H = R_H phi,
+psi R_I = R_I psi and Phi1(lambda) = g - g^c.  (pair^c - pair fails on Z3
+kernels, lambda(h) outside psi on Z3 and Z2xZ2 ones.)  So Im(rho) = {c :
+pair - pair^c in B2}, Ker(rho) = eta(Z1), and the gamma_(c, lambda0)
+eta(lambda) list Aut_I(E) without listing Aut(E).
 """
 
 from __future__ import annotations
@@ -11,12 +22,14 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     _generated,
+    _homomorphism_bound,
+    action_witness,
     automorphisms,
     compose,
-    is_homomorphism,
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Result,
-                         RBModule, _coset_generators, _h2_and_z1, h2_rbe, z1_rbe)
+                         RBModule, _coset_generators, _h2_and_z1, _pair, _vadd, _z1_b2,
+                         h2_rbe, nondegenerate_tuples, z1_rbe)
 from .extensions import Extension
 from .operators import RotaBaxterOperator
 
@@ -35,25 +48,6 @@ def rb_automorphisms(
     ]
 
 
-def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
-    """Rota-Baxter automorphisms of E that map the kernel copy into itself."""
-    kernel = set(ext.include.images)
-    return [
-        f
-        for f in rb_automorphisms(ext.E, ext.operator, bound)
-        if all(f.images[x] in kernel for x in kernel)
-    ]
-
-
-def _rho(ext: Extension, auti: list[GroupMap]):
-    return [(f, *gamma_parts(ext, f)) for f in auti]
-
-
-def _rho_kernel(ext: Extension, rho_list) -> list[GroupMap]:
-    idh, idi = tuple(ext.module.H.elements()), tuple(ext.module.I.elements())
-    return [f for f, gh, gi in rho_list if gh.images == idh and gi.images == idi]
-
-
 def gamma_parts(ext: Extension, gamma: GroupMap) -> tuple[GroupMap, GroupMap]:
     """(gamma_H, gamma_I): the induced maps on H and on I.
 
@@ -67,23 +61,72 @@ def gamma_parts(ext: Extension, gamma: GroupMap) -> tuple[GroupMap, GroupMap]:
     return GroupMap(m.H, m.H, gh), GroupMap(m.I, m.I, gi)
 
 
+def _gamma(ext: Extension, c, lam) -> tuple[int, ...]:
+    """The images of gamma(s(h) i(y)) = s(phi h) i(psi(lam(h) + y)) for the key
+    c = (phi, psi) and lam the values of a 1-cochain at 1, ..., |H| - 1."""
+    (phi, psi), add, images = c, ext.module.I.table, [0] * ext.E.order
+    for h, lh in enumerate((0, *lam)):
+        for y, v in enumerate(add[lh]):
+            images[ext.element(h, y)] = ext.element(phi[h], psi[v])
+    return tuple(images)
+
+
+def _is_lift(ext: Extension, c, images) -> bool:
+    """Whether images is a Rota-Baxter automorphism of E (bijective and
+    multiplicative at E's generators, commuting with R_E) that maps I into
+    itself and induces the key c."""
+    e, r, kernel = ext.E, ext.operator.images, set(ext.include.images)
+    return (action_witness(e, [images]) is None
+            and all(images[r[x]] == r[images[x]] for x in e.elements())
+            and all(images[x] in kernel for x in kernel)
+            and tuple(f.images for f in gamma_parts(ext, GroupMap(e, e, images))) == c)
+
+
+def _lifts(ext: Extension, bound: int, preimages: dict):
+    """C_mu as {key c: its twist of pair keys}, {c: pair^c}, and {c: lambda0}
+    over the c whose difference pair - pair^c is d1(lambda0), so lies in B2."""
+    m, base = ext.module, ext.pair.key()
+    twists = {c: _twist(m, c) for c in _c_mu(m, bound)}
+    _homomorphism_bound(ext.E, ext.E, bound)  # Aut_I(E) is capped as an Aut(E) build is
+    moved = {c: twist(base) for c, twist in twists.items()}
+    diffs = ((c, _vadd(m.I.table, base, [m.I.inverses[y] for y in v])) for c, v in moved.items())
+    return twists, moved, {c: preimages[d] for c, d in diffs if d in preimages}
+
+
 def rho(ext: Extension, bound: int = DEFAULT_AUT_BOUND):
-    """[(gamma, gamma_H, gamma_I)] over Aut_I(E, R_E)."""
-    return _rho(ext, aut_I(ext, bound))
+    """[(gamma, gamma_H, gamma_I)] over Aut_I(E, R_E), sorted by gamma: the
+    lifts gamma_(c, lambda0 + lambda) of each c in Im(rho), lambda over Z1."""
+    m, e = ext.module, ext.E
+    z1, preimages = _z1_b2(m, DEFAULT_COHOMOLOGY_BUDGET)
+    out = [(GroupMap(e, e, _gamma(ext, c, _vadd(m.I.table, lam0, lam))),
+            GroupMap(m.H, m.H, c[0]), GroupMap(m.I, m.I, c[1]))
+           for c, lam0 in _lifts(ext, bound, preimages)[2].items() for lam in z1]
+    return sorted(out, key=lambda t: t[0].images)
+
+
+def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
+    """Rota-Baxter automorphisms of E that map the kernel copy into itself, sorted."""
+    return [gamma for gamma, _, _ in rho(ext, bound)]
 
 
 def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     """Kernel of rho: automorphisms inducing the identity on both H and I."""
-    return _rho_kernel(ext, rho(ext, bound))
+    one = (tuple(ext.module.H.elements()), tuple(ext.module.I.elements()))
+    return [f for f, gh, gi in rho(ext, bound) if (gh.images, gi.images) == one]
+
+
+def _c_mu(module: RBModule, bound: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """C_mu as sorted keys (phi images, psi images), each checked once here."""
+    aut_h = rb_automorphisms(module.H, module.hop, bound)
+    aut_i = rb_automorphisms(module.I, RotaBaxterOperator(module.I, module.ri), bound)
+    return sorted((phi.images, psi.images) for phi in aut_h for psi in aut_i
+                  if in_c_mu(module, phi, psi))
 
 
 def c_mu(module: RBModule, bound: int = DEFAULT_AUT_BOUND) -> list[tuple[GroupMap, GroupMap]]:
     """Pairs (phi, psi) of operator-automorphisms with mu_h = psi^-1 mu_{phi(h)} psi."""
-    aut_h = rb_automorphisms(module.H, module.hop, bound)
-    aut_i = rb_automorphisms(module.I, RotaBaxterOperator(module.I, module.ri), bound)
-    out = [(phi, psi) for phi in aut_h for psi in aut_i if in_c_mu(module, phi, psi)]
-    out.sort(key=lambda c: (c[0].images, c[1].images))
-    return out
+    h, i = module.H, module.I
+    return [(GroupMap(h, h, phi), GroupMap(i, i, psi)) for phi, psi in _c_mu(module, bound)]
 
 
 def in_c_mu(module: RBModule, phi: GroupMap, psi: GroupMap) -> bool:
@@ -94,6 +137,17 @@ def in_c_mu(module: RBModule, phi: GroupMap, psi: GroupMap) -> bool:
     )
 
 
+def _twist(module: RBModule, c):
+    """act_on_pair on pair keys for the key c = (phi, psi) of a member of
+    C_mu: a gather at the positions of the twisted arguments, then psi^-1."""
+    phi, psi = c
+    index = nondegenerate_tuples(module.H.order, 2)
+    positions = [index[phi[a], phi[b]] for a, b in index]
+    positions += [len(index) + phi[h] - 1 for h in range(1, module.H.order)]
+    psi_inv = sorted(range(len(psi)), key=psi.__getitem__)
+    return lambda key: tuple(psi_inv[key[p]] for p in positions)
+
+
 def act_on_pair(
     module: RBModule, c: tuple[GroupMap, GroupMap], pair: CocyclePair
 ) -> CocyclePair:
@@ -101,32 +155,20 @@ def act_on_pair(
     phi, psi = c
     if not in_c_mu(module, phi, psi):
         raise ValueError("pair (phi, psi) is not in C_mu")
-    psi_inv = [0] * module.I.order
-    for y, img in enumerate(psi.images):
-        psi_inv[img] = y
-    tau = Cochain.from_callable(
-        module, 2, lambda h1, h2: psi_inv[pair.tau((phi.images[h1], phi.images[h2]))]
-    )
-    g = Cochain.from_callable(module, 1, lambda h: psi_inv[pair.g((phi.images[h],))])
-    return CocyclePair(tau, g)
+    return _pair(module, _twist(module, (phi.images, psi.images))(pair.key()))
 
 
-def compose_pairs(c1, c2):
-    """(phi1, psi1)(phi2, psi2) componentwise; cochain twisting is a right action."""
-    return (compose(c1[0], c2[0]), compose(c1[1], c2[1]))
+def _compose(a, b):
+    """The product of keys of C_mu, (phi1 phi2, psi1 psi2) componentwise;
+    cochain twisting is a right action."""
+    return tuple(map(a[0].__getitem__, b[0])), tuple(map(a[1].__getitem__, b[1]))
 
 
-def _pair_generators(cmu: list[tuple[GroupMap, GroupMap]]) -> list[tuple[GroupMap, GroupMap]]:
-    """Each pair of C_mu, in order, outside the subgroup the ones before it
+def _pair_generators(cmu: list) -> list:
+    """Each key of C_mu, in order, outside the subgroup the ones before it
     generate: a greedy generating set of the group C_mu."""
-    by_key = {(phi.images, psi.images): (phi, psi) for phi, psi in cmu}
-    phi, psi = cmu[0]
-    one = (tuple(range(len(phi.images))), tuple(range(len(psi.images))))
-
-    def mul(a, b):  # the key of compose_pairs(a, b)
-        return tuple(map(a[0].__getitem__, b[0])), tuple(map(a[1].__getitem__, b[1]))
-
-    return [by_key[key] for key in _generated(by_key, mul, one)[0]]
+    one = (tuple(range(len(cmu[0][0]))), tuple(range(len(cmu[0][1]))))
+    return _generated(cmu, _compose, one)[0]
 
 
 def twist_extension(ext: Extension, c: tuple[GroupMap, GroupMap]) -> Extension:
@@ -138,9 +180,7 @@ def twist_extension(ext: Extension, c: tuple[GroupMap, GroupMap]) -> Extension:
     """
     phi, psi = c
     h, e = ext.h_rb.group, ext.E
-    phi_inv = [0] * h.order
-    for hh, img in enumerate(phi.images):
-        phi_inv[img] = hh
+    phi_inv = sorted(h.elements(), key=phi.images.__getitem__)
     return dataclasses.replace(
         ext,
         include=compose(ext.include, psi),
@@ -149,27 +189,17 @@ def twist_extension(ext: Extension, c: tuple[GroupMap, GroupMap]) -> Extension:
     )
 
 
-def wells_map(
-    ext: Extension,
-    h2: H2Result | None = None,
-    cmu: list[tuple[GroupMap, GroupMap]] | None = None,
-):
+def wells_map(ext: Extension, h2: H2Result | None = None,
+              cmu: list[tuple[GroupMap, GroupMap]] | None = None):
     """omega(E): for each c in C_mu the H2 class with [E]^c = [E]^{omega(c)}.
 
     Since the translation action is free and transitive on classes, this is
     the class of (pair^c - pair).
     """
-    m = ext.module
-    if h2 is None:
-        h2 = h2_rbe(m)
-    if cmu is None:
-        cmu = c_mu(m)
-    base = ext.pair
-    out = []
-    for c in cmu:
-        moved = act_on_pair(m, c, base)
-        out.append((c, h2.class_of(moved.sub(base))))
-    return out
+    m, base = ext.module, ext.pair
+    h2 = h2_rbe(m) if h2 is None else h2
+    cmu = c_mu(m) if cmu is None else cmu
+    return [(c, h2.class_of(act_on_pair(m, c, base).sub(base))) for c in cmu]
 
 
 # ---------------------------------------------------------------------------
@@ -202,35 +232,19 @@ def _sum_generators(add, z1: list[Cochain]) -> list[Cochain]:
 
 
 def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
-    eta_images = {}
-    ok = True
-    for lam in z1:
-        f = eta(ext, lam)
-        if not is_homomorphism(f):
-            ok = False
-        if not all(
-            f.images[ext.operator.images[x]] == ext.operator.images[f.images[x]]
-            for x in ext.E.elements()
-        ):
-            ok = False
-        back = zeta(ext, f)
-        if back.value_vector() != lam.value_vector():
-            ok = False
-        eta_images[f.images] = lam
-    if {f.images for f in hi} != set(eta_images):
-        ok = False
-    for f in hi:
-        lam = zeta(ext, f)
-        if eta(ext, lam).images != f.images:
-            ok = False
-    # eta is a homomorphism: pointwise sums map to compositions.  Checked for
-    # every a and each generator b, it holds for every b, a nonempty sum of
-    # generators, by induction on the length of the sum
+    """eta(Z1) = hi with zeta inverse to eta both ways, and eta additive: for
+    every a and each generator b, eta(a + b) = eta(a) eta(b), so eta(a) is
+    a product of the eta(b), each checked to be a Rota-Baxter automorphism
+    of E that fixes I and induces the identity on H and I."""
+    one = (tuple(ext.module.H.elements()), tuple(ext.module.I.elements()))
+    etas = {lam.vector: eta(ext, lam) for lam in z1}
     gens = _sum_generators(ext.module.I.table, z1)
-    for a in z1:
-        for b in gens:
-            if eta(ext, a.add(b)).images != compose(eta(ext, a), eta(ext, b)).images:
-                ok = False
+    ok = (all(_is_lift(ext, one, etas[b.vector].images) for b in gens)
+          and all(zeta(ext, f).vector == v for v, f in etas.items())
+          and {f.images for f in hi} == {f.images for f in etas.values()}
+          and all(eta(ext, zeta(ext, f)).images == f.images for f in hi)
+          and all(eta(ext, a.add(b)).images == compose(etas[a.vector], etas[b.vector]).images
+                  for a in z1 for b in gens))
     return {"z1_order": len(z1), "autHI_order": len(hi), "isomorphic": ok}
 
 
@@ -239,85 +253,59 @@ def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_wells_exactness(
-    ext: Extension,
-    bound: int = DEFAULT_AUT_BOUND,
-    budget: int = DEFAULT_COHOMOLOGY_BUDGET,
-) -> dict:
+def _listed(keys) -> list:
+    """The first three keys of C_mu, sorted, as JSON lists."""
+    return [list(map(list, k)) for k in sorted(keys)[:3]]
+
+
+def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
+                          budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
     """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses.
 
-    Aut_I(E) is built once; rho, its kernel and the Z1 check all use it.
-    One compile of d1 gives both Z1, its kernel, and the B2 inside H2.
-    """
+    One compile of d1 gives Z1, the B2 inside H2 and a preimage lambda0 of
+    each difference in B2.  The lift gamma_(c, lambda0) of each c in Im(rho)
+    and eta of each generator of Z1 are checked to be Rota-Baxter
+    automorphisms of E that keep I and induce c, so each gamma_(c, lambda0)
+    eta(lambda) that the lemma counts is one."""
     m = ext.module
+    add, neg = m.I.table, m.I.inverses
     h2, z1 = _h2_and_z1(m, budget)
-    cmu = c_mu(m, bound=bound)
-    auti = aut_I(ext, bound)
-    rho_list = _rho(ext, auti)
-    hi = _rho_kernel(ext, rho_list)
+    twists, moved, lifts = _lifts(ext, bound, h2._d1_preimages)
+    cmu, base = list(twists), ext.pair.key()
+    classes = {key: rep.key() for key, rep in h2._class_index.items()}
+    minus_base = [neg[y] for y in base]
+    omega = {c: classes[_vadd(add, v, minus_base)] for c, v in moved.items()}
     witnesses = []
 
+    # Ker(rho): the lifts of the identity, the least key
+    hi = [GroupMap(ext.E, ext.E, _gamma(ext, cmu[0], lam.vector)) for lam in z1]
     exact_at_autI = _z1_iso(ext, z1, hi)["isomorphic"]
     if not exact_at_autI:
         witnesses.append({"joint": "autI", "reason": "Z1 does not match Ker(rho)"})
 
-    image_rho = {(gh.images, gi.images) for _, gh, gi in rho_list}
-    cmu_keys = {(phi.images, psi.images) for phi, psi in cmu}
-    if not image_rho <= cmu_keys:
-        witnesses.append({"joint": "cmu", "reason": "Im(rho) not inside C_mu"})
+    bad = [c for c, lam0 in lifts.items() if not _is_lift(ext, c, _gamma(ext, c, lam0))]
+    if bad:
+        witnesses.append({"joint": "cmu", "reason": "a lift of Im(rho) is not in Aut_I(E)",
+                          "c": _listed(bad)})
 
-    omega = wells_map(ext, h2, cmu)
-    zero_class = h2.class_of(CocyclePair.zero(m))
-    kernel_omega = {
-        (c[0].images, c[1].images)
-        for c, cls in omega
-        if cls.key() == zero_class.key()
-    }
-    exact_at_cmu = image_rho == kernel_omega
-    if not exact_at_cmu:
-        only_rho = sorted(image_rho - kernel_omega)
-        only_ker = sorted(kernel_omega - image_rho)
-        witnesses.append(
-            {
-                "joint": "cmu",
-                "reason": "Im(rho) != Ker(omega)",
-                "im_rho_only": [list(map(list, k)) for k in only_rho[:3]],
-                "ker_omega_only": [list(map(list, k)) for k in only_ker[:3]],
-            }
-        )
+    image_rho = set(lifts)
+    zero_class = classes[(0,) * len(base)]
+    kernel_omega = {c for c, cls in omega.items() if cls == zero_class}
+    exact_at_cmu = image_rho == kernel_omega and not bad
+    if image_rho != kernel_omega:
+        witnesses.append({"joint": "cmu", "reason": "Im(rho) != Ker(omega)",
+                          "im_rho_only": _listed(image_rho - kernel_omega),
+                          "ker_omega_only": _listed(kernel_omega - image_rho)})
 
-    omega_by_key = {
-        (c[0].images, c[1].images): (c, cls) for c, cls in omega
-    }
     # omega(c1 c2) = omega(c1)^c2 + omega(c2) for each c2 of a generating
     # set, and every c1, gives it for every c2, by induction on word length:
     # the action is a right action by additive maps
-    derivation_ok = True
     gens = _pair_generators(cmu)
-    for c1 in cmu:
-        for c2 in gens:
-            c12 = compose_pairs(c1, c2)
-            _, lhs = omega_by_key[(c12[0].images, c12[1].images)]
-            cls1 = omega_by_key[(c1[0].images, c1[1].images)][1]
-            cls2 = omega_by_key[(c2[0].images, c2[1].images)][1]
-            rhs = h2.class_of(act_on_pair(m, c2, cls1).add(cls2))
-            if lhs.key() != rhs.key():
-                derivation_ok = False
-                witnesses.append(
-                    {
-                        "joint": "derivation",
-                        "c1": [list(c1[0].images), list(c1[1].images)],
-                        "c2": [list(c2[0].images), list(c2[1].images)],
-                    }
-                )
-    return {
-        "z1_order": len(z1),
-        "autI_order": len(auti),
-        "autHI_order": len(hi),
-        "cmu_order": len(cmu),
-        "h2_order": h2.order_h2,
-        "exact_at_autI": exact_at_autI,
-        "exact_at_cmu": exact_at_cmu,
-        "omega_is_derivation": derivation_ok,
-        "witnesses": witnesses,
-    }
+    failed = [(c1, c2) for c1 in cmu for c2 in gens
+              if omega[_compose(c1, c2)] != classes[_vadd(add, twists[c2](omega[c1]), omega[c2])]]
+    witnesses += [{"joint": "derivation", "c1": list(map(list, c1)), "c2": list(map(list, c2))}
+                  for c1, c2 in failed]
+    return {"z1_order": len(z1), "autI_order": len(lifts) * len(z1), "autHI_order": len(hi),
+            "cmu_order": len(cmu), "h2_order": h2.order_h2, "exact_at_autI": exact_at_autI,
+            "exact_at_cmu": exact_at_cmu, "omega_is_derivation": not failed,
+            "witnesses": witnesses}

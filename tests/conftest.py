@@ -34,7 +34,7 @@ from rbgroups.cohomology import (
     _d2_map,
     _h2,
     _pair,
-    _verify_closed,
+    _span,
     d1_rbe,
     delta,
     enumerate_cochains,
@@ -72,8 +72,9 @@ from rbgroups.wells import (
     aut_HI,
     c_mu,
     check_wells_exactness,
-    compose_pairs,
     eta,
+    gamma_parts,
+    rb_automorphisms,
     wells_map,
     zeta,
 )
@@ -192,6 +193,12 @@ def pairwise_perm_group(generators, degree: int, name: str):
     table = [[index[perm_mul(a, b)] for b in ordered] for a in ordered]
     labels = [perm_to_cycles(p) for p in ordered]
     return FiniteGroup(table, labels=labels, name=name)
+
+
+def compose_pairs(c1, c2):
+    """(phi1, psi1)(phi2, psi2) componentwise, as GroupMaps: the product of
+    C_mu that wells._compose computes on keys."""
+    return (compose(c1[0], c2[0]), compose(c1[1], c2[1]))
 
 
 def pair_key_mul(a, b):
@@ -695,8 +702,17 @@ def scan_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
     return _h2(module, z2, [_pair(module, k) for k in scan_d1(module, budget)[1]])
 
 
+def _verify_closed(add, keys, name: str) -> None:
+    """Raise unless the value vectors keys (over I's addition table add) are
+    closed under addition; an empty list passes.  A nonempty finite set is
+    closed iff it is the subgroup it generates, grown coset by coset: one
+    addition per member instead of every pair."""
+    if keys and set(_span(add, keys, len(keys[0]))) != set(keys):
+        raise AssertionError(f"{name} is not closed under addition")
+
+
 def pairwise_verify_closed(add, keys, name: str) -> None:
-    """Oracle for cohomology._verify_closed: the sum of every pair of keys."""
+    """Oracle for _verify_closed: the sum of every pair of keys."""
     keyed = set(keys)
     for a in keys:
         for b in keys:
@@ -958,6 +974,32 @@ def brute_force_equivalent(e1, e2, budget=DEFAULT_THETA_BUDGET):
 # ---------------------------------------------------------------------------
 # Wells oracle: the derivation law over every pair of C_mu
 # ---------------------------------------------------------------------------
+
+
+def formula_act_on_pair(module, c, pair):
+    """Oracle for `wells.act_on_pair`: each value of (tau, g)^(phi, psi) read
+    off its formula psi^-1(tau(phi h1, phi h2)), psi^-1(g(phi h))."""
+    phi, psi = c
+    psi_inv = [0] * module.I.order
+    for y, img in enumerate(psi.images):
+        psi_inv[img] = y
+    tau = Cochain.from_callable(
+        module, 2, lambda h1, h2: psi_inv[pair.tau((phi.images[h1], phi.images[h2]))]
+    )
+    g = Cochain.from_callable(module, 1, lambda h: psi_inv[pair.g((phi.images[h],))])
+    return CocyclePair(tau, g)
+
+
+def filter_aut_I(ext, bound=64):
+    """Oracle for `wells.rho`: [(gamma, gamma_H, gamma_I)] over the Rota-Baxter
+    automorphisms of E that map the kernel copy into itself, found by
+    filtering all of Aut(E), sorted by gamma."""
+    kernel = set(ext.include.images)
+    return [
+        (f, *gamma_parts(ext, f))
+        for f in rb_automorphisms(ext.E, ext.operator, bound)
+        if all(f.images[x] in kernel for x in kernel)
+    ]
 
 
 def all_pairs_z1_iso(ext, z1, hi):

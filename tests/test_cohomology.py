@@ -18,6 +18,7 @@ from conftest import (
     closure_phi1,
     closure_phi2,
     element_probe_compile,
+    _verify_closed,
     pairwise_verify_closed,
     scan_d1,
     scan_h2,
@@ -36,7 +37,6 @@ from rbgroups.cohomology import (
     _d2_map,
     _kernel,
     _span,
-    _verify_closed,
     Cochain,
     CocyclePair,
     RBModule,
@@ -529,6 +529,16 @@ def test_kernels_match_the_scans(hname, iname):
         assert [p.key() for p in got.representatives] == [p.key() for p in want.representatives]
         for p in z2:
             assert got.class_of(p).key() == want.class_of(p).key()
+
+
+@pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)
+def test_b2_preimages_are_sent_onto_their_members(hname, iname):
+    # the one d1 compile of a Wells report lists B2 with a preimage per member
+    for m in all_modules(hname, iname):
+        h2, z1 = cohomology._h2_and_z1(m, cohomology.DEFAULT_COHOMOLOGY_BUDGET)
+        assert list(h2._d1_preimages) == [p.key() for p in b2_rbe(m)]
+        for key, theta in h2._d1_preimages.items():
+            assert d1_rbe(Cochain.from_vector(m, 1, theta)).key() == key
 
 
 def _broken_kernel(kind):

@@ -8,10 +8,14 @@ from conftest import (
     all_pairs_wells_report,
     all_pairs_z1_iso,
     check_generated,
+    compose_pairs,
+    filter_aut_I,
+    formula_act_on_pair,
     pair_key_mul,
     walked_pair_generators,
 )
 
+from rbgroups import groups
 from rbgroups.groups import GroupMap, automorphisms, make_group
 from rbgroups.operators import (
     RotaBaxterOperator,
@@ -36,7 +40,6 @@ from rbgroups.wells import (
     aut_I,
     c_mu,
     check_wells_exactness,
-    compose_pairs,
     eta,
     gamma_parts,
     in_c_mu,
@@ -248,18 +251,18 @@ def test_exactness_direct_and_twisted():
 def test_fault_injection_breaks_the_right_joint(monkeypatch):
     m = fixture_module()
     ext = build_abelian_extension(m, z2_rbe(m)[2])
-    real = wells.act_on_pair
+    real = wells._twist
     z2 = z2_rbe(m)
     nonzero = next(p for p in z2 if not p.is_zero())
 
-    def corrupted(module, c, pair):
-        out = real(module, c, pair)
+    def corrupted(module, c):
+        twist = real(module, c)
         phi, psi = c
-        if psi.images != tuple(module.I.elements()):  # corrupt one entry of omega
-            return out.add(nonzero)
-        return out
+        if psi != tuple(module.I.elements()):  # corrupt one entry of omega
+            return lambda key: cohomology._pair(module, twist(key)).add(nonzero).key()
+        return twist
 
-    monkeypatch.setattr(wells, "act_on_pair", corrupted)
+    monkeypatch.setattr(wells, "_twist", corrupted)
     report = check_wells_exactness(ext)
     assert not (
         report["exact_at_cmu"] and report["omega_is_derivation"]
@@ -343,15 +346,15 @@ def test_z1_generators_start_with_the_first_cochain():
 def test_pair_generators_match_the_walk_oracle(hname, iname):
     for m in all_modules(hname, iname):
         cmu = c_mu(m)
-        gens = wells._pair_generators(cmu)
-        assert gens == walked_pair_generators(cmu)
         keys = [(phi.images, psi.images) for phi, psi in cmu]
+        gens, walked = wells._pair_generators(keys), walked_pair_generators(cmu)
+        assert gens == [(phi.images, psi.images) for phi, psi in walked]
         _, span = check_generated(keys, pair_key_mul, keys[0])  # keys[0] is (id, id)
         assert set(span) == set(keys)
-        for c1, c2 in zip(cmu, gens):  # the product the walk uses is compose_pairs
+        for c1, c2 in zip(cmu, walked):  # the product the walk uses is compose_pairs
             c12 = compose_pairs(c1, c2)
-            assert pair_key_mul((c1[0].images, c1[1].images), (c2[0].images, c2[1].images)) == (
-                c12[0].images, c12[1].images)
+            k1, k2 = (c1[0].images, c1[1].images), (c2[0].images, c2[1].images)
+            assert pair_key_mul(k1, k2) == wells._compose(k1, k2) == (c12[0].images, c12[1].images)
 
 
 @pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z3", "Z3"), ("Z2", "Z2xZ2")])
@@ -376,3 +379,70 @@ def test_wells_report_compiles_d2_once_and_d1_once(monkeypatch, hname, iname):
         check_wells_exactness(build_abelian_extension(m, pair))
         k1 = m.H.order - 1
         assert sorted(widths) == [k1, k1 * k1 + k1]  # d1 on 1-cochains, d2 on pair keys
+
+
+def _matches_the_aut_e_filter(ext):
+    """rho, aut_I, aut_HI, act_on_pair and the report against the oracles
+    that list Aut(E) (`filter_aut_I`) and check every pair (`all_pairs_wells_report`)."""
+    m = ext.module
+    want = filter_aut_I(ext)
+    assert [(f.images, gh.images, gi.images) for f, gh, gi in rho(ext)] == [
+        (f.images, gh.images, gi.images) for f, gh, gi in want]
+    assert [f.images for f in aut_I(ext)] == [f.images for f, _, _ in want]
+    one = (tuple(m.H.elements()), tuple(m.I.elements()))
+    kernel = [f.images for f, gh, gi in want if (gh.images, gi.images) == one]
+    assert [f.images for f in aut_HI(ext)] == kernel
+    for c in c_mu(m):
+        assert act_on_pair(m, c, ext.pair).key() == formula_act_on_pair(m, c, ext.pair).key()
+    h2 = h2_rbe(m)
+    zero = h2.class_of(CocyclePair.zero(m)).key()
+    kernel_omega = {(phi.images, psi.images) for (phi, psi), cls in wells_map(ext, h2)
+                    if cls.key() == zero}
+    image_rho = {(gh.images, gi.images) for _, gh, gi in want}
+    report, oracle = check_wells_exactness(ext), all_pairs_wells_report(ext)
+    expected = {**oracle, "z1_order": len(z1_rbe(m)), "autI_order": len(want),
+                "autHI_order": len(kernel), "cmu_order": len(c_mu(m)), "h2_order": h2.order_h2,
+                "exact_at_cmu": image_rho == kernel_omega}
+    assert json.dumps(report, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert report["exact_at_cmu"] and report["witnesses"] == []
+
+
+@pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z3", "Z3"), ("Z2", "Z2xZ2"),
+                                         ("Z4", "Z2"), ("Z2", "Z6"), ("Z3", "Z2xZ2")])
+def test_aut_I_from_the_lemma_matches_the_aut_e_filter(hname, iname):
+    # the least and greatest cocycle of every module on (H, I)
+    for m in all_modules(hname, iname):
+        for pair in (z2_rbe(m)[0], z2_rbe(m)[-1]):
+            _matches_the_aut_e_filter(build_abelian_extension(m, pair))
+
+
+def test_aut_I_from_the_lemma_matches_the_aut_e_filter_on_larger_carriers():
+    # every cocycle of the fixture module, and Z3 acting on Z3xZ3, whose
+    # split extension Z3xZ3xZ3 has 11,232 automorphisms for the oracle to list
+    m = fixture_module()
+    z3, z3z3 = make_group("Z3"), make_group("Z3xZ3")
+    big = RBModule(trivial_operator(z3), z3z3, (0,) * 9, trivial_action(z3, z3z3))
+    for m, pair in [(m, p) for p in z2_rbe(m)] + [(big, z2_rbe(big)[0]), (big, z2_rbe(big)[-1])]:
+        _matches_the_aut_e_filter(build_abelian_extension(m, pair))
+
+
+def test_wells_report_builds_no_automorphism_group_of_e(monkeypatch):
+    built, init = [], groups.AutomorphismGroup.__init__
+
+    def counted(self, base, *args, **kwargs):
+        built.append(base)
+        init(self, base, *args, **kwargs)
+
+    monkeypatch.setattr(groups.AutomorphismGroup, "__init__", counted)
+    z3, z3z3 = make_group("Z3"), make_group("Z3xZ3")
+    big = RBModule(trivial_operator(z3), z3z3, (0,) * 9, trivial_action(z3, z3z3))
+    for m in [fixture_module(), big, *all_modules("Z2", "Z2xZ2")]:
+        for pair in (z2_rbe(m)[0], z2_rbe(m)[-1]):
+            ext = build_abelian_extension(m, pair)
+            built.clear()
+            report = check_wells_exactness(ext)
+            # Aut(H) and Aut(I) for C_mu, and no group of E's order
+            assert [b.order for b in built] == [m.H.order, m.I.order]
+            assert built[0] is m.H and built[1] is m.I
+            assert report["autI_order"] == len(aut_I(ext)) > 0
