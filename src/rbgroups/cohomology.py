@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .groups import (BudgetError, FiniteGroup, _generated, _orbit_classes, action_witness,
-                     json_element)
+from .groups import (BudgetError, FiniteGroup, _generated, _law_witness, _orbit_classes,
+                     action_witness, json_element)
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -47,10 +47,9 @@ def rb_module_witness(hop: RotaBaxterOperator, igroup: FiniteGroup, ri, action):
     if not igroup.is_abelian:
         return ("abelian", ())
     ri = tuple(ri)
-    for a in igroup.elements():
-        for b in igroup.elements():
-            if ri[igroup.table[a][b]] != igroup.table[ri[a]][ri[b]]:
-                return ("ri-endomorphism", (a, b))
+    w = _law_witness(igroup.table, igroup.mul, ri, igroup._generators)
+    if w is not None:
+        return ("ri-endomorphism", w)
     action = tuple(tuple(row) for row in action)
     if len(action) != h.order:
         return ("action-shape", ())

@@ -128,11 +128,9 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        """Whether the generators commute, so that every element does."""
+        gens, table = self._generators, self.table
+        return all(table[a][b] == table[b][a] for a in gens for b in gens)
 
     @cached_property
     def _generators(self) -> tuple[int, ...]:
@@ -259,18 +257,9 @@ def quaternion_group() -> FiniteGroup:
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with pair index (a1, a2) -> a1*|g2| + a2."""
-    n1, n2 = g1.order, g2.order
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            for b1 in range(n1):
-                for b2 in range(n2):
-                    table[a1 * n2 + a2][b1 * n2 + b2] = (
-                        g1.table[a1][b1] * n2 + g2.table[a2][b2]
-                    )
-    labels = [
-        f"({g1.label(a1)},{g2.label(a2)})" for a1 in range(n1) for a2 in range(n2)
-    ]
+    n2 = g2.order
+    table = [[x1 * n2 + x2 for x1 in r1 for x2 in r2] for r1 in g1.table for r2 in g2.table]
+    labels = [f"({g1.label(a1)},{g2.label(a2)})" for a1 in g1.elements() for a2 in g2.elements()]
     return FiniteGroup(table, labels=labels, name=f"{g1.name}x{g2.name}")
 
 
@@ -413,22 +402,37 @@ def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     return GroupMap(g.domain, f.codomain, tuple(f.images[g.images[x]] for x in g.domain.elements()))
 
 
+def _law_witness(table, mul, im, gens) -> tuple[int, int] | None:
+    """The first (a, b) in index order with im[ab] != mul(im[a], im[b]), or
+    None, for a group `table` generated by gens and an associative mul (for
+    any tables when gens is every element).
+
+    The law at generators, proved once here: the b with im[ab] = im[a] im[b]
+    for every a are closed under products, as im[a(bc)] = im[(ab)c] =
+    im[ab] im[c] = im[a] im[b] im[c] = im[a] im[bc], and every element is a
+    product of generators.  So each b in gens, or b = e in the group of
+    order 1, which has none, decides the law row against row, in
+    O(n |gens|); the n^2 scan only names the witness.  Light's test,
+    `operators._rb_law` and the Wells derivation argue the same way in loops
+    of their own.
+    """
+    if all([im[ab[b]] for ab in table] == [mul(x, im[b]) for x in im] for b in gens or (0,)):
+        return None
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            if im[ab] != mul(im[a], im[b]):
+                return (a, b)
+    return None
+
+
 def is_homomorphism(f: GroupMap) -> bool:
-    dom, cod, im = f.domain, f.codomain, f.images
-    return all(
-        im[dom.table[a][b]] == cod.table[im[a]][im[b]]
-        for a in dom.elements()
-        for b in dom.elements()
-    )
+    return _law_witness(f.domain.table, f.codomain.mul, f.images, f.domain._generators) is None
 
 
 def is_anti_homomorphism(f: GroupMap) -> bool:
-    dom, cod, im = f.domain, f.codomain, f.images
-    return all(
-        im[dom.table[a][b]] == cod.table[im[b]][im[a]]
-        for a in dom.elements()
-        for b in dom.elements()
-    )
+    """f(ab) = f(b) f(a) for all a, b: x -> f(x^-1) is a homomorphism."""
+    flipped = [f.images[x] for x in f.domain.inverses]
+    return _law_witness(f.domain.table, f.codomain.mul, flipped, f.domain._generators) is None
 
 
 def is_bijective(f: GroupMap) -> bool:
@@ -441,25 +445,21 @@ def action_witness(i: FiniteGroup, maps, h_table=None):
     (maps[h1 h2] = maps[h2] maps[h1]); None when they are.
 
     Witnesses: ("bijective", (h,)), ("endomorphism", (h, a, b)) and
-    ("anti-homomorphism", (h1, h2)).  Rows are checked at each generator b
-    (a = e gives row(e) = e), and at every (a, b) only to name the witness.
+    ("anti-homomorphism", (h1, h2)).  Both laws are checked at generators
+    (`_law_witness`), the second as maps[h1 h2] = maps[h1] then maps[h2].
     """
-    elems, table = list(i.elements()), i.table
+    elems = list(i.elements())
     for h, row in enumerate(maps):
         if sorted(row) != elems:
             return ("bijective", (h,))
-        if all([row[ab[b]] for ab in table] == [table[x][row[b]] for x in row]
-               for b in i._generators):
-            continue
-        for a in elems:
-            for b in elems:
-                if row[i.table[a][b]] != i.table[row[a]][row[b]]:
-                    return ("endomorphism", (h, a, b))
+        if (w := _law_witness(i.table, i.mul, row, i._generators)) is not None:
+            return ("endomorphism", (h, *w))
     if h_table is not None:
-        for h1, products in enumerate(h_table):
-            for h2, h12 in enumerate(products):
-                if tuple(maps[h12]) != tuple(maps[h2][maps[h1][y]] for y in elems):
-                    return ("anti-homomorphism", (h1, h2))
+        maps = [tuple(row) for row in maps]
+        w = _law_witness(h_table, lambda p, q: tuple(map(q.__getitem__, p)), maps,
+                         _greedy_generators(h_table))
+        if w is not None:
+            return ("anti-homomorphism", w)
     return None
 
 
@@ -494,11 +494,9 @@ def inner_automorphism(g: FiniteGroup, x: int) -> GroupMap:
 
 
 def center(g: FiniteGroup) -> tuple[int, ...]:
-    return tuple(
-        z
-        for z in g.elements()
-        if all(g.table[z][a] == g.table[a][z] for a in g.elements())
-    )
+    """The z that commute with each generator, so with every element."""
+    table = g.table
+    return tuple(z for z in g.elements() if all(table[z][a] == table[a][z] for a in g._generators))
 
 
 def _generated(members, mul, one):
@@ -555,24 +553,13 @@ def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, GroupMap]:
         raise ValueError("quotient: not a subgroup")
     if not is_normal(g, n):
         raise ValueError("quotient: subgroup is not normal")
-    nset = set(n)
-    coset_of = {}
-    cosets = []
-    for a in g.elements():
-        if a in coset_of:
-            continue
-        cs = sorted(g.table[a][x] for x in nset)
-        for b in cs:
-            coset_of[b] = len(cosets)
-        cosets.append(cs)
-    order_key = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relabel = {old: new for new, old in enumerate(order_key)}
-    proj = tuple(relabel[coset_of[a]] for a in g.elements())
-    reps = [cosets[order_key[i]][0] for i in range(len(cosets))]
-    table = [
-        [proj[g.table[reps[i]][reps[j]]] for j in range(len(reps))]
-        for i in range(len(reps))
-    ]
+    coset_of, reps = {}, []
+    for a in g.elements():  # the first element met of each coset is its least
+        if a not in coset_of:
+            coset_of.update(dict.fromkeys((g.table[a][x] for x in n), len(reps)))
+            reps.append(a)
+    proj = tuple(coset_of[a] for a in g.elements())
+    table = [[proj[g.table[r][s]] for s in reps] for r in reps]
     labels = [f"[{g.label(r)}]" for r in reps]
     q = FiniteGroup(table, labels=labels, name=f"{g.name}/N")
     return q, GroupMap(g, q, proj)
@@ -598,26 +585,44 @@ def _greedy_generators(table) -> list[int]:
 # is values[x * y] = values[x] values[y] in `table`, `rows[x][v][y]` being
 # x * y when values[x] = v: x o y when R(x) = v for operators
 # (`operators._circle_rows`), xy in g for every v for homomorphisms.  Either
-# law holds iff a graph is a subgroup ({(x, f(x))}, or the notes above
-# `operators._circle_rows`), so it is checked at the branch elements `gens`:
-# `done` stays closed under right *-multiplication by them, so it is the
-# subgroup they generate.  A new generator x checks w * g for each newly
-# fixed w (the `trail`, x first, where most wrong values fail) and g in
-# `gens`, and h * x for each h in `done`: O(|new| |gens| + |done|) checks, in
-# an order that changes neither the fixed set nor the verdict.  Undoing a
-# branch truncates `done` to its mark and pops its generator.  The branch at
-# x, the least unassigned element, tries domains[x] in increasing order, so
-# tables come out sorted; the search stops after `limit` tables.  Lagrange:
-# the graph's points over `done` form the subgroup generated at `gens`, inside
-# the graph of any extension, which has order |G|; so |done| divides |G|, or
-# the branch fails (never for homomorphisms: there `done` is a subgroup).
+# law holds iff a graph is a subgroup of a group P ({(x, f(x))} in g x h, or
+# the g_x of the notes above `operators._circle_rows`), x * y lying under the
+# product of the points of x and y.  `done` holds the subgroup D that the
+# points of the branch elements `gens` generate; a new generator x walks its
+# `trail`, x first (where most wrong values fail), multiplying each newly
+# fixed w by each g in `gens`: O(|new| |gens|) checks.  Undoing a branch
+# truncates `done` to its mark and pops its generator.  The branch at x, the
+# least unassigned element, tries domains[x] in increasing order, so tables
+# come out sorted; the search stops after `limit` tables.  Lagrange: D lies
+# in the graph of any extension, a subgroup of order |G|, so |done| divides
+# |G|, or the branch fails (never for homomorphisms: there `done` is a subgroup).
+# A given map's law is checked at generators by `_law_witness`, whose
+# docstring proves it, behind is_homomorphism, is_anti_homomorphism,
+# action_witness, rb_module_witness and skew_brace_witness.
+#
+# The walk never multiplies D by the point p of x, yet fails iff <D, p> has
+# two points over one element, and else fixes <D, p>.  It multiplies only
+# points of <D, p>, covers each left coset yD != D it meets (the old gens
+# generate D) and from it reaches ydpD for each d in D: it walks from pD,
+# avoiding D, along the edges yD -> ydpD of a digraph on which left
+# multiplication acts transitively, strongly connected as D and p generate
+# <D, p>, and loop-free as p is not in D.  Once it reaches D's out-neighbours
+# dpD its points are closed under every generator.  They are pD alone, where
+# it starts, or k >= 2 vertices, and then it reaches them all, as the digraph
+# without D stays strongly connected.  If not, take an atom: a least set F,
+# of size m, with one out-neighbour a(F) outside it and F + a(F) not all n
+# vertices (a sink component without D is one); m >= 2 as k >= 2.  If atoms
+# F != F' meet, F & F' has its out-neighbours outside it among a(F), a(F');
+# one would make it a smaller such set, none is impossible, so a(F) is in F',
+# a(F') in F, F | F' is closed, and n <= 2m - 1.  Automorphisms permute the
+# atoms, so a vertex is a(F) for c >= 1 of them and lies in cm >= 2: two
+# meet, n <= 2m - 1.  An atom F with a(F) = D is left only through D, so an
+# out-neighbour w of D is outside F + D; an atom F' with a(F') = w meets F,
+# as 2m > n, so w is in F, a contradiction.
 
 
 def _propagate(rows, table, values, trail, done, gens) -> bool:
-    i = 0
-    while i < len(trail):
-        w = trail[i]
-        i += 1
+    for w in trail:  # the elements fixed here join the walk
         rw = values[w]
         w_row = rows[w][rw]
         rw_row = table[rw]
@@ -630,17 +635,6 @@ def _propagate(rows, table, values, trail, done, gens) -> bool:
                 trail.append(z)
             elif have != want:
                 return False
-        if i == 1:  # w is the new generator
-            for h in done:
-                rh = values[h]
-                z = rows[h][rh][w]
-                want = table[rh][rw]
-                have = values[z]
-                if have < 0:
-                    values[z] = want
-                    trail.append(z)
-                elif have != want:
-                    return False
     done += trail
     return len(values) % len(done) == 0
 

@@ -21,6 +21,8 @@ from .groups import (
     GroupMap,
     _dfs,
     _generated,
+    _greedy_generators,
+    _law_witness,
     _propagate,
     basis_endomorphisms,
     cyclic_basis,
@@ -355,7 +357,9 @@ def skew_brace_witness(brace: SkewBrace):
     """First failing axiom of a skew left brace, or None.
 
     Checks both group structures, then the compatibility law
-    a o (b + c) = (a o b) - a + (a o c).
+    a o (b + c) = (a o b) - a + (a o c), which at a says that
+    lambda_a(x) = -a + (a o x) is an endomorphism of (G, +): checked at
+    generators (`groups._law_witness`), O(n^2 |gens|).
     """
     w = group_table_witness(brace.add)
     if w is not None:
@@ -363,17 +367,12 @@ def skew_brace_witness(brace: SkewBrace):
     w = group_table_witness(brace.circ)
     if w is not None:
         return ("circ:" + w[0], w[1])
-    add, circ = brace.add, brace.circ
-    neg = tuple(row.index(0) for row in add)
-    n = brace.order
-    for a in range(n):
-        for b in range(n):
-            ab = circ[a][b]
-            for c in range(n):
-                lhs = circ[a][add[b][c]]
-                rhs = add[add[ab][neg[a]]][circ[a][c]]
-                if lhs != rhs:
-                    return ("compatibility", (a, b, c))
+    add, gens = brace.add, _greedy_generators(brace.add)
+    for a, row in enumerate(brace.circ):
+        minus_a = add[add[a].index(0)]
+        w = _law_witness(add, lambda x, y: add[x][y], [minus_a[y] for y in row], gens)
+        if w is not None:
+            return ("compatibility", (a, *w))
     return None
 
 
@@ -424,15 +423,12 @@ def is_rb_subgroup(g: FiniteGroup, op: RotaBaxterOperator, elems) -> bool:
 
 
 def is_brace_morphism(images, source: SkewBrace, target: SkewBrace) -> bool:
-    """A map of skew braces: a homomorphism for both the add and circ tables."""
+    """A map of skew braces: a homomorphism for both the add and circ tables,
+    checked at every b (`groups._law_witness`), as the tables may be
+    unvalidated."""
     im = tuple(images)
-    n = source.order
-    return all(
-        im[source.add[a][b]] == target.add[im[a]][im[b]]
-        and im[source.circ[a][b]] == target.circ[im[a]][im[b]]
-        for a in range(n)
-        for b in range(n)
-    )
+    return all(_law_witness(s, lambda x, y, t=t: t[x][y], im, range(len(s))) is None
+               for s, t in ((source.add, target.add), (source.circ, target.circ)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,19 @@ def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
 
 
 def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
-    """Kernel of rho: automorphisms inducing the identity on both H and I."""
+    """Kernel of rho: automorphisms inducing the identity on both H and I,
+    refused above `bound` at H, I or E as rho's builds are."""
+    z1 = z1_rbe(ext.module)
+    for g in (ext.module.H, ext.module.I, ext.E):
+        _homomorphism_bound(g, g, bound)
+    return _kernel_of_rho(ext, z1)
+
+
+def _kernel_of_rho(ext: Extension, z1: list[Cochain]) -> list[GroupMap]:
+    """Ker(rho), sorted: the lifts gamma_(1, lambda) of the identity key, lambda in Z1."""
     one = (tuple(ext.module.H.elements()), tuple(ext.module.I.elements()))
-    return [f for f, gh, gi in rho(ext, bound) if (gh.images, gi.images) == one]
+    return sorted((GroupMap(ext.E, ext.E, _gamma(ext, one, lam.vector)) for lam in z1),
+                  key=lambda f: f.images)
 
 
 def _c_mu(module: RBModule, bound: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -277,8 +287,7 @@ def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
     omega = {c: classes[_vadd(add, v, minus_base)] for c, v in moved.items()}
     witnesses = []
 
-    # Ker(rho): the lifts of the identity, the least key
-    hi = [GroupMap(ext.E, ext.E, _gamma(ext, cmu[0], lam.vector)) for lam in z1]
+    hi = _kernel_of_rho(ext, z1)
     exact_at_autI = _z1_iso(ext, z1, hi)["isomorphic"]
     if not exact_at_autI:
         witnesses.append({"joint": "autI", "reason": "Z1 does not match Ker(rho)"})

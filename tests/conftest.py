@@ -17,7 +17,6 @@ from rbgroups.groups import (
     compose,
     endomorphisms,
     is_bijective,
-    is_homomorphism,
     make_group,
     perm_mul,
     perm_to_cycles,
@@ -39,7 +38,6 @@ from rbgroups.cohomology import (
     delta,
     enumerate_cochains,
     h2_rbe,
-    is_rb_module,
     is_two_cocycle,
     z1_rbe,
 )
@@ -65,7 +63,6 @@ from rbgroups.operators import (
     _circle_rows,
     enumerate_rb_operators,
     is_rb_operator,
-    skew_brace_witness,
 )
 from rbgroups.wells import (
     act_on_pair,
@@ -249,6 +246,125 @@ def scan_action_witness(i, maps, h_table=None):
     return None
 
 
+def scan_is_homomorphism(f: GroupMap) -> bool:
+    """Oracle for groups.is_homomorphism: the law at every pair."""
+    dom, cod, im = f.domain, f.codomain, f.images
+    return all(
+        im[dom.table[a][b]] == cod.table[im[a]][im[b]]
+        for a in dom.elements()
+        for b in dom.elements()
+    )
+
+
+def scan_is_anti_homomorphism(f: GroupMap) -> bool:
+    """Oracle for groups.is_anti_homomorphism: the law at every pair."""
+    dom, cod, im = f.domain, f.codomain, f.images
+    return all(
+        im[dom.table[a][b]] == cod.table[im[b]][im[a]]
+        for a in dom.elements()
+        for b in dom.elements()
+    )
+
+
+def scan_is_brace_morphism(images, source, target) -> bool:
+    """Oracle for operators.is_brace_morphism: both laws at every pair."""
+    im = tuple(images)
+    n = source.order
+    return all(
+        im[source.add[a][b]] == target.add[im[a]][im[b]]
+        and im[source.circ[a][b]] == target.circ[im[a]][im[b]]
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+def scan_skew_brace_witness(brace):
+    """Oracle for operators.skew_brace_witness: compatibility at every triple."""
+    w = group_table_witness(brace.add)
+    if w is not None:
+        return ("add:" + w[0], w[1])
+    w = group_table_witness(brace.circ)
+    if w is not None:
+        return ("circ:" + w[0], w[1])
+    add, circ = brace.add, brace.circ
+    neg = tuple(row.index(0) for row in add)
+    n = brace.order
+    for a in range(n):
+        for b in range(n):
+            ab = circ[a][b]
+            for c in range(n):
+                lhs = circ[a][add[b][c]]
+                rhs = add[add[ab][neg[a]]][circ[a][c]]
+                if lhs != rhs:
+                    return ("compatibility", (a, b, c))
+    return None
+
+
+def scan_rb_module_witness(hop, igroup, ri, action):
+    """Oracle for cohomology.rb_module_witness: R_I and the action checked at
+    every pair (`scan_action_witness`)."""
+    h = hop.group
+    if not igroup.is_abelian:
+        return ("abelian", ())
+    ri = tuple(ri)
+    for a in igroup.elements():
+        for b in igroup.elements():
+            if ri[igroup.table[a][b]] != igroup.table[ri[a]][ri[b]]:
+                return ("ri-endomorphism", (a, b))
+    action = tuple(tuple(row) for row in action)
+    if len(action) != h.order:
+        return ("action-shape", ())
+    w = scan_action_witness(igroup, action, h.table)
+    if w is not None:
+        return ("action-" + w[0], w[1])
+    rh = hop.images
+    for hh in h.elements():
+        mu_rh = action[rh[hh]]
+        mu_hrh = action[h.table[hh][rh[hh]]]
+        for z in igroup.elements():
+            lhs = mu_rh[ri[z]]
+            inner = igroup.table[mu_hrh[igroup.table[z][ri[z]]]][
+                igroup.inverses[mu_rh[ri[z]]]
+            ]
+            if lhs != ri[inner]:
+                return ("module-condition", (hh, z))
+    return None
+
+
+def block_propagate(rows, table, values, trail, done, gens) -> bool:
+    """Oracle for `groups._propagate`: besides the trail's walk, the new
+    generator w is multiplied on the left by every element of `done`."""
+    i = 0
+    while i < len(trail):
+        w = trail[i]
+        i += 1
+        rw = values[w]
+        w_row = rows[w][rw]
+        rw_row = table[rw]
+        for g in gens:
+            z = w_row[g]
+            want = rw_row[values[g]]
+            have = values[z]
+            if have < 0:
+                values[z] = want
+                trail.append(z)
+            elif have != want:
+                return False
+        if i == 1:  # w is the new generator
+            for h in done:
+                rh = values[h]
+                z = rows[h][rh][w]
+                want = table[rh][rw]
+                have = values[z]
+                if have < 0:
+                    values[z] = want
+                    trail.append(z)
+                elif have != want:
+                    return False
+    done += trail
+    return len(values) % len(done) == 0
+
+
 def product_homomorphisms(
     g: FiniteGroup,
     h: FiniteGroup,
@@ -284,7 +400,7 @@ def product_homomorphisms(
         f = GroupMap(g, h, tuple(images))
         if bijective_only and not is_bijective(f):
             continue
-        if is_homomorphism(f):
+        if scan_is_homomorphism(f):
             found.append(f)
     found.sort(key=lambda f: f.images)
     return found
@@ -507,7 +623,7 @@ def all_modules(h_name, i_name, require_commuting=False):
     for hop in enumerate_rb_operators(h):
         for ri in [f.images for f in endomorphisms(igroup)]:
             for act in anti_actions(h, igroup):
-                if not is_rb_module(hop, igroup, ri, act):
+                if scan_rb_module_witness(hop, igroup, ri, act) is not None:
                     continue
                 m = RBModule(hop, igroup, ri, act)
                 if require_commuting and not m.mu_commutes_with_ri():
@@ -961,7 +1077,7 @@ def brute_force_equivalent(e1, e2, budget=DEFAULT_THETA_BUDGET):
             hh * ni + i.table[y][theta[hh]] for hh in h.elements() for y in i.elements()
         )
         cand = GroupMap(e1.E, e2.E, images)
-        if not is_homomorphism(cand):
+        if not scan_is_homomorphism(cand):
             continue
         if all(
             images[e1.operator.images[x]] == e2.operator.images[images[x]]
@@ -1010,7 +1126,7 @@ def all_pairs_z1_iso(ext, z1, hi):
     ok = True
     for lam in z1:
         f = eta(ext, lam)
-        if not is_homomorphism(f):
+        if not scan_is_homomorphism(f):
             ok = False
         if not all(
             f.images[ext.operator.images[x]] == ext.operator.images[f.images[x]]
@@ -1074,7 +1190,7 @@ def all_pairs_wells_report(ext):
 def dfs_inducing_brace(brace, bound=DEFAULT_ENUM_BOUND):
     """Oracle: the brace-to-operator search that checks each assignment
     against the homomorphism law instead of propagating it."""
-    w = skew_brace_witness(brace)
+    w = scan_skew_brace_witness(brace)
     if w is not None:
         raise ValueError(f"not a skew brace: {w[0]} at {w[1]}")
     if brace.order > bound:

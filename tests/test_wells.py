@@ -445,4 +445,6 @@ def test_wells_report_builds_no_automorphism_group_of_e(monkeypatch):
             # Aut(H) and Aut(I) for C_mu, and no group of E's order
             assert [b.order for b in built] == [m.H.order, m.I.order]
             assert built[0] is m.H and built[1] is m.I
+            built.clear()
+            assert len(aut_HI(ext)) == report["autHI_order"] and built == []
             assert report["autI_order"] == len(aut_I(ext)) > 0
