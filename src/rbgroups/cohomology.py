@@ -47,7 +47,7 @@ def rb_module_witness(hop: RotaBaxterOperator, igroup: FiniteGroup, ri, action):
     if not igroup.is_abelian:
         return ("abelian", ())
     ri = tuple(ri)
-    w = _law_witness(igroup.table, igroup.mul, ri, igroup._generators)
+    w = _law_witness(igroup.table, igroup.table, ri, igroup._generators)
     if w is not None:
         return ("ri-endomorphism", w)
     action = tuple(tuple(row) for row in action)
@@ -757,28 +757,22 @@ class H2Result:
 
 def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Result:
     """H2 = Z2/B2 with lexicographically least coset representatives."""
-    return _h2(module, z2_rbe(module, budget), b2_rbe(module, budget))
+    return _h2_and_z1(module, budget)[0]
 
 
 def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[Cochain]]:
-    """h2_rbe, keeping a d1 preimage of each member of B2, and z1_rbe with
-    one compile of d1 for both."""
+    """H2, keeping a d1 preimage of each member of B2, and Z1, from one
+    compile of d2 and one of d1 (TC^2 refused first, then TC^1)."""
     z2 = z2_rbe(module, budget)
-    z1, b2 = _z1_b2(module, budget)
-    h2 = _h2(module, z2, [_pair(module, k) for k in b2])
-    h2._d1_preimages = b2
-    return h2, [Cochain.from_vector(module, 1, v) for v in z1]
-
-
-def _h2(module: RBModule, z2: list[CocyclePair], b2: list[CocyclePair]) -> H2Result:
+    z1, b2 = _z1_b2(module, budget)  # {B2 member: a d1 preimage}
     z2_keys = [p.key() for p in z2]
-    b2_keys = [b.key() for b in b2]
-    if not set(z2_keys).issuperset(b2_keys):
+    if not set(z2_keys).issuperset(b2):
         raise AssertionError("B2 is not contained in Z2")
     if len(z2) % len(b2) != 0:
         raise AssertionError("|B2| does not divide |Z2|")
     add = module.I.table
-    classes = _orbit_classes(z2_keys, lambda k: (_vadd(add, z2_keys[k], b) for b in b2_keys))
+    classes = _orbit_classes(z2_keys, lambda k: (_vadd(add, z2_keys[k], b) for b in b2))
     reps = [z2[cls[0]] for cls in classes]  # z2 is sorted, so cls[0] is the least member
     class_index = {z2_keys[k]: rep for rep, cls in zip(reps, classes) for k in cls}
-    return H2Result(module, z2, b2, reps, class_index)
+    h2 = H2Result(module, z2, [_pair(module, k) for k in b2], reps, class_index, b2)
+    return h2, [Cochain.from_vector(module, 1, v) for v in z1]

@@ -652,7 +652,8 @@ def h2_alpha(
     """Enumerate all associated triplets with coupling alpha, up to equivalence.
 
     Candidates are Inn-coset lifts of alpha at each h (identity pinned at e),
-    crossed with normalized tau and g.  Schreier's extension conditions
+    each coset member checked once to be an automorphism of I, crossed with
+    normalized tau and g.  Schreier's extension conditions
     (Robinson, A Course in the Theory of Groups, ch. 11) decide which
     (mu, tau) give a group, with no table built: the law
     (h1,y1)(h2,y2) = (h1 h2, tau(h1,h2) mu_{h2}(y1) y2) is associative iff
@@ -690,10 +691,9 @@ def h2_alpha(
                           stage="triplet census (mu, tau)", size=total)
 
     solved = []
-    for mu_choice in itertools.product(*lifts[1:]):
+    autos = [[row for row in lifts[hh] if action_witness(i, [row]) is None] for hh in range(1, nh)]
+    for mu_choice in itertools.product(*autos):
         mu = (identity,) + mu_choice
-        if _mu_witness(mu, i) is not None:
-            continue
         for tau_vals in itertools.product(*_tau_choices(h, mu, cosets, tau_slots)):
             tau_tab = [[0] * nh for _ in range(nh)]
             for (h1, h2), v in zip(tau_slots, tau_vals):

@@ -402,10 +402,10 @@ def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     return GroupMap(g.domain, f.codomain, tuple(f.images[g.images[x]] for x in g.domain.elements()))
 
 
-def _law_witness(table, mul, im, gens) -> tuple[int, int] | None:
-    """The first (a, b) in index order with im[ab] != mul(im[a], im[b]), or
-    None, for a group `table` generated by gens and an associative mul (for
-    any tables when gens is every element).
+def _law_witness(table, target, im, gens) -> tuple[int, int] | None:
+    """The first (a, b) in index order with im[ab] != target[im[a]][im[b]], or
+    None, for a group `table` generated by gens and an associative product
+    table `target` (for any tables when gens is every element).
 
     The law at generators, proved once here: the b with im[ab] = im[a] im[b]
     for every a are closed under products, as im[a(bc)] = im[(ab)c] =
@@ -416,23 +416,23 @@ def _law_witness(table, mul, im, gens) -> tuple[int, int] | None:
     `operators._rb_law` and the Wells derivation argue the same way in loops
     of their own.
     """
-    if all([im[ab[b]] for ab in table] == [mul(x, im[b]) for x in im] for b in gens or (0,)):
+    if all([im[ab[b]] for ab in table] == [target[x][im[b]] for x in im] for b in gens or (0,)):
         return None
     for a, row in enumerate(table):
         for b, ab in enumerate(row):
-            if im[ab] != mul(im[a], im[b]):
+            if im[ab] != target[im[a]][im[b]]:
                 return (a, b)
     return None
 
 
 def is_homomorphism(f: GroupMap) -> bool:
-    return _law_witness(f.domain.table, f.codomain.mul, f.images, f.domain._generators) is None
+    return _law_witness(f.domain.table, f.codomain.table, f.images, f.domain._generators) is None
 
 
 def is_anti_homomorphism(f: GroupMap) -> bool:
     """f(ab) = f(b) f(a) for all a, b: x -> f(x^-1) is a homomorphism."""
     flipped = [f.images[x] for x in f.domain.inverses]
-    return _law_witness(f.domain.table, f.codomain.mul, flipped, f.domain._generators) is None
+    return _law_witness(f.domain.table, f.codomain.table, flipped, f.domain._generators) is None
 
 
 def is_bijective(f: GroupMap) -> bool:
@@ -446,17 +446,19 @@ def action_witness(i: FiniteGroup, maps, h_table=None):
 
     Witnesses: ("bijective", (h,)), ("endomorphism", (h, a, b)) and
     ("anti-homomorphism", (h1, h2)).  Both laws are checked at generators
-    (`_law_witness`), the second as maps[h1 h2] = maps[h1] then maps[h2].
+    (`_law_witness`), the second as maps[h1 h2] = maps[h1] then maps[h2]
+    over the table of "then" on the distinct rows (-1 off them).
     """
     elems = list(i.elements())
     for h, row in enumerate(maps):
         if sorted(row) != elems:
             return ("bijective", (h,))
-        if (w := _law_witness(i.table, i.mul, row, i._generators)) is not None:
+        if (w := _law_witness(i.table, i.table, row, i._generators)) is not None:
             return ("endomorphism", (h, *w))
     if h_table is not None:
-        maps = [tuple(row) for row in maps]
-        w = _law_witness(h_table, lambda p, q: tuple(map(q.__getitem__, p)), maps,
+        index = {row: k for k, row in enumerate(dict.fromkeys(map(tuple, maps)))}
+        then = [[index.get(tuple(map(q.__getitem__, p)), -1) for q in index] for p in index]
+        w = _law_witness(h_table, then, [index[tuple(row)] for row in maps],
                          _greedy_generators(h_table))
         if w is not None:
             return ("anti-homomorphism", w)

@@ -73,14 +73,11 @@ def identity_operator(g: FiniteGroup) -> RotaBaxterOperator:
     return RotaBaxterOperator(g, tuple(g.elements()))
 
 
-def _rb_law(table, inv, im) -> bool | None:
-    """Whether im satisfies the Rota-Baxter law on the group `table`, by
-    checking it at the generators of its graph (see the notes above
-    `_circle_rows`); None when im is not a map of the elements (a wrong
-    length, or an image outside 0..n-1), which is left to the scan."""
+def _rb_law(table, inv, im) -> bool:
+    """Whether the map im of the elements satisfies the Rota-Baxter law on the
+    group `table`, by checking it at the generators of its graph (see the
+    notes above `_circle_rows`)."""
     n = len(table)
-    if len(im) != n or min(im) < 0 or max(im) >= n:
-        return None
     if im[0]:
         return False
     gens, span, seen = [], [0], [True] + [False] * (n - 1)
@@ -104,9 +101,10 @@ def _rb_law(table, inv, im) -> bool | None:
 
 def rb_witness(g: FiniteGroup, images) -> tuple[int, int] | None:
     """First (x, y) violating the Rota-Baxter law, scanning in index order;
-    the scan runs only where `_rb_law` does not find that the law holds."""
+    the scan runs only where `_rb_law` finds that the law fails.  A map that
+    is not total on g or not into g is refused as RotaBaxterOperator refuses it."""
     table, inv = g.table, g.inverses
-    im = tuple(images)
+    im = RotaBaxterOperator(g, tuple(images)).images
     if _rb_law(table, inv, im):
         return None
     for x in g.elements():
@@ -122,9 +120,7 @@ def rb_witness(g: FiniteGroup, images) -> tuple[int, int] | None:
 
 def is_rb_operator(g: FiniteGroup, images) -> bool:
     images = images.images if isinstance(images, RotaBaxterOperator) else images
-    im = tuple(images)
-    holds = _rb_law(g.table, g.inverses, im)
-    return rb_witness(g, im) is None if holds is None else holds
+    return _rb_law(g.table, g.inverses, RotaBaxterOperator(g, tuple(images)).images)
 
 
 def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
@@ -370,7 +366,7 @@ def skew_brace_witness(brace: SkewBrace):
     add, gens = brace.add, _greedy_generators(brace.add)
     for a, row in enumerate(brace.circ):
         minus_a = add[add[a].index(0)]
-        w = _law_witness(add, lambda x, y: add[x][y], [minus_a[y] for y in row], gens)
+        w = _law_witness(add, add, [minus_a[y] for y in row], gens)
         if w is not None:
             return ("compatibility", (a, *w))
     return None
@@ -427,7 +423,7 @@ def is_brace_morphism(images, source: SkewBrace, target: SkewBrace) -> bool:
     checked at every b (`groups._law_witness`), as the tables may be
     unvalidated."""
     im = tuple(images)
-    return all(_law_witness(s, lambda x, y, t=t: t[x][y], im, range(len(s))) is None
+    return all(_law_witness(s, t, im, range(len(s))) is None
                for s, t in ((source.add, target.add), (source.circ, target.circ)))
 
 

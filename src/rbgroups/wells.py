@@ -112,17 +112,20 @@ def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
 def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     """Kernel of rho: automorphisms inducing the identity on both H and I,
     refused above `bound` at H, I or E as rho's builds are."""
+    return _z1_and_kernel(ext, bound)[1]
+
+
+def _z1_and_kernel(ext: Extension, bound: int) -> tuple[list[Cochain], list[GroupMap]]:
+    """Z1 and Ker(rho), refused after Z1 above `bound` at H, I or E."""
     z1 = z1_rbe(ext.module)
     for g in (ext.module.H, ext.module.I, ext.E):
         _homomorphism_bound(g, g, bound)
-    return _kernel_of_rho(ext, z1)
+    return z1, _kernel_of_rho(ext, z1)
 
 
 def _kernel_of_rho(ext: Extension, z1: list[Cochain]) -> list[GroupMap]:
-    """Ker(rho), sorted: the lifts gamma_(1, lambda) of the identity key, lambda in Z1."""
-    one = (tuple(ext.module.H.elements()), tuple(ext.module.I.elements()))
-    return sorted((GroupMap(ext.E, ext.E, _gamma(ext, one, lam.vector)) for lam in z1),
-                  key=lambda f: f.images)
+    """Ker(rho) = eta(Z1), sorted."""
+    return sorted((eta(ext, lam) for lam in z1), key=lambda f: f.images)
 
 
 def _c_mu(module: RBModule, bound: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -217,9 +220,13 @@ def wells_map(ext: Extension, h2: H2Result | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _identity_key(ext: Extension):
+    return tuple(ext.module.H.elements()), tuple(ext.module.I.elements())
+
+
 def eta(ext: Extension, lam: Cochain) -> GroupMap:
-    """The automorphism s(h) i(y) -> s(h) i(lam(h) + y) attached to a derivation."""
-    return ext.shift_map(ext, (0,) + lam.value_vector())
+    """The automorphism s(h) i(y) -> s(h) i(lam(h) + y), gamma_(1, lam), of a derivation."""
+    return GroupMap(ext.E, ext.E, _gamma(ext, _identity_key(ext), lam.vector))
 
 
 def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
@@ -232,7 +239,7 @@ def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
 
 def z1_iso_check(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> dict:
     """Verify eta/zeta are mutually inverse group isomorphisms Z1 ~ Aut^{H,I}."""
-    return _z1_iso(ext, z1_rbe(ext.module), aut_HI(ext, bound))
+    return _z1_iso(ext, *_z1_and_kernel(ext, bound))
 
 
 def _sum_generators(add, z1: list[Cochain]) -> list[Cochain]:
@@ -242,19 +249,18 @@ def _sum_generators(add, z1: list[Cochain]) -> list[Cochain]:
 
 
 def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
-    """eta(Z1) = hi with zeta inverse to eta both ways, and eta additive: for
-    every a and each generator b, eta(a + b) = eta(a) eta(b), so eta(a) is
-    a product of the eta(b), each checked to be a Rota-Baxter automorphism
-    of E that fixes I and induces the identity on H and I."""
-    one = (tuple(ext.module.H.elements()), tuple(ext.module.I.elements()))
+    """eta onto hi = eta(Z1) is injective, as zeta eta = id on Z1, and additive:
+    for every a and each generator b, eta(a + b) = eta(a) eta(b), so eta(a)
+    is a product of the eta(b), each checked to be a Rota-Baxter
+    automorphism of E that fixes I and induces the identity on H and I."""
+    one, add = _identity_key(ext), ext.module.I.table
     etas = {lam.vector: eta(ext, lam) for lam in z1}
-    gens = _sum_generators(ext.module.I.table, z1)
-    ok = (all(_is_lift(ext, one, etas[b.vector].images) for b in gens)
+    gens = [b.vector for b in _sum_generators(add, z1)]
+    ok = (all(_is_lift(ext, one, etas[b].images) for b in gens)
           and all(zeta(ext, f).vector == v for v, f in etas.items())
-          and {f.images for f in hi} == {f.images for f in etas.values()}
-          and all(eta(ext, zeta(ext, f)).images == f.images for f in hi)
-          and all(eta(ext, a.add(b)).images == compose(etas[a.vector], etas[b.vector]).images
-                  for a in z1 for b in gens))
+          and all(_gamma(ext, one, _vadd(add, a, b))
+                  == tuple(map(etas[a].images.__getitem__, etas[b].images))
+                  for a in etas for b in gens))
     return {"z1_order": len(z1), "autHI_order": len(hi), "isomorphic": ok}
 
 

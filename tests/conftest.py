@@ -31,7 +31,6 @@ from rbgroups.cohomology import (
     _compile,
     _d1_map,
     _d2_map,
-    _h2,
     _pair,
     _span,
     d1_rbe,
@@ -69,7 +68,6 @@ from rbgroups.wells import (
     aut_HI,
     c_mu,
     check_wells_exactness,
-    eta,
     gamma_parts,
     rb_automorphisms,
     wells_map,
@@ -615,6 +613,13 @@ def anti_actions(h, igroup):
     return out
 
 
+# the (H, I) carriers whose modules the cohomology oracles cover exhaustively
+ORACLE_PAIRS = [
+    ("Z2", "Z2"), ("Z2", "Z4"), ("Z3", "Z2"), ("Z2", "Z3"),
+    ("Z4", "Z2"), ("Z3", "Z3"), ("Z2xZ2", "Z2"), ("Z2", "Z2xZ2"), ("Z2", "Z6"),
+]
+
+
 def all_modules(h_name, i_name, require_commuting=False):
     """Every valid RBModule on the given carriers (abelian H, so operators =
     endomorphisms); optionally only those with mu_h commuting with R_I."""
@@ -813,9 +818,9 @@ def scan_z2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
 
 
 def scan_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
-    """Oracle for cohomology.h2_rbe: _h2 over the scans of TC^2 and TC^1."""
-    z2 = scan_z2(module, budget)
-    return _h2(module, z2, [_pair(module, k) for k in scan_d1(module, budget)[1]])
+    """Oracle for cohomology.h2_rbe: Z2/B2 over the scans of TC^2 and TC^1."""
+    b2 = [_pair(module, k) for k in scan_d1(module, budget)[1]]
+    return pairwise_h2(module, scan_z2(module, budget), b2)
 
 
 def _verify_closed(add, keys, name: str) -> None:
@@ -899,9 +904,12 @@ def brute_force_b2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
 
 
 def brute_force_h2(module, budget=DEFAULT_COHOMOLOGY_BUDGET):
-    """Oracle: Z2/B2 from the oracle scans, cosets indexed pair by pair."""
-    z2 = brute_force_z2(module, budget)
-    b2 = brute_force_b2(module, budget)
+    """Oracle: Z2/B2 from the oracle scans."""
+    return pairwise_h2(module, brute_force_z2(module, budget), brute_force_b2(module, budget))
+
+
+def pairwise_h2(module, z2, b2):
+    """Z2/B2 from sorted lists of pairs, cosets indexed pair by pair."""
     z2_keys = {p.key() for p in z2}
     for b in b2:
         if b.key() not in z2_keys:
@@ -1118,14 +1126,20 @@ def filter_aut_I(ext, bound=64):
     ]
 
 
+def shift_eta(ext, lam):
+    """The automorphism s(h) i(y) -> s(h) i(lam(h) + y) attached to a derivation."""
+    return ext.shift_map(ext, (0,) + lam.value_vector())
+
+
 def all_pairs_z1_iso(ext, z1, hi):
-    """Oracle for `wells._z1_iso`: eta and zeta are mutually inverse, with
+    """Oracle for `wells._z1_iso`, with eta built as the section shift
+    (`shift_eta`): eta and zeta are mutually inverse, with
     eta(a + b) = eta(a) eta(b) checked for every pair (a, b) of Z1, not only
     for b in a generating set."""
     eta_images = {}
     ok = True
     for lam in z1:
-        f = eta(ext, lam)
+        f = shift_eta(ext, lam)
         if not scan_is_homomorphism(f):
             ok = False
         if not all(
@@ -1139,11 +1153,12 @@ def all_pairs_z1_iso(ext, z1, hi):
     if {f.images for f in hi} != set(eta_images):
         ok = False
     for f in hi:
-        if eta(ext, zeta(ext, f)).images != f.images:
+        if shift_eta(ext, zeta(ext, f)).images != f.images:
             ok = False
     for a in z1:
         for b in z1:
-            if eta(ext, a.add(b)).images != compose(eta(ext, a), eta(ext, b)).images:
+            if shift_eta(ext, a.add(b)).images != compose(shift_eta(ext, a),
+                                                       shift_eta(ext, b)).images:
                 ok = False
     return {"z1_order": len(z1), "autHI_order": len(hi), "isomorphic": ok}
 

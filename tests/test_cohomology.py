@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ORACLE_PAIRS,
     all_modules,
     anti_actions,
     brute_force_b2,
@@ -491,12 +492,6 @@ def test_h2_regression_z2_z2():
     m0 = module_zx("Z2", "Z2", ri=(0, 0))
     res0 = h2_rbe(m0)
     assert (res0.order_z2, res0.order_b2, res0.order_h2) == (4, 1, 4)
-
-
-ORACLE_PAIRS = [
-    ("Z2", "Z2"), ("Z2", "Z4"), ("Z3", "Z2"), ("Z2", "Z3"),
-    ("Z4", "Z2"), ("Z3", "Z3"), ("Z2xZ2", "Z2"), ("Z2", "Z2xZ2"), ("Z2", "Z6"),
-]
 
 
 @pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)

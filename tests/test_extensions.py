@@ -37,6 +37,7 @@ from rbgroups.cohomology import (
     z2_rbe,
 )
 from rbgroups.extensions import (
+    Coupling,
     ExtensionError,
     Triplet,
     TripletCensus,
@@ -505,6 +506,29 @@ def test_census_budget():
             )
         assert str(err.value) == f"triplet census of size {size} exceeds budget {budget}"
         assert (err.value.stage, err.value.size) == (stage, size)
+
+
+@pytest.mark.parametrize("kind", ["non-bijective", "bijective"])
+def test_census_drops_a_coset_member_that_is_no_automorphism(kind):
+    # the trivial coupling of Z2 over S3 with a table added to the coset at
+    # h = 1: a constant one, or a bijection exchanging elements of orders 2
+    # and 3, which Schreier's conditions alone would pass.  (A member cannot
+    # be replaced instead: a section shift moves mu_1 through all of Inn(S3).)
+    z2, s3 = make_group("Z2"), make_group("S3")
+    trivial = trivial_coupling(z2, s3)
+    two, three = (next(x for x in s3.elements() if s3.element_order(x) == k) for k in (2, 3))
+    row = list(s3.elements())
+    row[two], row[three] = three, two
+    bad = (0,) * s3.order if kind == "non-bijective" else tuple(row)
+    alpha = Coupling(trivial.kernel, (trivial.cosets[0], tuple(sorted(trivial.cosets[1] + (bad,)))))
+    h_rb, i_rb = trivial_operator(z2), trivial_operator(s3)
+    census = h2_alpha(h_rb, i_rb, alpha)
+    assert census.triplets == h2_alpha(h_rb, i_rb, trivial).triplets
+    _assert_census_matches_oracle(census, g_loop_census)
+    # the budget counts the seven members of the coset, the added one too
+    with pytest.raises(BudgetError) as err:
+        h2_alpha(h_rb, i_rb, alpha, budget=6)
+    assert (err.value.stage, err.value.size) == ("triplet census (mu, tau)", 7)
 
 
 def test_central_action_free_on_census():

@@ -162,17 +162,27 @@ def test_law_at_generators_matches_the_scan_on_perturbed_operators(name, seed):
 
 
 @pytest.mark.parametrize("name", ["Z4", "S3", "D4"])
-def test_law_at_generators_leaves_malformed_maps_to_the_scan(name):
-    # the scan indexes with whatever it is given: a short map raises, a long
-    # one is read up to n, and a negative image wraps round (-1 is n - 1)
+def test_law_refuses_malformed_maps(name):
+    # a map that is not total on g or not into g is refused where the law
+    # receives it, with RotaBaxterOperator's messages; the scan alone would
+    # raise IndexError on a short map, read a long one up to n and wrap a
+    # negative image round (-1 is n - 1)
     g = make_group(name)
     n = g.order
     maps = [(), (0,), tuple(range(n - 1)), (0,) * (n - 1), (0,) * (n + 1),
             tuple(range(n)) + (n,), (0,) * (n - 1) + (n,), (n,) + (0,) * (n - 1),
             (0,) * (n - 1) + (-1,), (0, -1) + (0,) * (n - 2), (0,) * (n - 1) + (-n,),
             tuple(g.inverses[:-1]) + (-1,), (0,) * (n - 1) + (-n - 1,)]
+    messages = set()
     for im in maps:
-        assert_law_matches_scan(g, im)
+        with pytest.raises(ValueError) as want:
+            RotaBaxterOperator(g, im)
+        messages.add(str(want.value))
+        for check in (rb_witness, is_rb_operator, rb_operator):
+            with pytest.raises(ValueError) as err:
+                check(g, im)
+            assert str(err.value) == str(want.value), (check.__name__, im)
+    assert messages == {"operator is not total on the group", "operator image out of range"}
     outcomes = {outcome(scan_rb_witness, g, im) for im in maps}
     assert None in outcomes and IndexError in outcomes and len(outcomes) > 2
 

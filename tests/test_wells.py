@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    ORACLE_PAIRS,
     all_modules,
     all_pairs_wells_report,
     all_pairs_z1_iso,
@@ -12,6 +13,7 @@ from conftest import (
     filter_aut_I,
     formula_act_on_pair,
     pair_key_mul,
+    shift_eta,
     walked_pair_generators,
 )
 
@@ -234,6 +236,15 @@ def test_z1_iso_both_directions():
             assert zeta(ext, f).value_vector() == lam.value_vector()
 
 
+def test_z1_iso_refuses_a_zeta_that_does_not_invert_eta(monkeypatch):
+    # eta(Z1) is Ker(rho) as built, so the verdict rests on zeta eta = id
+    m = fixture_module()
+    ext = build_abelian_extension(m, z2_rbe(m)[0])
+    assert len(z1_rbe(m)) > 1 and z1_iso_check(ext)["isomorphic"]
+    monkeypatch.setattr(wells, "zeta", lambda ext, gamma: cohomology.Cochain.zero(m, 1))
+    assert not z1_iso_check(ext)["isomorphic"]
+
+
 def test_exactness_direct_and_twisted():
     m = fixture_module()
     pairs = z2_rbe(m)
@@ -379,6 +390,39 @@ def test_wells_report_compiles_d2_once_and_d1_once(monkeypatch, hname, iname):
         check_wells_exactness(build_abelian_extension(m, pair))
         k1 = m.H.order - 1
         assert sorted(widths) == [k1, k1 * k1 + k1]  # d1 on 1-cochains, d2 on pair keys
+
+
+@pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z4", "Z2"), ("Z3", "Z3")])
+def test_h2_and_the_kernel_of_rho_compile_each_map_once(monkeypatch, hname, iname):
+    # h2_rbe compiles d2 and d1 once each; z1_iso_check and aut_HI compile
+    # d1 once and d2 never
+    widths, compile_ = [], cohomology._compile
+
+    def counted(module, width, fn):
+        widths.append(width)
+        return compile_(module, width, fn)
+
+    cases = [(m, pair) for m in all_modules(hname, iname) for pair in (z2_rbe(m)[0], z2_rbe(m)[-1])]
+    monkeypatch.setattr(cohomology, "_compile", counted)
+    for m, pair in cases:
+        k1 = m.H.order - 1
+        ext = build_abelian_extension(m, pair)
+        for run, want in ((lambda: h2_rbe(m), [k1, k1 * k1 + k1]),
+                          (lambda: z1_iso_check(ext), [k1]), (lambda: aut_HI(ext), [k1])):
+            widths.clear()
+            run()
+            assert sorted(widths) == want
+
+
+@pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)
+def test_eta_is_the_section_shift_by_lambda(hname, iname):
+    # eta builds its maps as the lifts of the identity key; the section
+    # shift s(h) i(y) -> s(h) i(lambda(h) + y) is built independently
+    for m in all_modules(hname, iname):
+        for pair in (z2_rbe(m)[0], z2_rbe(m)[-1]):
+            ext = build_abelian_extension(m, pair)
+            for lam in z1_rbe(m):
+                assert eta(ext, lam).images == shift_eta(ext, lam).images
 
 
 def _matches_the_aut_e_filter(ext):
