@@ -3,7 +3,9 @@
 Carries the plain (dot) and circle coboundaries, the combined complexes, the
 module condition, the maps Phi1/Phi2, and the degree 1..3 total complex
 with d1/d2.  Z1 and Z2 are kernels, and B2 an image, of d1 and d2 compiled
-into rows of endomorphisms of I on flat value vectors, found from generators.
+into rows of endomorphisms of I on flat value vectors, found from generators
+by one Schreier step (`_grow`) that also grows every span: one walk of im d1
+lists B2 and generates Z1, and ker d2 is cut a row at a time.
 
 The written maps evaluate through index stencils (per output, the input
 positions each term reads), cached on product tables, H's inverses, R_H and
@@ -593,97 +595,82 @@ def _d2_map(module: RBModule):
     return d2
 
 
-def _coset_generators(add, vectors, span=None) -> list[int]:
-    """Positions of the greedy generators of value vectors under I's addition
-    table add: each vector outside the subgroup C the ones before it generate
-    (the first always).  C, kept in span if given (a subgroup), grows to
-    C + <v> by its cosets C + v, C + 2v, ... until they return to C, one
-    addition per member.  The abelian case of groups._generated, apart
-    because that walk multiplies each new member by every generator (2-3x
-    slower here)."""
-    gens, span = [], set() if span is None else span
-    for k, v in enumerate(vectors):
-        if v in span:
-            continue
-        gens.append(k)
-        span.add((0,) * len(v))
-        coset = [_vadd(add, x, v) for x in span]
-        while coset[0] not in span:
-            span.update(coset)
-            coset = [_vadd(add, x, v) for x in coset]
-    return gens
-
-
-def _span(add, vectors, width: int) -> list[tuple[int, ...]]:
-    """The subgroup of width-long value vectors that vectors generate, sorted."""
-    _coset_generators(add, vectors, span=(span := {(0,) * width}))
-    return sorted(span)
-
-
-def _grow(image, plus, add, s, v):
-    """Grow image, a subgroup of values each kept with one preimage, by its
-    cosets + v, + 2v, ... (v the value of s under plus, their preimages + s,
-    + 2s, ... under I's addition table add) until k v lies in it; (k s, k v)
-    for that least k.  No c v with c < k meets the cosets added before."""
+def _grow(image, plus, add, neg, s, v):
+    """One Schreier step: grow image, a subgroup of values each kept with one
+    preimage, by its cosets + v, + 2v, ... (v the value of a new preimage s
+    under plus, their preimages + s, + 2s, ... under I's addition table add)
+    until k v lies in it, and return k s - preimage(k v) (neg: I's inverse
+    table), which with the kernel so far generates the kernel with s.  No c v
+    with c < k meets the cosets added before.  With empty preimages (neg is
+    then never read) it grows a plain span."""
     cs, cv, old = s, v, list(image.items())
     while cv not in image:
         image.update((plus(y, cv), _vadd(add, p, cs)) for y, p in old)
         cs, cv = _vadd(add, cs, s), plus(cv, v)
-    return cs, cv
+    return _vadd(add, cs, [neg[y] for y in image[cv]])
+
+
+def _coset_generators(add, vectors, width: int):
+    """The greedy generators of width-long value vectors under I's addition
+    table add, as groups._generated lists them, and the subgroup they
+    generate, sorted: grown from {0} by _grow with empty preimages, one
+    addition per member, where _generated multiplies each by every generator."""
+    span, gens = {(0,) * width: ()}, []
+    for v in vectors:
+        if v not in span:
+            gens.append(v)
+            _grow(span, lambda a, b: _vadd(add, a, b), add, (), (), v)
+    return gens, sorted(span)
+
+
+def _units(i: FiniteGroup, width: int) -> list[tuple[int, ...]]:
+    """Each generator of I at each coordinate: generators of I^width."""
+    return [(0,) * j + (s,) + (0,) * (width - j - 1) for j in range(width) for s in i._generators]
 
 
 def _kernel(add, neg, rows, gens) -> tuple[list[tuple[int, ...]], int]:
     """Generators of the vectors of <gens> that every compiled row sends to 0,
-    and their index in <gens>, by Schreier's lemma a row at a time: per
-    generator s with value v, the row's image so far grows (_grow) until it
-    holds k v, and keeps k s - preimage(k v); s itself when v = 0, as image[0]
-    is always the zero vector.  The index is the product of the image sizes."""
-    index = 1
+    and their index in <gens>, by Schreier's lemma a row at a time: the row's
+    image grows over the generators (_grow), and their nonzero Schreier
+    elements go on to the next row.  A generator the row sends to 0, as most
+    are, is its own (k = 1, preimage 0), kept without _grow's vector sums.
+    The index is the product of the image sizes."""
+    index, plus = 1, lambda a, b: add[a][b]
     for row in rows:
         if not gens:
             break
         image, kernel = {0: (0,) * len(gens[0])}, []
         for s in gens:
-            if not (v := _apply(add, row, s)):
-                kernel.append(s)
-                continue
-            cs, cv = _grow(image, lambda a, b: add[a][b], add, s, v)
-            if any(k := _vadd(add, cs, [neg[y] for y in image[cv]])):
+            v = _apply(add, row, s)
+            if any(k := _grow(image, plus, add, neg, s, v) if v else s):
                 kernel.append(k)
         index *= len(image)
         gens = kernel
     return gens, index
 
 
-def _cocycles(module: RBModule, width: int, fn, name: str):
-    """ker fn (see _compile) as sorted value vectors, fn's rows, and the unit
-    vectors (each generator of I at each coordinate) it is grown from; guarded
-    by rows sending each kernel generator to 0 and |ker| x its index = |I|^width."""
-    i = module.I
-    rows = _compile(module, width, fn)
-    units = [(0,) * j + (s,) + (0,) * (width - j - 1) for j in range(width) for s in i._generators]
-    gens, index = _kernel(i.table, i.inverses, rows, units)
-    if any(_apply(i.table, row, v) for row in rows for v in gens):
+def _kernel_span(add, rows, gens, width: int, name: str) -> list[tuple[int, ...]]:
+    """The sorted span of gens, guarded by rows sending each of them to 0."""
+    if any(_apply(add, row, v) for row in rows for v in gens):
         raise AssertionError(f"a listed {name} vector is not sent to 0")
-    if len(keys := _span(i.table, gens, width)) * index != i.order ** width:
-        raise AssertionError(f"|{name}| times the index of the kernel is not |I|^{width}")
-    return keys, rows, units
+    return _coset_generators(add, gens, width)[1]
 
 
 def _z1_b2(module: RBModule, budget: int):
-    """Z1 = ker d1 as sorted value vectors, and B2 = im d1, the span of d1 at
-    generators of TC^1, as {member: a preimage} in sorted order, from one
-    compile of d1; guarded by |Z1| |B2| = |TC^1|."""
-    nh, ni = module.H.order, module.I.order
-    size = ni ** (nh - 1)
+    """Z1 = ker d1 as sorted value vectors, and B2 = im d1 as {member: a
+    preimage} in sorted order, from one compile of d1 and one walk: im d1
+    grows (_grow) over the generators of TC^1, and their Schreier elements
+    generate Z1.  Guarded by |Z1| |B2| = |TC^1|."""
+    i, width = module.I, module.H.order - 1
+    size = i.order ** width
     if size > budget:
         raise BudgetError(f"TC^1 space of size {size} exceeds budget {budget}",
                           stage="TC^1", size=size)
-    kernel, rows, units = _cocycles(module, nh - 1, _d1_map(module), "Z1")
-    add, image = module.I.table, {(0,) * len(rows): (0,) * (nh - 1)}
-    for u in units:
-        _grow(image, lambda a, b: _vadd(add, a, b), add, u,
-              tuple(_apply(add, row, u) for row in rows))
+    add, rows = i.table, _compile(module, width, _d1_map(module))
+    image = {(0,) * len(rows): (0,) * width}
+    gens = [_grow(image, lambda a, b: _vadd(add, a, b), add, i.inverses, u,
+                  tuple(_apply(add, row, u) for row in rows)) for u in _units(i, width)]
+    kernel = _kernel_span(add, rows, gens, width, "Z1")
     if len(kernel) * len(image) != size:
         raise AssertionError("|Z1| times |B2| is not |TC^1|")
     return kernel, dict(sorted(image.items()))
@@ -696,16 +683,21 @@ def z1_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[Co
 
 def z2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> list[CocyclePair]:
     """All 2-cocycle pairs, sorted by value vector: the kernel of the
-    compiled d2 (`_kernel`), listed as the span of its generators."""
+    compiled d2 (`_kernel`) over the generators of TC^2, listed as the span
+    of its generators; guarded by |Z2| x its index = |TC^2|."""
     i, k1 = module.I, module.H.order - 1
-    total = i.order ** (k1 * k1 + k1)
+    width = k1 * k1 + k1
+    total = i.order ** width
     if total > budget:
         raise BudgetError(
             f"TC^2 space of size {total} exceeds budget {budget}; "
             "membership predicates still work at this size",
             stage="TC^2", size=total,
         )
-    keys = _cocycles(module, k1 * k1 + k1, _d2_map(module), "Z2")[0]
+    rows = _compile(module, width, _d2_map(module))
+    gens, index = _kernel(i.table, i.inverses, rows, _units(i, width))
+    if len(keys := _kernel_span(i.table, rows, gens, width, "Z2")) * index != total:
+        raise AssertionError(f"|Z2| times the index of the kernel is not |I|^{width}")
     return [_pair(module, k) for k in keys]
 
 
@@ -760,9 +752,9 @@ def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Resul
     return _h2_and_z1(module, budget)[0]
 
 
-def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[Cochain]]:
-    """H2, keeping a d1 preimage of each member of B2, and Z1, from one
-    compile of d2 and one of d1 (TC^2 refused first, then TC^1)."""
+def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[tuple[int, ...]]]:
+    """H2, keeping a d1 preimage of each member of B2, and Z1 as sorted value
+    vectors, from one compile of d2 and one of d1 (TC^2 refused first, then TC^1)."""
     z2 = z2_rbe(module, budget)
     z1, b2 = _z1_b2(module, budget)  # {B2 member: a d1 preimage}
     z2_keys = [p.key() for p in z2]
@@ -775,4 +767,4 @@ def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[Cochain]]:
     reps = [z2[cls[0]] for cls in classes]  # z2 is sorted, so cls[0] is the least member
     class_index = {z2_keys[k]: rep for rep, cls in zip(reps, classes) for k in cls}
     h2 = H2Result(module, z2, [_pair(module, k) for k in b2], reps, class_index, b2)
-    return h2, [Cochain.from_vector(module, 1, v) for v in z1]
+    return h2, z1

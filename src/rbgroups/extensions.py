@@ -692,6 +692,9 @@ def h2_alpha(
 
     solved = []
     autos = [[row for row in lifts[hh] if action_witness(i, [row]) is None] for hh in range(1, nh)]
+    for hh, rows in enumerate(autos, 1):  # Inn(I) o rows[0], over the inner tables of cosets
+        if not rows or sorted(rows) != sorted({tuple(map(t.__getitem__, rows[0])) for t in cosets}):
+            raise ValueError(f"the automorphisms of the coupling at {hh} are not one Inn(I)-coset")
     for mu_choice in itertools.product(*autos):
         mu = (identity,) + mu_choice
         for tau_vals in itertools.product(*_tau_choices(h, mu, cosets, tau_slots)):

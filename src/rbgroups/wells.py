@@ -29,7 +29,7 @@ from .groups import (
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Result,
                          RBModule, _coset_generators, _h2_and_z1, _pair, _vadd, _z1_b2,
-                         h2_rbe, nondegenerate_tuples, z1_rbe)
+                         h2_rbe, nondegenerate_tuples)
 from .extensions import Extension
 from .operators import RotaBaxterOperator
 
@@ -112,20 +112,17 @@ def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
 def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     """Kernel of rho: automorphisms inducing the identity on both H and I,
     refused above `bound` at H, I or E as rho's builds are."""
-    return _z1_and_kernel(ext, bound)[1]
+    e, one = ext.E, _identity_key(ext)
+    return sorted((GroupMap(e, e, _gamma(ext, one, lam)) for lam in _bounded_z1(ext, bound)),
+                  key=lambda f: f.images)
 
 
-def _z1_and_kernel(ext: Extension, bound: int) -> tuple[list[Cochain], list[GroupMap]]:
-    """Z1 and Ker(rho), refused after Z1 above `bound` at H, I or E."""
-    z1 = z1_rbe(ext.module)
+def _bounded_z1(ext: Extension, bound: int) -> list[tuple[int, ...]]:
+    """Z1 as sorted value vectors, refused after Z1 above `bound` at H, I or E."""
+    z1 = _z1_b2(ext.module, DEFAULT_COHOMOLOGY_BUDGET)[0]
     for g in (ext.module.H, ext.module.I, ext.E):
         _homomorphism_bound(g, g, bound)
-    return z1, _kernel_of_rho(ext, z1)
-
-
-def _kernel_of_rho(ext: Extension, z1: list[Cochain]) -> list[GroupMap]:
-    """Ker(rho) = eta(Z1), sorted."""
-    return sorted((eta(ext, lam) for lam in z1), key=lambda f: f.images)
+    return z1
 
 
 def _c_mu(module: RBModule, bound: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -239,29 +236,23 @@ def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
 
 def z1_iso_check(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> dict:
     """Verify eta/zeta are mutually inverse group isomorphisms Z1 ~ Aut^{H,I}."""
-    return _z1_iso(ext, *_z1_and_kernel(ext, bound))
+    return _z1_iso(ext, _bounded_z1(ext, bound))
 
 
-def _sum_generators(add, z1: list[Cochain]) -> list[Cochain]:
-    """Each cochain of z1, in order, outside the subgroup the ones before it
-    generate under I's addition table add: a greedy generating set."""
-    return [z1[k] for k in _coset_generators(add, [lam.vector for lam in z1])]
-
-
-def _z1_iso(ext: Extension, z1: list[Cochain], hi: list[GroupMap]) -> dict:
-    """eta onto hi = eta(Z1) is injective, as zeta eta = id on Z1, and additive:
-    for every a and each generator b, eta(a + b) = eta(a) eta(b), so eta(a)
-    is a product of the eta(b), each checked to be a Rota-Baxter
-    automorphism of E that fixes I and induces the identity on H and I."""
-    one, add = _identity_key(ext), ext.module.I.table
-    etas = {lam.vector: eta(ext, lam) for lam in z1}
-    gens = [b.vector for b in _sum_generators(add, z1)]
-    ok = (all(_is_lift(ext, one, etas[b].images) for b in gens)
-          and all(zeta(ext, f).vector == v for v, f in etas.items())
-          and all(_gamma(ext, one, _vadd(add, a, b))
-                  == tuple(map(etas[a].images.__getitem__, etas[b].images))
+def _z1_iso(ext: Extension, z1: list[tuple[int, ...]]) -> dict:
+    """eta on Z1 (value vectors), whose images are Ker(rho), is injective, as
+    zeta eta = id on Z1, and additive: for every a and each greedy generator
+    b, eta(a + b) = eta(a) eta(b), so eta(a) is a product of the eta(b), each
+    checked to be a Rota-Baxter automorphism of E that fixes I and induces
+    the identity on H and I.  autHI_order counts the distinct images."""
+    one, add, e = _identity_key(ext), ext.module.I.table, ext.E
+    etas = {a: _gamma(ext, one, a) for a in z1}
+    gens = _coset_generators(add, z1, ext.module.H.order - 1)[0]
+    ok = (all(_is_lift(ext, one, etas[b]) for b in gens)
+          and all(zeta(ext, GroupMap(e, e, f)).vector == a for a, f in etas.items())
+          and all(_gamma(ext, one, _vadd(add, a, b)) == tuple(map(etas[a].__getitem__, etas[b]))
                   for a in etas for b in gens))
-    return {"z1_order": len(z1), "autHI_order": len(hi), "isomorphic": ok}
+    return {"z1_order": len(z1), "autHI_order": len(set(etas.values())), "isomorphic": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +284,8 @@ def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
     omega = {c: classes[_vadd(add, v, minus_base)] for c, v in moved.items()}
     witnesses = []
 
-    hi = _kernel_of_rho(ext, z1)
-    exact_at_autI = _z1_iso(ext, z1, hi)["isomorphic"]
+    z1_iso = _z1_iso(ext, z1)
+    exact_at_autI = z1_iso["isomorphic"]
     if not exact_at_autI:
         witnesses.append({"joint": "autI", "reason": "Z1 does not match Ker(rho)"})
 
@@ -320,7 +311,7 @@ def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
               if omega[_compose(c1, c2)] != classes[_vadd(add, twists[c2](omega[c1]), omega[c2])]]
     witnesses += [{"joint": "derivation", "c1": list(map(list, c1)), "c2": list(map(list, c2))}
                   for c1, c2 in failed]
-    return {"z1_order": len(z1), "autI_order": len(lifts) * len(z1), "autHI_order": len(hi),
-            "cmu_order": len(cmu), "h2_order": h2.order_h2, "exact_at_autI": exact_at_autI,
-            "exact_at_cmu": exact_at_cmu, "omega_is_derivation": not failed,
-            "witnesses": witnesses}
+    return {"z1_order": len(z1), "autI_order": len(lifts) * len(z1),
+            "autHI_order": z1_iso["autHI_order"], "cmu_order": len(cmu),
+            "h2_order": h2.order_h2, "exact_at_autI": exact_at_autI,
+            "exact_at_cmu": exact_at_cmu, "omega_is_derivation": not failed, "witnesses": witnesses}

@@ -29,10 +29,10 @@ from rbgroups.cohomology import (
     RBModule,
     _apply,
     _compile,
+    _coset_generators,
     _d1_map,
     _d2_map,
     _pair,
-    _span,
     d1_rbe,
     delta,
     enumerate_cochains,
@@ -828,7 +828,7 @@ def _verify_closed(add, keys, name: str) -> None:
     closed under addition; an empty list passes.  A nonempty finite set is
     closed iff it is the subgroup it generates, grown coset by coset: one
     addition per member instead of every pair."""
-    if keys and set(_span(add, keys, len(keys[0]))) != set(keys):
+    if keys and set(_coset_generators(add, keys, len(keys[0]))[1]) != set(keys):
         raise AssertionError(f"{name} is not closed under addition")
 
 

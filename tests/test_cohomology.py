@@ -33,11 +33,11 @@ from rbgroups.operators import RotaBaxterOperator
 from rbgroups.cohomology import (
     _apply,
     _coset_generators,
+    _vadd,
     _compile,
     _d1_map,
     _d2_map,
     _kernel,
-    _span,
     Cochain,
     CocyclePair,
     RBModule,
@@ -537,32 +537,51 @@ def test_b2_preimages_are_sent_onto_their_members(hname, iname):
 
 
 def _broken_kernel(kind):
-    """cohomology._kernel broken one way."""
+    """cohomology._kernel (of d2) broken one way."""
     def kernel(add, neg, rows, gens):
         kept, index = _kernel(add, neg, rows, gens)
         if kind == "drops":
             return kept[1:], index
-        if kind == "keeps":  # a generator of the domain outside the kernel
-            return kept + [next(u for u in gens if any(_apply(add, r, u) for r in rows))], index
-        # "hides": drops a generator and shrinks the index to match
-        width = len(gens[0])
-        return kept[1:], index * len(_span(add, kept, width)) // len(_span(add, kept[1:], width))
+        # "keeps": a generator of the domain outside the kernel
+        return kept + [next(u for u in gens if any(_apply(add, r, u) for r in rows))], index
     return kernel
+
+
+def _broken_walk(kind):
+    """cohomology._grow broken one way in the walk of d1, the one growing an
+    image of value vectors with nonempty preimages: its Schreier element
+    dropped (0), kept as the generator itself, or doubled, which Z1 holds."""
+    grow = cohomology._grow
+
+    def walk(image, plus, add, neg, s, v):
+        k = grow(image, plus, add, neg, s, v)
+        if not (s and isinstance(v, tuple)):
+            return k
+        return {"drops": (0,) * len(k), "keeps": s, "hides": _vadd(add, k, k)}[kind]
+    return walk
 
 
 @pytest.mark.parametrize("kind,listing,message", [
     ("drops", z2_rbe, r"\|Z2\| times the index of the kernel"),
-    ("drops", z1_rbe, r"\|Z1\| times the index of the kernel"),
+    ("drops", z1_rbe, r"\|Z1\| times \|B2\| is not \|TC\^1\|"),
     ("keeps", z2_rbe, "a listed Z2 vector is not sent to 0"),
     ("keeps", b2_rbe, "a listed Z1 vector is not sent to 0"),
     ("hides", z1_rbe, r"\|Z1\| times \|B2\| is not \|TC\^1\|"),
 ])
 def test_kernel_guards_catch_a_wrong_kernel(kind, listing, message, monkeypatch):
     # Z2 acting trivially on Z4 with R_I = 0: Z1, Z2 and B2 are all proper
-    # and nontrivial, and the kernel's first generator is not redundant
+    # and nontrivial, and the kernel's first generator is not redundant.
+    # A doubled Schreier element hides in Z1 only where Z1 has order 4:
+    # Z2 acting by inversion on Z4 with R_H = id and R_I = -1 has Z1 = Z4.
     m = module_zx("Z2", "Z4", ri=(0, 0, 0, 0))
     assert 1 < len(z1_rbe(m)) < 4 and 1 < len(b2_rbe(m)) < len(z2_rbe(m)) < 4 ** 2
-    monkeypatch.setattr(cohomology, "_kernel", _broken_kernel(kind))
+    if kind == "hides":
+        m = module_zx("Z2", "Z4", rh=(0, 1), ri=(0, 3, 2, 1), action=((0, 1, 2, 3), (0, 3, 2, 1)))
+        assert len(z1_rbe(m)) == 4
+    if listing is z2_rbe:
+        monkeypatch.setattr(cohomology, "_kernel", _broken_kernel(kind))
+    else:
+        monkeypatch.setattr(cohomology, "_grow", _broken_walk(kind))
     with pytest.raises(AssertionError, match=message):
         listing(m)
 
@@ -640,7 +659,7 @@ def test_closure_by_generators_matches_pairwise_oracle(iname):
 @pytest.mark.parametrize("iname", ["Z2", "Z3", "Z4", "Z2xZ2", "Z6"])
 def test_coset_generators_match_the_general_routine(iname):
     # the abelian helper lists the greedy generators _generated finds under
-    # vector addition, and also a leading zero, since it grows from {}
+    # vector addition, and their span
     i = make_group(iname)
     rng = random.Random(iname)
     for k in (1, 2, 3):
@@ -652,10 +671,9 @@ def test_coset_generators_match_the_general_routine(iname):
 
         for _ in range(100):
             members = [rng.choice(vectors) for _ in range(rng.randint(1, 6))]
-            want = _generated(members, vadd, zero)[0]
-            if members[0] == zero:
-                want = [zero] + want
-            assert [members[j] for j in _coset_generators(i.table, members)] == want
+            want, span, _ = _generated(members, vadd, zero)
+            gens, got = _coset_generators(i.table, members, k)
+            assert gens == want and got == sorted(span)
 
 
 def test_scan_budget_refusals_match_oracles():

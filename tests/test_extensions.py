@@ -531,6 +531,25 @@ def test_census_drops_a_coset_member_that_is_no_automorphism(kind):
     assert (err.value.stage, err.value.size) == ("triplet census (mu, tau)", 7)
 
 
+@pytest.mark.parametrize("kind", ["replaced", "dropped"])
+def test_census_refuses_a_coset_that_is_not_one_inn_coset(kind):
+    # the trivial coupling of Z2 over S3 with one member of the coset at
+    # h = 1 replaced by the constant table, or dropped: its automorphisms
+    # are a part of Inn(S3), refused at the boundary after the first budget
+    z2, s3 = make_group("Z2"), make_group("S3")
+    trivial = trivial_coupling(z2, s3)
+    members = trivial.cosets[1][1:]
+    if kind == "replaced":
+        members = tuple(sorted(members + ((0,) * s3.order,)))
+    alpha = Coupling(trivial.kernel, (trivial.cosets[0], members))
+    h_rb, i_rb = trivial_operator(z2), trivial_operator(s3)
+    with pytest.raises(ValueError, match="coupling at 1 are not one Inn"):
+        h2_alpha(h_rb, i_rb, alpha)
+    with pytest.raises(BudgetError) as err:
+        h2_alpha(h_rb, i_rb, alpha, budget=len(members) - 1)
+    assert (err.value.stage, err.value.size) == ("triplet census (mu, tau)", len(members))
+
+
 def test_central_action_free_on_census():
     z2, d4 = make_group("Z2"), make_group("D4")
     h_rb = RotaBaxterOperator(z2, (0, 0))

@@ -328,10 +328,10 @@ def test_z1_homomorphism_check_over_generators_matches_all_pairs(hname, iname):
     # of every pair, on the least and greatest cocycle of every module
     for m in all_modules(hname, iname):
         z1 = z1_rbe(m)
-        gens = wells._sum_generators(m.I.table, z1)
+        gens = cohomology._coset_generators(m.I.table, [lam.vector for lam in z1], m.H.order - 1)[0]
         span = {(0,) * (m.H.order - 1)}
         while True:  # the sums of the generators are all of Z1
-            grown = span | {tuple(m.I.table[x][y] for x, y in zip(s, g.vector))
+            grown = span | {tuple(m.I.table[x][y] for x, y in zip(s, g))
                             for s in span for g in gens}
             if grown == span:
                 break
@@ -341,16 +341,16 @@ def test_z1_homomorphism_check_over_generators_matches_all_pairs(hname, iname):
         for pair in (z2_rbe(m)[0], z2_rbe(m)[-1]):
             ext = build_abelian_extension(m, pair)
             hi = aut_HI(ext)
-            assert wells._z1_iso(ext, z1, hi) == all_pairs_z1_iso(ext, z1, hi)
-            assert wells._z1_iso(ext, z1, hi)["isomorphic"]
+            assert wells._z1_iso(ext, [lam.vector for lam in z1]) == all_pairs_z1_iso(ext, z1, hi)
+            assert wells._z1_iso(ext, [lam.vector for lam in z1])["isomorphic"]
 
 
-def test_z1_generators_start_with_the_first_cochain():
-    m = fixture_module()  # Z1 = Hom(Z2, Z4) = {0, 2}: <2> holds 0, so 0 is listed first
-    z1 = z1_rbe(m)
-    assert [lam.vector for lam in z1] == [(0,), (2,)]
-    assert [lam.vector for lam in wells._sum_generators(m.I.table, z1)] == [(0,), (2,)]
-    assert [lam.vector for lam in wells._sum_generators(m.I.table, z1[::-1])] == [(2,)]
+def test_z1_generators_never_list_the_zero_cochain():
+    m = fixture_module()  # Z1 = Hom(Z2, Z4) = {0, 2}: the span grows from {0}, so 0 is not listed
+    z1 = [lam.vector for lam in z1_rbe(m)]
+    assert z1 == [(0,), (2,)]
+    assert cohomology._coset_generators(m.I.table, z1, 1)[0] == [(2,)]
+    assert cohomology._coset_generators(m.I.table, z1[::-1], 1)[0] == [(2,)]
 
 
 @pytest.mark.parametrize("hname,iname", [("Z4", "Z2"), ("Z3", "Z3"), ("Z2", "Z2xZ2"), ("Z2", "Z8")])
@@ -382,7 +382,7 @@ def test_wells_report_compiles_d2_once_and_d1_once(monkeypatch, hname, iname):
         assert [p.key() for p in h2.representatives] == [
             p.key() for p in h2_rbe(m).representatives]
         assert [p.key() for p in h2.b2] == [p.key() for p in b2_rbe(m)]
-        assert [lam.vector for lam in z1] == [lam.vector for lam in z1_rbe(m)]
+        assert z1 == [lam.vector for lam in z1_rbe(m)]
         cases += [(m, h2.z2[0]), (m, h2.z2[-1])]
     monkeypatch.setattr(cohomology, "_compile", counted)
     for m, pair in cases:
@@ -412,6 +412,29 @@ def test_h2_and_the_kernel_of_rho_compile_each_map_once(monkeypatch, hname, inam
             widths.clear()
             run()
             assert sorted(widths) == want
+
+
+@pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z4", "Z2"), ("Z3", "Z3")])
+def test_kernel_runs_over_d2_only(monkeypatch, hname, iname):
+    # ker d1 is read off the walk listing B2, so the row-by-row kernel runs
+    # once per h2_rbe and per Wells report (d2), and never for Z1 or B2
+    calls, kernel = [], cohomology._kernel
+
+    def counted(add, neg, rows, gens):
+        calls.append(len(gens[0]))
+        return kernel(add, neg, rows, gens)
+
+    cases = [(m, pair) for m in all_modules(hname, iname) for pair in (z2_rbe(m)[0], z2_rbe(m)[-1])]
+    monkeypatch.setattr(cohomology, "_kernel", counted)
+    for m, pair in cases:
+        k1 = m.H.order - 1
+        ext = build_abelian_extension(m, pair)
+        for run, want in ((lambda: h2_rbe(m), [k1 * k1 + k1]),
+                          (lambda: check_wells_exactness(ext), [k1 * k1 + k1]),
+                          (lambda: z1_rbe(m), []), (lambda: b2_rbe(m), []), (lambda: rho(ext), [])):
+            calls.clear()
+            run()
+            assert calls == want
 
 
 @pytest.mark.parametrize("hname,iname", ORACLE_PAIRS)
