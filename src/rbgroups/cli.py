@@ -3,7 +3,7 @@ split / wells, with machine-readable JSON output.
 
 Exit codes: 0 success (or verification true), 1 verification failure,
 2 usage error, 3 budget exceeded.  JSON output is canonically ordered and
-independent of the worker count; timings go to stderr only.
+independent of the worker count; stderr carries only warnings and errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from operator import itemgetter
 from pathlib import Path
 
@@ -152,16 +151,13 @@ def _emit(obj: dict, fmt: str) -> None:
 def cmd_enumerate(args) -> int:
     group = _resolve_group(args.group, args.bound)
     bound = DEFAULT_ENUM_BOUND if args.bound is None else args.bound
-    start = time.perf_counter()
     rows = _operator_rows(group, bound, args.workers)  # the images of enumerate_rb_operators
-    elapsed = time.perf_counter() - start
     if args.stream:  # the bytes of json.dumps(operator_to_dict(op, args.group), sort_keys=True)
         pre = '{"group": ' + json.dumps(args.group) + ', "images": ['
         text = [str(x) for x in group.elements()] + [""]  # index -1: a tuple when |G| = 1
         sys.stdout.writelines(pre + ", ".join(itemgetter(*r, -1)(text)[:-1]) + "]}\n" for r in rows)
     summary = {"command": "enumerate", "group": args.group, "count": len(rows)}
     _emit(summary, args.format)
-    print(f"enumerated {len(rows)} operators in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -717,6 +717,7 @@ class H2Result:
     representatives: list[CocyclePair]
     _class_index: dict
     _d1_preimages: dict | None = None  # {B2 key: a 1-cochain's values with d1 = it}
+    _z1: list | None = None  # Z1 as sorted value vectors
 
     @property
     def order_z2(self) -> int:
@@ -748,13 +749,9 @@ class H2Result:
 
 
 def h2_rbe(module: RBModule, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> H2Result:
-    """H2 = Z2/B2 with lexicographically least coset representatives."""
-    return _h2_and_z1(module, budget)[0]
-
-
-def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[tuple[int, ...]]]:
-    """H2, keeping a d1 preimage of each member of B2, and Z1 as sorted value
-    vectors, from one compile of d2 and one of d1 (TC^2 refused first, then TC^1)."""
+    """H2 = Z2/B2 with lexicographically least coset representatives, keeping
+    a d1 preimage of each member of B2 and Z1 as sorted value vectors, from
+    one compile of d2 and one of d1 (TC^2 refused first, then TC^1)."""
     z2 = z2_rbe(module, budget)
     z1, b2 = _z1_b2(module, budget)  # {B2 member: a d1 preimage}
     z2_keys = [p.key() for p in z2]
@@ -766,5 +763,4 @@ def _h2_and_z1(module: RBModule, budget: int) -> tuple[H2Result, list[tuple[int,
     classes = _orbit_classes(z2_keys, lambda k: (_vadd(add, z2_keys[k], b) for b in b2))
     reps = [z2[cls[0]] for cls in classes]  # z2 is sorted, so cls[0] is the least member
     class_index = {z2_keys[k]: rep for rep, cls in zip(reps, classes) for k in cls}
-    h2 = H2Result(module, z2, [_pair(module, k) for k in b2], reps, class_index, b2)
-    return h2, z1
+    return H2Result(module, z2, [_pair(module, k) for k in b2], reps, class_index, b2, z1)

@@ -795,13 +795,6 @@ def _times(t: Triplet, tables, i: FiniteGroup) -> Triplet:
                    tuple(mul[a][b] for a, b in zip(t.g, g)))
 
 
-def _translate(t: Triplet, pair: CocyclePair, h: FiniteGroup, i: FiniteGroup,
-               z_elems) -> Triplet:
-    """(mu, tau*tau', g*g') for (tau', g') = pair over Z(I), whose indices
-    z_elems embeds into I."""
-    return _times(t, _embed(pair, h, z_elems), i)
-
-
 def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
     """Action table of H2(H, Z(I)) on the census classes, with freeness check.
 

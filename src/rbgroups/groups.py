@@ -412,9 +412,9 @@ def _law_witness(table, target, im, gens) -> tuple[int, int] | None:
     im[ab] im[c] = im[a] im[b] im[c] = im[a] im[bc], and every element is a
     product of generators.  So each b in gens, or b = e in the group of
     order 1, which has none, decides the law row against row, in
-    O(n |gens|); the n^2 scan only names the witness.  Light's test,
-    `operators._rb_law` and the Wells derivation argue the same way in loops
-    of their own.
+    O(n |gens|); the n^2 scan only names the witness, also for rb_witness.
+    Light's test, `operators._rb_law` and the Wells derivation argue the
+    same way in loops of their own.
     """
     if all([im[ab[b]] for ab in table] == [target[x][im[b]] for x in im] for b in gens or (0,)):
         return None
@@ -600,7 +600,8 @@ def _greedy_generators(table) -> list[int]:
 # |G|, or the branch fails (never for homomorphisms: there `done` is a subgroup).
 # A given map's law is checked at generators by `_law_witness`, whose
 # docstring proves it, behind is_homomorphism, is_anti_homomorphism,
-# action_witness, rb_module_witness and skew_brace_witness.
+# action_witness, rb_module_witness, skew_brace_witness, is_brace_morphism
+# and rb_witness (every element a generator of the circle table).
 #
 # The walk never multiplies D by the point p of x, yet fails iff <D, p> has
 # two points over one element, and else fixes <D, p>.  It multiplies only

@@ -99,37 +99,31 @@ def _rb_law(table, inv, im) -> bool:
     return True
 
 
+def _operator(g: FiniteGroup, images) -> RotaBaxterOperator:
+    """images (or an operator's images) as a map on g, refused as RotaBaxterOperator refuses it."""
+    images = images.images if isinstance(images, RotaBaxterOperator) else images
+    return RotaBaxterOperator(g, tuple(images))
+
+
 def rb_witness(g: FiniteGroup, images) -> tuple[int, int] | None:
-    """First (x, y) violating the Rota-Baxter law, scanning in index order;
-    the scan runs only where `_rb_law` finds that the law fails.  A map that
-    is not total on g or not into g is refused as RotaBaxterOperator refuses it."""
-    table, inv = g.table, g.inverses
-    im = RotaBaxterOperator(g, tuple(images)).images
-    if _rb_law(table, inv, im):
+    """First (x, y) in index order with R(x o y) != R(x) R(y), the law as a
+    homomorphism (G, o_R) -> (G, .); named by `groups._law_witness` with
+    every element as a generator, only where `_rb_law` finds that it fails."""
+    im = _operator(g, images).images
+    if _rb_law(g.table, g.inverses, im):
         return None
-    for x in g.elements():
-        rx = im[x]
-        xrx = table[x][rx]
-        rxi = inv[rx]
-        for y in g.elements():
-            z = table[table[xrx][y]][rxi]
-            if table[rx][im[y]] != im[z]:
-                return (x, y)
-    return None
+    return _law_witness(circle_table(g, im), g.table, im, g.elements())
 
 
 def is_rb_operator(g: FiniteGroup, images) -> bool:
-    images = images.images if isinstance(images, RotaBaxterOperator) else images
-    return _rb_law(g.table, g.inverses, RotaBaxterOperator(g, tuple(images)).images)
+    return _rb_law(g.table, g.inverses, _operator(g, images).images)
 
 
 def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
     """Validated constructor; raises with the first violating pair."""
-    op = RotaBaxterOperator(g, tuple(images))
-    w = rb_witness(g, op.images)
-    if w is not None:
+    if (w := rb_witness(g, images)) is not None:
         raise ValueError(f"Rota-Baxter law fails at (x, y) = {w}")
-    return op
+    return _operator(g, images)
 
 
 # ---------------------------------------------------------------------------

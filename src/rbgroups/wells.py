@@ -28,7 +28,7 @@ from .groups import (
     compose,
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Result,
-                         RBModule, _coset_generators, _h2_and_z1, _pair, _vadd, _z1_b2,
+                         RBModule, _coset_generators, _pair, _vadd, _z1_b2,
                          h2_rbe, nondegenerate_tuples)
 from .extensions import Extension
 from .operators import RotaBaxterOperator
@@ -276,7 +276,7 @@ def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
     eta(lambda) that the lemma counts is one."""
     m = ext.module
     add, neg = m.I.table, m.I.inverses
-    h2, z1 = _h2_and_z1(m, budget)
+    h2 = h2_rbe(m, budget)
     twists, moved, lifts = _lifts(ext, bound, h2._d1_preimages)
     cmu, base = list(twists), ext.pair.key()
     classes = {key: rep.key() for key, rep in h2._class_index.items()}
@@ -284,7 +284,7 @@ def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
     omega = {c: classes[_vadd(add, v, minus_base)] for c, v in moved.items()}
     witnesses = []
 
-    z1_iso = _z1_iso(ext, z1)
+    z1_iso = _z1_iso(ext, h2._z1)
     exact_at_autI = z1_iso["isomorphic"]
     if not exact_at_autI:
         witnesses.append({"joint": "autI", "reason": "Z1 does not match Ker(rho)"})
@@ -311,7 +311,7 @@ def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
               if omega[_compose(c1, c2)] != classes[_vadd(add, twists[c2](omega[c1]), omega[c2])]]
     witnesses += [{"joint": "derivation", "c1": list(map(list, c1)), "c2": list(map(list, c2))}
                   for c1, c2 in failed]
-    return {"z1_order": len(z1), "autI_order": len(lifts) * len(z1),
+    return {"z1_order": z1_iso["z1_order"], "autI_order": len(lifts) * z1_iso["z1_order"],
             "autHI_order": z1_iso["autHI_order"], "cmu_order": len(cmu),
             "h2_order": h2.order_h2, "exact_at_autI": exact_at_autI,
             "exact_at_cmu": exact_at_cmu, "omega_is_derivation": not failed, "witnesses": witnesses}

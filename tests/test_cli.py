@@ -340,6 +340,27 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["count"] == 8
 
 
+@pytest.mark.parametrize("flags", [(), ("--format", "text"), ("--stream",), ("--workers", "2")])
+@pytest.mark.parametrize("name", ["Z1", "S3", "Q8", "D6"])
+def test_enumerate_up_to_order_twelve_writes_nothing_to_stderr(capsys, name, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "enumerate", "--group", name, *flags)
+    assert code == 0 and out and err == ""
+
+
+def test_enumerate_stderr_holds_only_the_warning_above_twelve():
+    def run(name):
+        return subprocess.run(
+            [sys.executable, "-m", "rbgroups.cli", "enumerate", "--group", name],
+            cwd=Path(rbgroups.__file__).parents[1], capture_output=True, text=True)
+
+    twelve, thirteen = run("Z12"), run("Z13")
+    assert (twelve.returncode, twelve.stderr) == (0, "")
+    assert thirteen.returncode == 0 and json.loads(thirteen.stdout)["count"] == 13
+    assert "order 13" in thirteen.stderr and "operators in" not in thirteen.stderr
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--group", "S3", "--format", "text")
     assert code == 0 and "count: 8" in out

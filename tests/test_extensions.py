@@ -42,11 +42,12 @@ from rbgroups.extensions import (
     Triplet,
     TripletCensus,
     _candidate_operator,
+    _embed,
     _shift_g,
     _shift_mu_tau,
     _shift_triplet,
     _thetas,
-    _translate,
+    _times,
     are_equivalent,
     build_abelian_extension,
     build_split_extension,
@@ -700,7 +701,7 @@ def test_central_translates_are_valid_triplets(pair, seed):
     for pi, rep_pair in enumerate(h2.representatives):
         for ci, t in enumerate(census.representatives):
             for b in h2.b2:
-                moved = _translate(t, rep_pair.add(b), h_rb.group, i_rb.group, z_elems)
+                moved = _times(t, _embed(rep_pair.add(b), h_rb.group, z_elems), i_rb.group)
                 assert verify_triplet(moved, h_rb, i_rb) is None
                 assert census.class_of(moved) == action[pi][ci]
 
@@ -709,8 +710,8 @@ def test_central_action_rejects_a_translate_missing_from_the_census():
     census = _census("D4")
     h, i = census.h_rb.group, census.i_rb.group
     module, z_elems = center_module(census)
-    gone = _translate(census.representatives[0], h2_rbe(module).representatives[1], h, i,
-                      z_elems)
+    pair = h2_rbe(module).representatives[1]
+    gone = _times(census.representatives[0], _embed(pair, h, z_elems), i)
     keep = [t for t in census.triplets if t != gone]
     assert len(keep) == len(census.triplets) - 1
     index = {t.key(): k for k, t in enumerate(keep)}

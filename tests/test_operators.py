@@ -694,6 +694,22 @@ def test_rb_operator_factory_raises_with_witness(s3):
         rb_operator(s3, identity_operator(s3).images)
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "Z6"])
+def test_operator_objects_and_their_images_are_read_alike(name):
+    # is_rb_operator, rb_witness and rb_operator share one normalization
+    g = make_group(name)
+    for op in (trivial_operator(g), inversion_operator(g), identity_operator(g)):
+        want = scan_rb_witness(g, op.images)
+        for arg in (op, op.images):
+            assert rb_witness(g, arg) == want
+            assert is_rb_operator(g, arg) == (want is None)
+            if want is None:
+                assert rb_operator(g, arg).images == op.images
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"fails at (x, y) = {want}")):
+                    rb_operator(g, arg)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=6, max_size=6))
 def test_random_maps_consistent_with_witness(images):
