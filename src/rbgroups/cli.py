@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from .extensions import (
     build_split_extension,
     classify_abelian,
 )
-from .wells import DEFAULT_AUT_BOUND, check_wells_exactness
+from .wells import check_wells_exactness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -115,10 +116,10 @@ def _load_cochain(module: RBModule, spec: str | None, arity: int) -> Cochain:
     if spec is None:
         return Cochain.zero(module, arity)
     data = json.loads(Path(spec).read_text())
-    c = Cochain.from_dict(module, data)
-    if c.arity != arity:
-        raise ValueError(f"cochain has arity {c.arity}, expected {arity}")
-    return c
+    declared = data.get("arity") if isinstance(data, dict) else None
+    if type(declared) is int and declared != arity:  # before from_dict sizes the cochain
+        raise ValueError(f"cochain has arity {declared}, expected {arity}")
+    return Cochain.from_dict(module, data)
 
 
 def _load_map_images(spec: str, domain: FiniteGroup, codomain: FiniteGroup):
@@ -151,7 +152,10 @@ def _emit(obj: dict, fmt: str) -> None:
 def cmd_enumerate(args) -> int:
     group = _resolve_group(args.group, args.bound)
     bound = DEFAULT_ENUM_BOUND if args.bound is None else args.bound
-    rows = _operator_rows(group, bound, args.workers)  # the images of enumerate_rb_operators
+    with warnings.catch_warnings(record=True) as caught:  # the order warning, without its source
+        rows = _operator_rows(group, bound, args.workers)  # the images of enumerate_rb_operators
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     if args.stream:  # the bytes of json.dumps(operator_to_dict(op, args.group), sort_keys=True)
         pre = '{"group": ' + json.dumps(args.group) + ', "images": ['
         text = [str(x) for x in group.elements()] + [""]  # index -1: a tuple when |G| = 1
@@ -247,7 +251,7 @@ def cmd_wells(args) -> int:
         return EXIT_FAIL
     report = check_wells_exactness(
         ext,
-        bound=args.bound or DEFAULT_AUT_BOUND,
+        bound=args.bound or DEFAULT_GROUP_BOUND,
         budget=args.budget or DEFAULT_COHOMOLOGY_BUDGET,
     )
     report["command"] = "wells"

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .groups import (BudgetError, FiniteGroup, _generated, _law_witness, _orbit_classes,
-                     action_witness, json_element)
+from .groups import (BudgetError, FiniteGroup, _generated, _intertwine_witness, _law_witness,
+                     _orbit_classes, action_witness, json_element)
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -115,11 +115,7 @@ class RBModule:
 
     def mu_commutes_with_ri(self) -> bool:
         """Whether every mu_h is an automorphism of (I, R_I)."""
-        return all(
-            self.action[h][self.ri[y]] == self.ri[self.action[h][y]]
-            for h in self.H.elements()
-            for y in self.I.elements()
-        )
+        return all(_intertwine_witness(mu, self.ri, self.ri) is None for mu in self.action)
 
     def __repr__(self) -> str:
         return f"RBModule(H={self.H.name}, I={self.I.name})"
@@ -175,10 +171,8 @@ class Cochain:
         """Read-only {nondegenerate tuple: value}."""
         return MappingProxyType(dict(zip(self._index, self.vector)))
 
-    def value_vector(self) -> tuple[int, ...]:
+    def key(self) -> tuple[int, ...]:
         return self.vector
-
-    key = value_vector
 
     def is_zero(self) -> bool:
         return not any(self.vector)
@@ -323,10 +317,9 @@ def validate_circle_action(module: RBModule, sigma) -> None:
         raise ValueError(f"sigma is not anti-homomorphic at {w[1]}")
     if w is not None:
         raise ValueError(f"sigma_{w[1][0]} is not an automorphism of I")
-    for h in module.H.elements():
-        for y in module.I.elements():
-            if module.ri[sigma[h][y]] != module.action[module.rh[h]][module.ri[y]]:
-                raise ValueError(f"intertwining R_I sigma = mu_R R_I fails at ({h}, {y})")
+    for h, row in enumerate(sigma):
+        if (y := _intertwine_witness(module.ri, row, module.action[module.rh[h]])) is not None:
+            raise ValueError(f"intertwining R_I sigma = mu_R R_I fails at ({h}, {y})")
 
 
 def mu_twist_action(module: RBModule):
@@ -367,10 +360,6 @@ def _require_rb_automorphisms(m: RBModule) -> None:
         raise ValueError("combined complex needs every mu_h to commute with R_I")
 
 
-def _middle_sign(n: int, term: Cochain) -> Cochain:
-    return term if (n + 1) % 2 == 0 else term.neg()
-
-
 def delta_rb(element):
     """Combined coboundary; pairs (f, g) at degree 1, triples (f, g, h) above.
 
@@ -394,7 +383,8 @@ def partial_rb(element, sigma=None):
     n = f.arity
     if n < 2 or g.arity != n - 1 or h.arity != n:
         raise ValueError("triple must have arities (n, n-1, n) with n >= 2")
-    middle = partial(g).add(_middle_sign(n, bar(f).sub(ri_after(h))))
+    term = bar(f).sub(ri_after(h))
+    middle = partial(g).add(term if n % 2 else term.neg())
     return (delta(f), middle, partial_circ(h, sigma))
 
 
@@ -475,7 +465,7 @@ class CocyclePair:
         return CocyclePair(self.tau.sub(other.tau), self.g.sub(other.g))
 
     def key(self) -> tuple[int, ...]:
-        return self.tau.value_vector() + self.g.value_vector()
+        return self.tau.vector + self.g.vector
 
     def is_zero(self) -> bool:
         return self.tau.is_zero() and self.g.is_zero()
@@ -590,7 +580,7 @@ def _d2_map(module: RBModule):
 
     def d2(v):
         dt, beta = d2_rbe(_pair(module, v))
-        return dt.value_vector() + beta.value_vector()
+        return dt.vector + beta.vector
 
     return d2
 

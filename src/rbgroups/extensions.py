@@ -29,6 +29,7 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _intertwine_witness,
     _orbit_classes,
     action_witness,
     center,
@@ -247,12 +248,11 @@ def _verify_extension_invariants(ext: Extension, t: Triplet) -> None:
     kernel = {x for x in e.elements() if ext.project.images[x] == 0}
     if kernel != set(ext.include.images):
         raise AssertionError("kernel of projection differs from the included copy")
-    for y in i.elements():
-        if ext.operator.images[ext.include.images[y]] != ext.include.images[ext.i_rb.images[y]]:
-            raise AssertionError("R_E does not restrict to R_I on the kernel")
-    for x in e.elements():
-        if ext.project.images[ext.operator.images[x]] != ext.h_rb.images[ext.project.images[x]]:
-            raise AssertionError("projection does not intertwine R_E with R_H")
+    r = ext.operator.images
+    if _intertwine_witness(ext.include.images, ext.i_rb.images, r) is not None:
+        raise AssertionError("R_E does not restrict to R_I on the kernel")
+    if _intertwine_witness(ext.project.images, r, ext.h_rb.images) is not None:
+        raise AssertionError("projection does not intertwine R_E with R_H")
     if ext.triplet.key() != (tuple(map(tuple, t.mu)), tuple(map(tuple, t.tau)), tuple(t.g)):
         raise AssertionError("the canonical section does not read back the triplet")
 
@@ -403,11 +403,6 @@ def extract_cocycle(ext: Extension, section: GroupMap | None = None) -> CocycleP
     if not is_two_cocycle(ext.module, pair):
         raise AssertionError("extracted pair is not a 2-cocycle")
     return pair
-
-
-def recovered_action(ext: Extension, section: GroupMap | None = None):
-    """The conjugation action mu_h(y) = s(h)^-1 y s(h) read off the extension."""
-    return extract_triplet(ext, section).mu
 
 
 def extension_to_dict(ext: Extension) -> dict:

@@ -10,7 +10,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
 from pathlib import Path
 
@@ -264,47 +264,46 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def make_group(spec, bound: int = DEFAULT_GROUP_BOUND) -> FiniteGroup:
-    """Build a catalog group from a descriptor like Z6, S3, D4, Q8, Z2xZ2.
+    """Build a catalog group from a descriptor like Z6, S3, D4, Q8, Z2xZ2,
+    refused above `bound` by the product of its factor orders, before any
+    table is built.
 
     Also accepts an already-parsed Cayley-table dict (see `group_from_dict`).
     """
     if isinstance(spec, dict):
-        g = group_from_dict(spec, bound=bound)
-    elif isinstance(spec, FiniteGroup):
-        g = spec
+        spec = group_from_dict(spec, bound=bound)
+    if isinstance(spec, FiniteGroup):
+        factors = [(spec.name, spec.order, lambda: spec)]
     else:
-        g = _parse_group_name(str(spec))
-    if g.order > bound:
-        raise BudgetError(f"group {g.name} has order {g.order} > bound {bound}",
-                          stage="group order", size=g.order)
-    return g
+        s = str(spec)
+        factors = [_parse_group_name(part) for part in (s.strip().split("x") if "x" in s else [s])]
+    order = math.prod(n for _, n, _ in factors)
+    if order > bound:
+        raise BudgetError(f"group {'x'.join(f[0] for f in factors)} has order {order} > bound "
+                          f"{bound}", stage="group order", size=order)
+    return reduce(direct_product, (build() for _, _, build in factors))
 
 
-def _parse_group_name(spec: str) -> FiniteGroup:
+def _parse_group_name(spec: str):
+    """(name, order, build) of one catalog factor, sized without building it."""
     s = spec.strip()
-    if "x" in s:
-        parts = s.split("x")
-        g = _parse_group_name(parts[0])
-        for part in parts[1:]:
-            g = direct_product(g, _parse_group_name(part))
-        return g
     if s in ("Q8",):
-        return quaternion_group()
+        return "Q8", 8, quaternion_group
     if len(s) >= 2 and s[0] in "ZC" and s[1:].isdigit():
         n = int(s[1:])
         if n < 1:
             raise ValueError(f"cyclic order must be >= 1: {spec!r}")
-        return cyclic_group(n)
+        return f"Z{n}", n, lambda: cyclic_group(n)
     if len(s) >= 2 and s[0] == "S" and s[1:].isdigit():
         n = int(s[1:])
         if not 1 <= n <= 5:
             raise ValueError(f"symmetric groups are cataloged for n <= 5: {spec!r}")
-        return symmetric_group(n)
+        return f"S{n}", math.factorial(n), lambda: symmetric_group(n)
     if len(s) >= 2 and s[0] == "D" and s[1:].isdigit():
         n = int(s[1:])
         if n < 2:
             raise ValueError(f"dihedral D{n} needs n >= 2")
-        return dihedral_group(n)
+        return f"D{n}", 2 * n, lambda: dihedral_group(n)
     raise ValueError(f"unknown group descriptor {spec!r}")
 
 
@@ -423,6 +422,11 @@ def _law_witness(table, target, im, gens) -> tuple[int, int] | None:
             if im[ab] != target[im[a]][im[b]]:
                 return (a, b)
     return None
+
+
+def _intertwine_witness(f, a, b) -> int | None:
+    """The first x with f[a[x]] != b[f[x]], or None when f a = b f; maps are image tuples."""
+    return next((x for x, ax in enumerate(a) if f[ax] != b[f[x]]), None)
 
 
 def is_homomorphism(f: GroupMap) -> bool:

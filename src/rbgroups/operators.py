@@ -22,6 +22,7 @@ from .groups import (
     _dfs,
     _generated,
     _greedy_generators,
+    _intertwine_witness,
     _law_witness,
     _propagate,
     basis_endomorphisms,
@@ -392,10 +393,7 @@ def rb_morphism_witness(
         raise ValueError("morphism domain/codomain do not match the operators")
     if not is_homomorphism(f):
         raise ValueError("map is not a group homomorphism")
-    for x in f.domain.elements():
-        if f.images[source.images[x]] != target.images[f.images[x]]:
-            return x
-    return None
+    return _intertwine_witness(f.images, source.images, target.images)
 
 
 def is_rb_morphism(

@@ -19,10 +19,12 @@ from __future__ import annotations
 import dataclasses
 
 from .groups import (
+    DEFAULT_GROUP_BOUND,
     FiniteGroup,
     GroupMap,
     _generated,
     _homomorphism_bound,
+    _intertwine_witness,
     action_witness,
     automorphisms,
     compose,
@@ -33,19 +35,13 @@ from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, H2Resu
 from .extensions import Extension
 from .operators import RotaBaxterOperator
 
-DEFAULT_AUT_BOUND = 64
-
 
 def rb_automorphisms(
-    g: FiniteGroup, op: RotaBaxterOperator, bound: int = DEFAULT_AUT_BOUND
+    g: FiniteGroup, op: RotaBaxterOperator, bound: int = DEFAULT_GROUP_BOUND
 ) -> list[GroupMap]:
     """Automorphisms commuting with the operator, in canonical order."""
-    auts = automorphisms(g, bound=bound)
-    return [
-        f
-        for f in auts.elements
-        if all(f.images[op.images[x]] == op.images[f.images[x]] for x in g.elements())
-    ]
+    return [f for f in automorphisms(g, bound=bound).elements
+            if _intertwine_witness(f.images, op.images, op.images) is None]
 
 
 def gamma_parts(ext: Extension, gamma: GroupMap) -> tuple[GroupMap, GroupMap]:
@@ -77,7 +73,7 @@ def _is_lift(ext: Extension, c, images) -> bool:
     itself and induces the key c."""
     e, r, kernel = ext.E, ext.operator.images, set(ext.include.images)
     return (action_witness(e, [images]) is None
-            and all(images[r[x]] == r[images[x]] for x in e.elements())
+            and _intertwine_witness(images, r, r) is None
             and all(images[x] in kernel for x in kernel)
             and tuple(f.images for f in gamma_parts(ext, GroupMap(e, e, images))) == c)
 
@@ -93,7 +89,7 @@ def _lifts(ext: Extension, bound: int, preimages: dict):
     return twists, moved, {c: preimages[d] for c, d in diffs if d in preimages}
 
 
-def rho(ext: Extension, bound: int = DEFAULT_AUT_BOUND):
+def rho(ext: Extension, bound: int = DEFAULT_GROUP_BOUND):
     """[(gamma, gamma_H, gamma_I)] over Aut_I(E, R_E), sorted by gamma: the
     lifts gamma_(c, lambda0 + lambda) of each c in Im(rho), lambda over Z1."""
     m, e = ext.module, ext.E
@@ -104,12 +100,12 @@ def rho(ext: Extension, bound: int = DEFAULT_AUT_BOUND):
     return sorted(out, key=lambda t: t[0].images)
 
 
-def aut_I(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
+def aut_I(ext: Extension, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupMap]:
     """Rota-Baxter automorphisms of E that map the kernel copy into itself, sorted."""
     return [gamma for gamma, _, _ in rho(ext, bound)]
 
 
-def aut_HI(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
+def aut_HI(ext: Extension, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupMap]:
     """Kernel of rho: automorphisms inducing the identity on both H and I,
     refused above `bound` at H, I or E as rho's builds are."""
     e, one = ext.E, _identity_key(ext)
@@ -133,18 +129,15 @@ def _c_mu(module: RBModule, bound: int) -> list[tuple[tuple[int, ...], tuple[int
                   if in_c_mu(module, phi, psi))
 
 
-def c_mu(module: RBModule, bound: int = DEFAULT_AUT_BOUND) -> list[tuple[GroupMap, GroupMap]]:
+def c_mu(module: RBModule, bound: int = DEFAULT_GROUP_BOUND) -> list[tuple[GroupMap, GroupMap]]:
     """Pairs (phi, psi) of operator-automorphisms with mu_h = psi^-1 mu_{phi(h)} psi."""
     h, i = module.H, module.I
     return [(GroupMap(h, h, phi), GroupMap(i, i, psi)) for phi, psi in _c_mu(module, bound)]
 
 
 def in_c_mu(module: RBModule, phi: GroupMap, psi: GroupMap) -> bool:
-    return all(
-        module.action[phi.images[h]][psi.images[y]] == psi.images[module.action[h][y]]
-        for h in module.H.elements()
-        for y in module.I.elements()
-    )
+    return all(_intertwine_witness(psi.images, mu, module.action[phi.images[h]]) is None
+               for h, mu in enumerate(module.action))
 
 
 def _twist(module: RBModule, c):
@@ -234,7 +227,7 @@ def zeta(ext: Extension, gamma: GroupMap) -> Cochain:
     )
 
 
-def z1_iso_check(ext: Extension, bound: int = DEFAULT_AUT_BOUND) -> dict:
+def z1_iso_check(ext: Extension, bound: int = DEFAULT_GROUP_BOUND) -> dict:
     """Verify eta/zeta are mutually inverse group isomorphisms Z1 ~ Aut^{H,I}."""
     return _z1_iso(ext, _bounded_z1(ext, bound))
 
@@ -265,7 +258,7 @@ def _listed(keys) -> list:
     return [list(map(list, k)) for k in sorted(keys)[:3]]
 
 
-def check_wells_exactness(ext: Extension, bound: int = DEFAULT_AUT_BOUND,
+def check_wells_exactness(ext: Extension, bound: int = DEFAULT_GROUP_BOUND,
                           budget: int = DEFAULT_COHOMOLOGY_BUDGET) -> dict:
     """Verify 0 -> Z1 -> Aut_I(E) -> C_mu -> H2 at every joint, with witnesses.
 

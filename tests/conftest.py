@@ -329,6 +329,15 @@ def scan_rb_module_witness(hop, igroup, ri, action):
     return None
 
 
+def scan_intertwine(f, a, b):
+    """Oracle for groups._intertwine_witness: the loop each routed check wrote
+    by hand, the first x with f[a[x]] != b[f[x]], or None."""
+    for x in range(len(a)):
+        if f[a[x]] != b[f[x]]:
+            return x
+    return None
+
+
 def block_propagate(rows, table, values, trail, done, gens) -> bool:
     """Oracle for `groups._propagate`: besides the trail's walk, the new
     generator w is multiplied on the left by every element of `done`."""
@@ -1128,7 +1137,7 @@ def filter_aut_I(ext, bound=64):
 
 def shift_eta(ext, lam):
     """The automorphism s(h) i(y) -> s(h) i(lam(h) + y) attached to a derivation."""
-    return ext.shift_map(ext, (0,) + lam.value_vector())
+    return ext.shift_map(ext, (0,) + lam.vector)
 
 
 def all_pairs_z1_iso(ext, z1, hi):
@@ -1147,7 +1156,7 @@ def all_pairs_z1_iso(ext, z1, hi):
             for x in ext.E.elements()
         ):
             ok = False
-        if zeta(ext, f).value_vector() != lam.value_vector():
+        if zeta(ext, f).vector != lam.vector:
             ok = False
         eta_images[f.images] = lam
     if {f.images for f in hi} != set(eta_images):

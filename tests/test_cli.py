@@ -162,6 +162,19 @@ def test_cochain_file_rejects_non_integer_arity(tmp_path, capsys):
     assert "cochain arity is 1.9, not an integer element index" in err
 
 
+def test_cochain_arity_is_checked_before_the_cochain_is_sized(tmp_path, capsys):
+    from rbgroups.cohomology import nondegenerate_tuples
+
+    argv = ("wells", "--H", "Z3", "--I", "Z2", "--tau")
+    code, _, _ = run_cli(capsys, *argv, _write_json(tmp_path, "ok.json", {"arity": 2}))
+    assert code == 0  # sizes every index this module needs
+    before = nondegenerate_tuples.cache_info()
+    code, out, err = run_cli(capsys, *argv, _write_json(tmp_path, "tau.json", {"arity": 40}))
+    assert (code, out, err) == (2, "", "error: cochain has arity 40, expected 2\n")
+    after = nondegenerate_tuples.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 @pytest.mark.parametrize("argv,name,data,message", [
     (("wells", "--H", "Z2", "--I", "Z4", "--g"), "g.json", {"arity": 1, "values": [1]},
      "a cochain must be an object whose 'values' is an object"),
@@ -359,6 +372,21 @@ def test_enumerate_stderr_holds_only_the_warning_above_twelve():
     assert (twelve.returncode, twelve.stderr) == (0, "")
     assert thirteen.returncode == 0 and json.loads(thirteen.stdout)["count"] == 13
     assert "order 13" in thirteen.stderr and "operators in" not in thirteen.stderr
+
+
+def test_enumerate_order_warning_is_its_message_alone(capsys):
+    """One line, with no file, line number or source line, in a subprocess and
+    in-process; the library still warns (`test_soft_warning_above_twelve`)."""
+    line = ("warning: enumerating Rota-Baxter operators on a group of order 13; "
+            "this may take a while\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbgroups.cli", "enumerate", "--group", "Z13"],
+        cwd=Path(rbgroups.__file__).parents[1], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, line)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "enumerate", "--group", "Z13")
+    assert (code, json.loads(out)["count"], err, escaped) == (0, 13, line, [])
 
 
 def test_text_format(capsys):

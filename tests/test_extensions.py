@@ -62,7 +62,6 @@ from rbgroups.extensions import (
     h2_alpha,
     is_coupling,
     is_st_section,
-    recovered_action,
     st_sections,
     triplets_equivalent,
     trivial_coupling,
@@ -139,7 +138,7 @@ def test_spec_example_z4_total_space():
         for ri in [(0, 0), (0, 1)]:
             m = module_zx("Z2", "Z2", rh=rh, ri=ri)
             for p in z2_rbe(m):
-                if p.tau.value_vector() == (1,):
+                if p.tau.vector == (1,):
                     found.append((rh, ri, m, p))
     assert found
     assert not any(rh == (0, 0) and ri == (0, 1) for rh, ri, _, _ in found)
@@ -167,14 +166,14 @@ def test_recovered_action_matches_module():
     for p in z2_rbe(m):
         ext = build_abelian_extension(m, p)
         for s in st_sections(ext):
-            assert recovered_action(ext, s) == m.action
+            assert extract_triplet(ext, s).mu == m.action
 
 
 def test_recovered_action_rejects_non_sections():
     m = module_zx("Z2", "Z3", action=((0, 1, 2), (0, 2, 1)), ri=(0, 0, 0))
     ext = build_abelian_extension(m, CocyclePair.zero(m))
     with pytest.raises(ValueError, match="st-section"):
-        recovered_action(ext, GroupMap(m.H, ext.E, (0, 0)))
+        extract_triplet(ext, GroupMap(m.H, ext.E, (0, 0))).mu
 
 
 def test_extract_rejects_non_sections():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from conftest import (check_generated, full_scan_witness, pairwise_perm_group,
@@ -70,6 +71,43 @@ def test_catalog_products_and_bounds():
     assert make_group("S5", bound=120).order == 120
     with pytest.raises(ValueError):
         make_group("F17")
+
+
+@pytest.mark.parametrize("spec, message, size", [
+    ("Z100000", "group Z100000 has order 100000 > bound 64", 100000),
+    ("Z300xZ300", "group Z300xZ300 has order 90000 > bound 64", 90000),
+    ("C8xD40", "group Z8xD40 has order 640 > bound 64", 640),
+    ("S5xS5", "group S5xS5 has order 14400 > bound 64", 14400),
+    ("Q8xC9", "group Q8xZ9 has order 72 > bound 64", 72),
+])
+def test_catalog_descriptors_are_refused_before_any_table_is_built(monkeypatch, spec, message,
+                                                                    size):
+    def unbuilt(*args):
+        raise AssertionError("a table was built for a refused descriptor")
+
+    for name in ("cyclic_group", "symmetric_group", "dihedral_group", "quaternion_group",
+                 "direct_product"):
+        monkeypatch.setattr(groups, name, unbuilt)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        make_group(spec)
+    assert time.perf_counter() - start < 0.05
+    assert (str(err.value), err.value.stage, err.value.size) == (message, "group order", size)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("Z0", "cyclic order must be >= 1: 'Z0'"),
+    (" Z0 ", "cyclic order must be >= 1: ' Z0 '"),
+    (" Z2xZ0", "cyclic order must be >= 1: 'Z0'"),
+    ("S6", "symmetric groups are cataloged for n <= 5: 'S6'"),
+    ("D1", "dihedral D1 needs n >= 2"),
+    ("Z100000xFoo", "unknown group descriptor 'Foo'"),
+    ("Z2x", "unknown group descriptor ''"),
+])
+def test_catalog_descriptor_errors_name_the_bad_factor(spec, message):
+    with pytest.raises(ValueError) as err:
+        make_group(spec)
+    assert str(err.value) == message
 
 
 def test_group_axiom_witnesses():

@@ -1,16 +1,24 @@
 """Every law checked at generators (`groups._law_witness`) against the scan of
-every pair it replaced, and the operator search's propagation against the
-walk that also multiplied the new generator by every fixed element."""
+every pair it replaced, every "f carries a onto b" check
+(`groups._intertwine_witness`) against the loop it replaced, and the
+operator search's propagation against the walk that also multiplied the new
+generator by every fixed element."""
 
+import contextlib
 import random
+import re
+import sys
 import warnings
+from collections import defaultdict
 
 import pytest
 from conftest import (
     all_modules,
+    anti_actions,
     block_propagate,
     relabelled,
     scan_action_witness,
+    scan_intertwine,
     scan_is_anti_homomorphism,
     scan_is_brace_morphism,
     scan_is_homomorphism,
@@ -18,12 +26,19 @@ from conftest import (
     scan_skew_brace_witness,
 )
 
-from rbgroups import groups, operators
-from rbgroups.cohomology import rb_module_witness
+from rbgroups import cohomology, extensions, groups, operators, wells
+from rbgroups.cohomology import (
+    mu_twist_action,
+    rb_module_witness,
+    validate_circle_action,
+    z2_rbe,
+)
+from rbgroups.extensions import build_abelian_extension
 from rbgroups.groups import (
     GroupMap,
     action_witness,
     automorphisms,
+    endomorphisms,
     identity_map,
     inversion_map,
     is_anti_homomorphism,
@@ -35,8 +50,10 @@ from rbgroups.operators import (
     enumerate_rb_operators,
     induced_skew_brace,
     is_brace_morphism,
+    rb_morphism_witness,
     skew_brace_witness,
 )
+from rbgroups.wells import check_wells_exactness
 
 MAP_GROUPS = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3", "Z8", "Z2xZ4", "Z2xZ2xZ2",
               "D4", "Q8", "Z9", "Z3xZ3", "D5", "Z12", "D6", "D4xZ2", "Q8xZ2", "S3xZ3", "D9",
@@ -139,6 +156,95 @@ def test_the_group_of_order_one_checks_its_identity():
     assert not is_homomorphism(GroupMap(z1, z2, (1,)))
     assert not is_anti_homomorphism(GroupMap(z1, z2, (1,)))
     assert is_homomorphism(GroupMap(z1, z2, (0,)))
+
+
+# the carriers of the modules, extensions and Wells reports the intertwining
+# checks are compared on
+INTERTWINE_PAIRS = (("Z2", "Z4"), ("Z4", "Z2"), ("Z3", "Z3"), ("Z2", "Z2xZ2"), ("Z2xZ2", "Z2"))
+ROUTED = {"rb_morphism_witness", "rb_automorphisms", "_is_lift", "_verify_extension_invariants",
+          "mu_commutes_with_ri", "validate_circle_action", "in_c_mu"}
+
+
+@pytest.fixture
+def intertwine_calls(monkeypatch):
+    """{(f, a, b): the functions that asked} over every `_intertwine_witness`
+    call made while the test runs."""
+    real, calls = groups._intertwine_witness, defaultdict(set)
+
+    def recorded(f, a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension inside the caller
+            frame = frame.f_back
+        calls[tuple(f), tuple(a), tuple(b)].add(frame.f_code.co_name)
+        return real(f, a, b)
+
+    for module in (operators, cohomology, extensions, wells):
+        monkeypatch.setattr(module, "_intertwine_witness", recorded)
+    return calls
+
+
+def test_every_intertwining_check_matches_its_scan(intertwine_calls):
+    """The (f, a, b) the seven routed functions see on modules, extensions,
+    Wells reports and operator pairs, and every one-entry mutant of f."""
+    for pair in INTERTWINE_PAIRS:
+        for m in all_modules(*pair):
+            m.mu_commutes_with_ri()
+            with contextlib.suppress(ValueError):  # mu_R intertwines iff mu commutes with R_I
+                validate_circle_action(m, mu_twist_action(m))
+            z2 = z2_rbe(m)
+            for p in (z2[0], z2[-1]):
+                check_wells_exactness(build_abelian_extension(m, p))
+    for name in ("S3", "D4"):
+        g = make_group(name)
+        ops = enumerate_rb_operators(g)
+        for f in automorphisms(g).elements:
+            for r1, r2 in zip(ops, ops[1:] + ops[:1]):
+                rb_morphism_witness(f, r1, r1)
+                rb_morphism_witness(f, r1, r2)
+    assert set().union(*intertwine_calls.values()) == ROUTED
+    verdicts = set()
+    for f, a, b in intertwine_calls:
+        for x in range(-1, len(f)):  # f itself, then f changed at x
+            g = f if x < 0 else f[:x] + ((f[x] + 1) % len(b),) + f[x + 1:]
+            want = scan_intertwine(g, a, b)
+            assert groups._intertwine_witness(g, a, b) == want, (g, a, b)
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_rb_morphism_witness_is_the_scans_first_element(name):
+    g = make_group(name)
+    ops = enumerate_rb_operators(g)
+    witnesses = set()
+    for f in endomorphisms(g):
+        for r1 in ops:
+            for r2 in ops[::5]:
+                w = rb_morphism_witness(f, r1, r2)
+                assert w == scan_intertwine(f.images, r1.images, r2.images)
+                witnesses.add(w)
+    assert None in witnesses and len(witnesses) > 2
+
+
+def test_validate_circle_action_names_the_scans_first_pair():
+    """Over every anti-homomorphism of the circle group into Aut(I), the (h, y)
+    named is the first failing one of the loop over h, then y."""
+    named = set()
+    for pair in INTERTWINE_PAIRS:
+        for m in all_modules(*pair):
+            for sigma in anti_actions(m.circle, m.I):
+                if action_witness(m.I, sigma, m.circle.table) is not None:
+                    continue
+                want = next(((h, y) for h, row in enumerate(sigma)
+                             if (y := scan_intertwine(m.ri, row, m.action[m.rh[h]])) is not None),
+                            None)
+                if want is None:
+                    validate_circle_action(m, sigma)
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"fails at {want}") + "$"):
+                        validate_circle_action(m, sigma)
+                named.add(want)
+    assert None in named and len(named) > 2
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from rbgroups.extensions import (
     Extension,
     build_abelian_extension,
     extract_cocycle,
-    recovered_action,
+    extract_triplet,
     st_sections,
 )
 
@@ -92,12 +92,12 @@ def test_literal_extension_extracts_a_cocycle(gname, op_file, gen):
     ext = as_extension(make_group(gname), op_file, gen)
     ext.pair = extract_cocycle(ext)  # asserts 2-cocycle membership internally
     assert is_two_cocycle(ext.module, ext.pair)
-    assert recovered_action(ext) == literal_action(ext)
+    assert extract_triplet(ext).mu == literal_action(ext)
 
 
 def literal_action(ext):
     """mu_h(y) = s(h)^-1 y s(h), computed here from the literal table; the
-    extension's `module` is derived from `recovered_action`, so comparing
+    extension's `module` is derived from `extract_triplet`, so comparing
     against it would prove nothing."""
     e, kernel, s = ext.E, ext.include.images, ext.section.images
     return tuple(
