@@ -21,6 +21,7 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     json_element,
+    json_field,
     load_group,
     make_group,
 )
@@ -93,7 +94,7 @@ def _resolve_action(spec: str, h: FiniteGroup, igroup: FiniteGroup):
     if spec == "trivial":
         return trivial_action(h, igroup)
     data = json.loads(Path(spec).read_text())
-    maps = data["maps"] if isinstance(data, dict) else data
+    maps = json_field(data, "maps", "action file") if isinstance(data, dict) else data
     if not isinstance(maps, list) or not all(isinstance(row, list) for row in maps):
         raise ValueError("action file must hold a list of maps, each a list of images")
     if len(maps) != h.order:
@@ -124,7 +125,7 @@ def _load_cochain(module: RBModule, spec: str | None, arity: int) -> Cochain:
 
 def _load_map_images(spec: str, domain: FiniteGroup, codomain: FiniteGroup):
     data = json.loads(Path(spec).read_text())
-    raw = data["images"] if isinstance(data, dict) else data
+    raw = json_field(data, "images", "map file") if isinstance(data, dict) else data
     if not isinstance(raw, list):
         raise ValueError("map file must hold a list of images")
     if len(raw) != domain.order:

@@ -26,7 +26,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 
 from .groups import (BudgetError, FiniteGroup, _generated, _intertwine_witness, _law_witness,
-                     _orbit_classes, action_witness, json_element)
+                     _orbit_classes, action_witness, json_element, json_field)
 from .operators import RotaBaxterOperator, induced_circle_group
 
 DEFAULT_COHOMOLOGY_BUDGET = 10**7
@@ -222,8 +222,9 @@ class Cochain:
         """Read to_dict's format; keys must lie in (H - {e})^arity, values in I."""
         if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
             raise ValueError("a cochain must be an object whose 'values' is an object")
-        arity, nh = json_element(data["arity"], "cochain arity"), module.H.order
-        positions = nondegenerate_tuples(nh, arity)
+        if (arity := json_element(json_field(data, "arity", "cochain"), "cochain arity")) < 1:
+            raise ValueError("cochain arity must be >= 1")  # before the tuples are sized
+        positions = nondegenerate_tuples(nh := module.H.order, arity)
         vector = [0] * len(positions)
         for key, v in data.get("values", {}).items():
             t = tuple(int(x) for x in key.strip("()").split(",") if x != "")
@@ -479,10 +480,8 @@ class CocyclePair:
 
     @classmethod
     def from_dict(cls, module: RBModule, data: dict) -> "CocyclePair":
-        return cls(
-            Cochain.from_dict(module, data["tau"]),
-            Cochain.from_dict(module, data["g"]),
-        )
+        return cls(*(Cochain.from_dict(module, json_field(data, key, "cocycle pair"))
+                     for key in ("tau", "g")))
 
 
 def d1_rbe(theta: Cochain) -> CocyclePair:

@@ -141,10 +141,21 @@ class Extension:
 
 def _triplet_pair(module: RBModule, t: Triplet) -> CocyclePair:
     """The cochain pair (tau, g) of a triplet over an abelian kernel."""
-    return CocyclePair(
-        Cochain.from_callable(module, 2, lambda h1, h2: t.tau[h1][h2]),
-        Cochain.from_callable(module, 1, lambda hh: t.g[hh]),
-    )
+    return CocyclePair(Cochain(module, 2, [v for row in t.tau[1:] for v in row[1:]]),
+                       Cochain(module, 1, t.g[1:]))
+
+
+def _table(values, nh: int) -> tuple[tuple[int, ...], ...]:
+    """The normalized |H| x |H| table of values listed over the nondegenerate
+    pairs in key order."""
+    w = nh - 1
+    return ((0,) * nh,) + tuple((0, *values[hh * w - w:hh * w]) for hh in range(1, nh))
+
+
+def _embed(pair: CocyclePair, h: FiniteGroup, elems):
+    """pair's tau and g as tables in I, the value v read as elems[v]."""
+    return (_table([elems[v] for v in pair.tau.vector], h.order),
+            (0, *(elems[v] for v in pair.g.vector)))
 
 
 def _candidate_table(h: FiniteGroup, i: FiniteGroup, mu, tau) -> list[list[int]]:
@@ -293,12 +304,7 @@ def build_abelian_extension(module: RBModule, pair: CocyclePair) -> Extension:
                 f"pair is not a 2-cocycle: {condition} condition fails at {bad}",
                 witness=(kind, bad),
             )
-    hs = module.H.elements()
-    t = Triplet(
-        module.action,
-        tuple(tuple(pair.tau((h1, h2)) for h2 in hs) for h1 in hs),
-        tuple(pair.g((hh,)) for hh in hs),
-    )
+    t = Triplet(module.action, *_embed(pair, module.H, module.I.elements()))
     w, ext = _build(t, module.hop, RotaBaxterOperator(module.I, module.ri))
     if w is not None:
         raise AssertionError(f"a 2-cocycle is not an associated triplet: {w[0]} at {w[1]}")
@@ -693,10 +699,7 @@ def h2_alpha(
     for mu_choice in itertools.product(*autos):
         mu = (identity,) + mu_choice
         for tau_vals in itertools.product(*_tau_choices(h, mu, cosets, tau_slots)):
-            tau_tab = [[0] * nh for _ in range(nh)]
-            for (h1, h2), v in zip(tau_slots, tau_vals):
-                tau_tab[h1][h2] = v
-            tau = tuple(tuple(row) for row in tau_tab)
+            tau = _table(tau_vals, nh)
             if _schreier_cocycle(h, i, mu, tau):
                 solved.append((mu, tau))
     total = len(solved) * ni ** (nh - 1)
@@ -776,13 +779,6 @@ def center_module(census: TripletCensus) -> tuple[RBModule, tuple[int, ...]]:
     return RBModule(h_rb, z_group, z_ri, actions.pop()), z_elems
 
 
-def _embed(pair: CocyclePair, h: FiniteGroup, z_elems):
-    """pair's tau and g over Z(I) as tables in I, through z_elems."""
-    hs = h.elements()
-    return (tuple(tuple(z_elems[pair.tau((a, b))] for b in hs) for a in hs),
-            tuple(z_elems[pair.g((a,))] for a in hs))
-
-
 def _times(t: Triplet, tables, i: FiniteGroup) -> Triplet:
     """(mu, tau*tau', g*g') for the tables (tau', g') in I."""
     mul, (tau, g) = i.table, tables
@@ -802,28 +798,20 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGE
     h, i = census.h_rb.group, census.i_rb.group
     module, z_elems = center_module(census)
     h2 = h2_rbe(module, budget)
-    action_table = []
-    free = True
-    witnesses = []
-    for pi, rep_pair in enumerate(h2.representatives):
-        row = []
-        rep_z = _embed(rep_pair, h, z_elems)
-        coset = [_embed(rep_pair.add(b), h, z_elems) for b in h2.b2]
-        for ci, rep_t in enumerate(census.representatives):
-            target = census._class_index.get(_times(rep_t, rep_z, i).key())
-            if target is None:
-                raise AssertionError("translated triplet is no longer valid")
-            row.append(target)
-            if pi != 0 and target == ci:
-                free = False
-                witnesses.append({"h2_class": pi, "census_class": ci})
-            # well-definedness: coboundary shifts of the pair act identically
-            for moved in coset:
-                if census.class_of(_times(rep_t, moved, i)) != target:
-                    raise AssertionError("central action is not well-defined")
-        action_table.append(row)
+    rows = {}  # per H2 class, the target of each census class
+    for pair in h2.z2:
+        z = _embed(pair, h, z_elems)
+        row = [census._class_index.get(_times(t, z, i).key()) for t in census.representatives]
+        if None in row:
+            raise AssertionError("translated triplet is no longer valid")
+        # well-definedness: every cocycle of an H2 class acts identically
+        if rows.setdefault(h2.class_of(pair).key(), row) != row:
+            raise AssertionError("central action is not well-defined")
+    action_table = [rows[p.key()] for p in h2.representatives]
     if action_table[0] != list(range(census.num_classes)):
         raise AssertionError("identity class does not act as the identity")
+    witnesses = [{"h2_class": pi, "census_class": ci} for pi, row in enumerate(action_table)
+                 for ci, target in enumerate(row) if pi != 0 and target == ci]
     # orbit census (transitivity is measured, never asserted)
     orbits = len(_orbit_classes(
         list(range(census.num_classes)), lambda ci: (row[ci] for row in action_table)
@@ -831,7 +819,7 @@ def central_action(census: TripletCensus, budget: int = DEFAULT_COHOMOLOGY_BUDGE
     return {
         "h2_center_order": h2.order_h2,
         "num_classes": census.num_classes,
-        "free": free,
+        "free": not witnesses,
         "orbits": orbits,
         "transitive": orbits == 1,
         "action": action_table,

@@ -322,6 +322,13 @@ def json_element(v, where: str, group: FiniteGroup | None = None) -> int:
     return v
 
 
+def json_field(data, key: str, what: str):
+    """data[key] read from a JSON object, or a ValueError naming the missing field."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{what} has no {key!r} field")
+    return data[key]
+
+
 def group_to_dict(g: FiniteGroup) -> dict:
     out = {"order": g.order, "identity": 0, "table": [list(row) for row in g.table]}
     if g.labels is not None:

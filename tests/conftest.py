@@ -54,6 +54,8 @@ from rbgroups.extensions import (
     _shift_triplet,
     _tau_choices,
     _thetas,
+    _times,
+    center_module,
     verify_triplet,
 )
 from rbgroups.operators import (
@@ -1062,6 +1064,56 @@ def g_loop_census(h_rb, i_rb, alpha, budget=DEFAULT_TRIPLET_BUDGET):
             if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g)):
                 valid.append(Triplet(mu, tau, g))
     return _census_of(h_rb, i_rb, alpha, valid)
+
+
+# ---------------------------------------------------------------------------
+# central action oracle: each H2 representative, then each of its B2 shifts
+# ---------------------------------------------------------------------------
+
+
+def coset_central_action(census, budget=DEFAULT_COHOMOLOGY_BUDGET):
+    """Oracle: central_action's report, translating each census representative
+    by each H2 representative and then by each of its B2 shifts, with every
+    tau and g entry read off the pair one at a time."""
+    h, i = census.h_rb.group, census.i_rb.group
+    module, z_elems = center_module(census)
+    h2 = h2_rbe(module, budget)
+    hs = h.elements()
+
+    def embed(pair):
+        return (tuple(tuple(z_elems[pair.tau((a, b))] for b in hs) for a in hs),
+                tuple(z_elems[pair.g((a,))] for a in hs))
+
+    action_table, free, witnesses = [], True, []
+    for pi, rep_pair in enumerate(h2.representatives):
+        row = []
+        rep_z = embed(rep_pair)
+        coset = [embed(rep_pair.add(b)) for b in h2.b2]
+        for ci, rep_t in enumerate(census.representatives):
+            target = census._class_index.get(_times(rep_t, rep_z, i).key())
+            if target is None:
+                raise AssertionError("translated triplet is no longer valid")
+            row.append(target)
+            if pi != 0 and target == ci:
+                free = False
+                witnesses.append({"h2_class": pi, "census_class": ci})
+            for moved in coset:
+                if census.class_of(_times(rep_t, moved, i)) != target:
+                    raise AssertionError("central action is not well-defined")
+        action_table.append(row)
+    if action_table[0] != list(range(census.num_classes)):
+        raise AssertionError("identity class does not act as the identity")
+    orbits = len(_orbit_classes(list(range(census.num_classes)),
+                                lambda ci: (row[ci] for row in action_table)))
+    return {
+        "h2_center_order": h2.order_h2,
+        "num_classes": census.num_classes,
+        "free": free,
+        "orbits": orbits,
+        "transitive": orbits == 1,
+        "action": action_table,
+        "witnesses": witnesses,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,12 @@ def test_cochain_arity_is_checked_before_the_cochain_is_sized(tmp_path, capsys):
      "map file must hold a list of images"),
     (("verify", "--group", "S3", "--operator"), "op.json", {"images": 3},
      "operator JSON must be an object whose 'images' is a list"),
+    (("cohomology", "--H", "Z2", "--I", "Z2", "--action"), "act.json", {"map": []},
+     "action file has no 'maps' field"),
+    (("wells", "--H", "Z3", "--I", "Z2", "--tau"), "tau.json", {"values": {}},
+     "cochain has no 'arity' field"),
+    (("split", "--H", "Z2", "--I", "Z3", "--g"), "g.json", {"imgs": [0, 1]},
+     "map file has no 'images' field"),
 ])
 def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, name, data, message):
     code, out, err = run_cli(capsys, *argv, _write_json(tmp_path, name, data))

@@ -180,6 +180,24 @@ def test_cochain_from_dict_rejects_entries_outside_h_and_i(data, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("read, data, message", [
+    (Cochain.from_dict, {"values": {}}, "cochain has no 'arity' field"),
+    (Cochain.from_dict, {"arity": -1}, "cochain arity must be >= 1"),
+    (Cochain.from_dict, {"arity": 0, "values": {}}, "cochain arity must be >= 1"),
+    (CocyclePair.from_dict, {"g": {"arity": 1}}, "cocycle pair has no 'tau' field"),
+    (CocyclePair.from_dict, {"tau": {"arity": 2}}, "cocycle pair has no 'g' field"),
+    (CocyclePair.from_dict, [], "cocycle pair has no 'tau' field"),
+])
+def test_readers_name_a_missing_field_and_refuse_arity_below_one(read, data, message):
+    m = module_zx("Z2", "Z4")
+    before = cohomology.nondegenerate_tuples.cache_info().misses
+    with pytest.raises(ValueError) as err:
+        read(m, data)
+    assert str(err.value) == message
+    if read == Cochain.from_dict:  # refused before any index is sized
+        assert cohomology.nondegenerate_tuples.cache_info().misses == before
+
+
 def test_cochain_arithmetic_requires_the_same_groups():
     # same |H| but a different I: Z4 against Z2xZ2, and Z2 against Z3
     for a, b in (("Z4", "Z2xZ2"), ("Z2", "Z3")):

@@ -5,8 +5,9 @@ import pytest
 
 from collections import Counter
 
-from conftest import (all_modules, brute_force_census, brute_force_equivalent, g_loop_census,
-                      relabelled, scan_rb_witness, table_filter_census)
+from conftest import (all_modules, brute_force_census, brute_force_equivalent,
+                      coset_central_action, g_loop_census, relabelled, scan_rb_witness,
+                      table_filter_census)
 
 from rbgroups import extensions, groups, operators
 
@@ -22,6 +23,7 @@ from rbgroups.groups import (
 from rbgroups.operators import (
     RotaBaxterOperator,
     enumerate_rb_operators,
+    identity_operator,
     is_rb_operator,
     rb_witness,
     trivial_operator,
@@ -48,6 +50,7 @@ from rbgroups.extensions import (
     _shift_triplet,
     _thetas,
     _times,
+    _triplet_pair,
     are_equivalent,
     build_abelian_extension,
     build_split_extension,
@@ -663,12 +666,14 @@ def test_central_action_reports_orbits():
 
 
 def _census(pair, ri=None, seed=None):
-    """The census over the trivial coupling of "H/I" ("I" alone: H = Z2), R_H = 0."""
+    """The census over the trivial coupling of "H/I" ("I" alone: H = Z2), with
+    R_H = 0, or R_H = id where H is written "H-RH-id"."""
     hname, _, iname = pair.rpartition("/")
-    hgroup, igroup = make_group(hname or "Z2"), make_group(iname)
+    hname, _, rh = (hname or "Z2").partition("-RH-")
+    hgroup, igroup = make_group(hname), make_group(iname)
     if seed is not None:
         hgroup, igroup = relabelled(hgroup, seed), relabelled(igroup, seed)
-    h_rb = trivial_operator(hgroup)
+    h_rb = identity_operator(hgroup) if rh == "id" else trivial_operator(hgroup)
     i_rb = trivial_operator(igroup) if ri is None else RotaBaxterOperator(igroup, ri)
     assert rb_witness(igroup, i_rb.images) is None
     return h2_alpha(h_rb, i_rb, trivial_coupling(hgroup, igroup))
@@ -686,9 +691,84 @@ def test_census_classes_match_pairwise_equivalence(iname, ri):
 
 CENTRAL_CENSUSES = [(name, seed) for name in ("D4", "S3", "Q8", "D5", "D6")
                     for seed in (None, 1)] + [("Z3/S3", None)]
+# every centre module above has |B2| = 1; these two have |B2| = 2 and 4
+B2_CENSUSES = [("Z2-RH-id/D4", None), ("Z4/D4", None)]
 
 
-@pytest.mark.parametrize("pair,seed", CENTRAL_CENSUSES)
+@pytest.mark.parametrize("pair,orders", [("Z2-RH-id/D4", (2, 2, 1, 4, 4)),
+                                         ("Z4/D4", (16, 4, 4, 16, 4))])
+def test_centre_modules_with_a_nontrivial_b2(pair, orders):
+    """|Z2|, |B2|, |H2|, census classes and orbits, as first measured."""
+    census = _census(pair)
+    h2 = h2_rbe(center_module(census)[0])
+    report = central_action(census)
+    assert (h2.order_z2, h2.order_b2, h2.order_h2, census.num_classes,
+            report["orbits"]) == orders
+    assert report["free"] and report["h2_center_order"] == h2.order_h2
+
+
+@pytest.mark.parametrize("pair,seed", CENTRAL_CENSUSES + B2_CENSUSES)
+def test_central_action_matches_the_coset_oracle(pair, seed):
+    census = _census(pair, seed=seed)
+    assert central_action(census) == coset_central_action(census)
+
+
+@pytest.mark.parametrize("pair", ["D4", "Z2-RH-id/D4"])
+def test_central_action_translates_once_per_z2_cocycle(pair, monkeypatch):
+    """|Z2| x classes translates; a walk of each H2 representative and then
+    its B2 shifts makes |H2| x classes x (1 + |B2|)."""
+    census = _census(pair)
+    calls = []
+    times = extensions._times
+    monkeypatch.setattr(extensions, "_times", lambda *a: calls.append(a) or times(*a))
+    central_action(census)
+    assert len(calls) == h2_rbe(center_module(census)[0]).order_z2 * census.num_classes
+
+
+def _split_from_its_b2_shift(census):
+    """census with the B2 shift of its first representative moved out into a
+    class of its own."""
+    h, i = census.h_rb.group, census.i_rb.group
+    module, z_elems = center_module(census)
+    h2 = h2_rbe(module)
+    assert h2.order_b2 > 1  # b2[1] lies in the class of 0
+    moved = _times(census.representatives[0], _embed(h2.b2[1], h, z_elems), i)
+    k = census.triplets.index(moved)
+    classes = [[j for j in cls if j != k] for cls in census.classes] + [[k]]
+    return TripletCensus(census.h_rb, census.i_rb, census.coupling, census.triplets, classes,
+                         census.representatives + [moved])
+
+
+def _swapped_representatives(census):
+    reps = list(census.representatives)
+    reps[0], reps[1] = reps[1], reps[0]
+    return TripletCensus(census.h_rb, census.i_rb, census.coupling, census.triplets,
+                         census.classes, reps)
+
+
+@pytest.mark.parametrize("damage,pair,message", [
+    (_split_from_its_b2_shift, "Z2-RH-id/D4", "central action is not well-defined"),
+    (_swapped_representatives, "D4", "identity class does not act as the identity"),
+])
+def test_central_action_guards_catch_a_damaged_census(damage, pair, message):
+    damaged = damage(_census(pair))
+    for action in (central_action, coset_central_action):
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            action(damaged)
+
+
+@pytest.mark.parametrize("hname,iname", [("Z2", "Z4"), ("Z4", "Z2"), ("Z3", "Z3")])
+def test_embedded_cocycles_read_back_as_themselves(hname, iname):
+    for m in all_modules(hname, iname):
+        hs = m.H.elements()
+        for p in z2_rbe(m):
+            tau, g = _embed(p, m.H, m.I.elements())
+            assert tau == tuple(tuple(p.tau((a, b)) for b in hs) for a in hs)
+            assert g == tuple(p.g((a,)) for a in hs)
+            assert _triplet_pair(m, Triplet(m.action, tau, g)) == p
+
+
+@pytest.mark.parametrize("pair,seed", CENTRAL_CENSUSES + B2_CENSUSES)
 def test_central_translates_are_valid_triplets(pair, seed):
     """The oracle for reading validity off the census: every translate the
     central action looks up, B2 shifts included, passes verify_triplet."""
