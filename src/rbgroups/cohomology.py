@@ -21,6 +21,7 @@ R_I(mu(four-term sum)) - f(R_H-, R_H-).
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -222,12 +223,17 @@ class Cochain:
         """Read to_dict's format; keys must lie in (H - {e})^arity, values in I."""
         if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
             raise ValueError("a cochain must be an object whose 'values' is an object")
-        if (arity := json_element(json_field(data, "arity", "cochain"), "cochain arity")) < 1:
+        if type(arity := json_field(data, "arity", "cochain")) is not int:  # a bool too
+            raise ValueError(f"cochain arity is {json.dumps(arity)}, not an integer")
+        if arity < 1:
             raise ValueError("cochain arity must be >= 1")  # before the tuples are sized
         positions = nondegenerate_tuples(nh := module.H.order, arity)
         vector = [0] * len(positions)
         for key, v in data.get("values", {}).items():
-            t = tuple(int(x) for x in key.strip("()").split(",") if x != "")
+            try:
+                t = tuple(int(x) for x in key.strip("()").split(",") if x != "")
+            except ValueError:
+                raise ValueError(f"cochain key {key!r} is not a tuple of integers") from None
             if len(t) != arity:
                 raise ValueError(f"cochain key {key!r} has wrong arity")
             if 0 in t:

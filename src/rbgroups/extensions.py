@@ -29,6 +29,7 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     GroupMap,
+    _dfs,
     _intertwine_witness,
     _orbit_classes,
     action_witness,
@@ -38,7 +39,7 @@ from .groups import (
 )
 from .cohomology import (DEFAULT_COHOMOLOGY_BUDGET, Cochain, CocyclePair, RBModule, d2_rbe,
                          h2_rbe, is_two_cocycle)
-from .operators import RotaBaxterOperator, is_rb_operator, rb_witness
+from .operators import RotaBaxterOperator, _circle_rows, rb_witness
 
 DEFAULT_THETA_BUDGET = 10**4
 DEFAULT_TRIPLET_BUDGET = 10**6
@@ -665,14 +666,18 @@ def h2_alpha(
     (ii) filters the product of those cosets, walked in index order.  A
     section shift (`triplets_equivalent`) moves (mu, tau) without reading g,
     and shifts form a group action, so every valid triplet is a shift of one
-    over the first solved pair of its theta-orbit.  The g loop runs there
+    over the first solved pair of its theta-orbit.  The g are found there
     (and at every pair of an orbit with no g): the table is built and
-    guarded by group_table_witness, and each g tested by the Rota-Baxter law
-    at the generators of the graph (`is_rb_operator`).  One pass of shifts
-    from each g not yet reached gives its class, and so the orbit's
-    triplets; each theta's target pair is found once per orbit, so a theta
-    costs one `_shift_g` per class.  The budget bounds candidates, not work: mu-lifts x
-    |Z(I)|^((|H|-1)^2) tau before the walk, then solved (mu, tau) x |I|^(|H|-1) g.
+    guarded by group_table_witness, and one run of `groups._dfs` over its
+    circle rows, with domain {R_I(y)} at i(y) and the fibre over R_H(h) at
+    s(h) i(y), lists the operators of the valid g, since R(s(h) i(y)) is
+    fixed by R_I and R(s(h)) = s(R_H h) i(g(h)); they come out sorted by g,
+    as two differ first at some s(h).  One pass of shifts from each g not
+    yet reached gives its class, and so the orbit's triplets; each theta's
+    target pair is found once per orbit, so a theta costs one `_shift_g`
+    per class.  A non-operator R_H or R_I has no triplet.  The budget bounds
+    candidates, not work: mu-lifts x |Z(I)|^((|H|-1)^2) tau before the walk,
+    then solved (mu, tau) x |I|^(|H|-1) g.
     """
     h, i = h_rb.group, i_rb.group
     nh, ni = h.order, i.order
@@ -709,16 +714,19 @@ def h2_alpha(
 
     index = {pair: k for k, pair in enumerate(solved)}
     found: list[dict] = [{} for _ in solved]  # per pair, its valid g -> class
+    lawful = rb_witness(h, h_rb.images) is None and rb_witness(i, i_rb.images) is None
+    domains = [[v] for v in i_rb.images] + [range(r * ni, r * ni + ni) for r in h_rb.images[1:]
+                                             for _ in identity]  # R_I(y), or R_H(h)'s fibre
     n_classes = 0
     for p, (mu, tau) in enumerate(solved):
-        if found[p]:
+        if found[p] or not lawful:  # no operator on E restricts to R_I and projects to R_H
             continue
         table = _candidate_table(h, i, mu, tau)
         if (w := group_table_witness(table)) is not None:
             raise AssertionError(f"Schreier's conditions passed a table failing {w}")
-        e_group = FiniteGroup(table, name="candidate", check=False)
-        gs = [g for g in ((0,) + rest for rest in itertools.product(i.elements(), repeat=nh - 1))
-              if is_rb_operator(e_group, _candidate_operator(h_rb, i_rb, mu, g))]
+        rows, leaves = _circle_rows(table, [row.index(0) for row in table], domains), []
+        _dfs(rows, table, [0] + [-1] * (nh * ni - 1), [0], [], leaves, domains, ni ** (nh - 1))
+        gs = [tuple(v % ni for v in im[::ni]) for im in leaves]  # R(s(h)) = s(R_H h) i(g(h))
         thetas = _thetas(h, i, "triplet equivalence", DEFAULT_THETA_BUDGET) if gs else ()
         moves = [(theta, index.get(_shift_mu_tau(Triplet(mu, tau, ()), theta, h_rb, i_rb)))
                  for theta in thetas]  # each theta with its target pair

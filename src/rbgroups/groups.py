@@ -609,6 +609,10 @@ def _greedy_generators(table) -> list[int]:
 # come out sorted; the search stops after `limit` tables.  Lagrange: D lies
 # in the graph of any extension, a subgroup of order |G|, so |done| divides
 # |G|, or the branch fails (never for homomorphisms: there `done` is a subgroup).
+# rows[w] is read only at values[w], so rows outside domains[w] may be None
+# if propagation keeps values in domains: the enumeration's are full, a brace
+# lift's closed (its docstring); the census (`extensions.h2_alpha`) assigns its
+# kernel first, in index order, and R_I, R_H are operators: products stay in fibres.
 # A given map's law is checked at generators by `_law_witness`, whose
 # docstring proves it, behind is_homomorphism, is_anti_homomorphism,
 # action_witness, rb_module_witness, skew_brace_witness, is_brace_morphism
@@ -756,7 +760,8 @@ def basis_endomorphisms(g: FiniteGroup, basis) -> list[tuple[int, ...]]:
     such choice extends to exactly one endomorphism, since the sum is direct:
     no law check is needed.  The table is the product list of the basis'
     powers with y_i's powers folded in through the Cayley table, scattered
-    back to index order.  Unsorted.
+    back to index order.  Unsorted; their number must be the product of
+    gcd(m_i, m_j) over all i, j.
     """
     if not basis:
         return [(0,)]
@@ -783,6 +788,9 @@ def basis_endomorphisms(g: FiniteGroup, basis) -> list[tuple[int, ...]]:
     scatter = itemgetter(*position)
     for k, im in enumerate(level):  # in place, so each unscattered table is freed
         level[k] = scatter(im)
+    want = math.prod(math.gcd(orders[a], orders[b]) for a in basis for b in basis)
+    if len(level) != want:
+        raise AssertionError(f"listed {len(level)} endomorphisms, not {want}, off the basis")
     return level
 
 

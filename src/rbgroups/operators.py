@@ -152,8 +152,8 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # In the search, the fixed elements are the images of the subgroup generated
 # by g_g, g in `gens` (the root, then each branch point), and a branch fails
 # exactly when that subgroup meets the diagonal nontrivially: two elements,
-# one x.  `_circle_rows` builds its rows once per search (n^3 entries), so
-# each circle product is one lookup.
+# one x.  `_circle_rows` builds the rows its domains allow once per search
+# (n^3 entries at most), so each circle product is one lookup.
 #
 # Conjugation R -> c R c^-1 and R -> R~, R~(x) = x^-1 R(x^-1)
 # (Guo-Lang-Sheng), map operators to operators and commute.  At a root r the
@@ -163,11 +163,11 @@ def rb_operator(g: FiniteGroup, images) -> RotaBaxterOperator:
 # operators with R(r) = rep one-to-one onto those with R(r) = v.
 
 
-def _circle_rows(table, inv) -> list[list[tuple[int, ...]]]:
-    n = len(table)
-    right = [tuple(row[inv[r]] for row in table) for r in range(n)]  # s -> s r^-1
+def _circle_rows(table, inv, domains) -> list[list[tuple[int, ...] | None]]:
+    right = [tuple(row[ri] for row in table) for ri in inv]  # s -> s r^-1, per r
     getters = [itemgetter(*row) for row in table]
-    return [[getters[xr](right[r]) for r, xr in enumerate(x_row)] for x_row in table]
+    return [[getters[xr](right[r]) if r in domain else None for r, xr in enumerate(x_row)]
+            for x_row, domain in zip(table, domains)]
 
 
 def _search_root(g: FiniteGroup):
@@ -235,8 +235,8 @@ def _enumerate_task(args) -> list[tuple[int, ...]]:
     """Every operator with R(e) = e and R(root) among `values`."""
     table, inv, root, root_values = args
     n = len(table)
-    rows = _circle_rows(table, inv)
     domains = [range(n)] * n
+    rows = _circle_rows(table, inv, domains)
     out: list[tuple[int, ...]] = []
     for value in root_values:
         values = [0] + [-1] * (n - 1)
@@ -261,10 +261,6 @@ def _operator_rows(g: FiniteGroup, bound: int, workers: int) -> list[tuple[int, 
     basis = cyclic_basis(g)
     if basis is not None:
         rows = basis_endomorphisms(g, basis)
-        orders = [g.element_order(b) for b in basis]
-        want = math.prod(math.gcd(a, b) for a in orders for b in orders)
-        if len(rows) != want:
-            raise AssertionError(f"listed {len(rows)} endomorphisms, not {want}, off the basis")
     else:
         root, reps, moves = _search_root(g)
         chunks = min(workers, len(reps))
@@ -450,7 +446,7 @@ def find_rb_inducing_brace(
             [z for z in add.elements() if all(add.conj(z, y) == t for y, t in enumerate(target))]
         )
     found: list[tuple[int, ...]] = []
-    rows = _circle_rows(add.table, add.inverses)
+    rows = _circle_rows(add.table, add.inverses, candidates)
     _dfs(rows, add.table, [0] + [-1] * (add.order - 1), [0], [], found, candidates, 1)
     if not found:
         return None

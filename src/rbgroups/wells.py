@@ -89,15 +89,25 @@ def _lifts(ext: Extension, bound: int, preimages: dict):
     return twists, moved, {c: preimages[d] for c, d in diffs if d in preimages}
 
 
+def _checked(ext: Extension, lifts: list) -> list:
+    """lifts, pairs (images, key c), sorted, once the greatest and the last
+    built are checked to be Rota-Baxter automorphisms of E that keep I and
+    induce their c (`_is_lift`)."""
+    for images, c in (max(lifts), lifts[-1]) if lifts else ():
+        if not _is_lift(ext, c, images):
+            raise AssertionError(f"a lift built by the lemma is not in Aut_I(E): {images}")
+    return sorted(lifts)
+
+
 def rho(ext: Extension, bound: int = DEFAULT_GROUP_BOUND):
     """[(gamma, gamma_H, gamma_I)] over Aut_I(E, R_E), sorted by gamma: the
     lifts gamma_(c, lambda0 + lambda) of each c in Im(rho), lambda over Z1."""
     m, e = ext.module, ext.E
     z1, preimages = _z1_b2(m, DEFAULT_COHOMOLOGY_BUDGET)
-    out = [(GroupMap(e, e, _gamma(ext, c, _vadd(m.I.table, lam0, lam))),
-            GroupMap(m.H, m.H, c[0]), GroupMap(m.I, m.I, c[1]))
-           for c, lam0 in _lifts(ext, bound, preimages)[2].items() for lam in z1]
-    return sorted(out, key=lambda t: t[0].images)
+    lifts = [(_gamma(ext, c, _vadd(m.I.table, lam0, lam)), c)
+             for c, lam0 in _lifts(ext, bound, preimages)[2].items() for lam in z1]
+    return [(GroupMap(e, e, images), GroupMap(m.H, m.H, c[0]), GroupMap(m.I, m.I, c[1]))
+            for images, c in _checked(ext, lifts)]
 
 
 def aut_I(ext: Extension, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupMap]:
@@ -109,8 +119,8 @@ def aut_HI(ext: Extension, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupMap]:
     """Kernel of rho: automorphisms inducing the identity on both H and I,
     refused above `bound` at H, I or E as rho's builds are."""
     e, one = ext.E, _identity_key(ext)
-    return sorted((GroupMap(e, e, _gamma(ext, one, lam)) for lam in _bounded_z1(ext, bound)),
-                  key=lambda f: f.images)
+    lifts = [(_gamma(ext, one, lam), one) for lam in _bounded_z1(ext, bound)]
+    return [GroupMap(e, e, images) for images, _ in _checked(ext, lifts)]
 
 
 def _bounded_z1(ext: Extension, bound: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rbgroups import groups
 from rbgroups.groups import (
     DEFAULT_GROUP_BOUND,
     BudgetError,
@@ -529,15 +531,27 @@ def pairwise_task(args):
     only against the branch generators."""
     table, inv, root, root_values = args
     n = len(table)
-    rows = _circle_rows(table, inv)
+    domains = [range(n)] * n
+    rows = _circle_rows(table, inv, domains)
     out = []
     for value in root_values:
         values = [0] + [-1] * (n - 1)
         values[root] = value
         done = []
         if _pairwise_propagate(rows, table, values, [0, root], done):
-            _pairwise_dfs(rows, table, values, done, out, [range(n)] * n, math.inf)
+            _pairwise_dfs(rows, table, values, done, out, domains, math.inf)
     return out
+
+
+def basis_listing_short_by_one():
+    """A mutant of `groups.basis_endomorphisms` whose listing drops its last
+    table before the rest of the function runs, count check included."""
+    source = inspect.getsource(groups.basis_endomorphisms)
+    marker = "    scatter = itemgetter(*position)\n"
+    assert source.count(marker) == 1
+    namespace: dict = {}
+    exec(source.replace(marker, "    level.pop()\n" + marker), vars(groups), namespace)
+    return namespace["basis_endomorphisms"]
 
 
 def plain_operators(g):

@@ -173,6 +173,8 @@ def test_cochain_serialization_roundtrip():
      "cochain value at key '(1)' is 2.7, not an integer element index"),
     ({"arity": 1, "values": {"(1)": True}},
      "cochain value at key '(1)' is true, not an integer element index"),
+    ({"arity": 1, "values": {"(1.0)": 1}}, "cochain key '(1.0)' is not a tuple of integers"),
+    ({"arity": 2, "values": {"(1,b)": 1}}, "cochain key '(1,b)' is not a tuple of integers"),
 ])
 def test_cochain_from_dict_rejects_entries_outside_h_and_i(data, message):
     with pytest.raises(ValueError) as err:
@@ -187,6 +189,10 @@ def test_cochain_from_dict_rejects_entries_outside_h_and_i(data, message):
     (CocyclePair.from_dict, {"g": {"arity": 1}}, "cocycle pair has no 'tau' field"),
     (CocyclePair.from_dict, {"tau": {"arity": 2}}, "cocycle pair has no 'g' field"),
     (CocyclePair.from_dict, [], "cocycle pair has no 'tau' field"),
+    (Cochain.from_dict, {"arity": "2", "values": {}}, 'cochain arity is "2", not an integer'),
+    (Cochain.from_dict, {"arity": True}, "cochain arity is true, not an integer"),
+    (CocyclePair.from_dict, {"tau": {"arity": 2, "values": {"(x,1)": 1}}, "g": {"arity": 1}},
+     "cochain key '(x,1)' is not a tuple of integers"),
 ])
 def test_readers_name_a_missing_field_and_refuse_arity_below_one(read, data, message):
     m = module_zx("Z2", "Z4")

@@ -13,6 +13,7 @@ from rbgroups import extensions, groups, operators
 
 from rbgroups.groups import (
     BudgetError,
+    FiniteGroup,
     GroupMap,
     automorphisms,
     inner_automorphism,
@@ -24,7 +25,7 @@ from rbgroups.operators import (
     RotaBaxterOperator,
     enumerate_rb_operators,
     identity_operator,
-    is_rb_operator,
+    inversion_operator,
     rb_witness,
     trivial_operator,
 )
@@ -44,6 +45,7 @@ from rbgroups.extensions import (
     Triplet,
     TripletCensus,
     _candidate_operator,
+    _candidate_table,
     _embed,
     _shift_g,
     _shift_mu_tau,
@@ -667,14 +669,18 @@ def test_central_action_reports_orbits():
 
 def _census(pair, ri=None, seed=None):
     """The census over the trivial coupling of "H/I" ("I" alone: H = Z2), with
-    R_H = 0, or R_H = id where H is written "H-RH-id"."""
+    R_H = 0, or R_H = id where H is written "H-RH-id", and R_I = ri, 0 by
+    default, or inversion where I is written "I-RI-inv"."""
     hname, _, iname = pair.rpartition("/")
     hname, _, rh = (hname or "Z2").partition("-RH-")
+    iname, _, ri_name = iname.partition("-RI-")
     hgroup, igroup = make_group(hname), make_group(iname)
     if seed is not None:
         hgroup, igroup = relabelled(hgroup, seed), relabelled(igroup, seed)
     h_rb = identity_operator(hgroup) if rh == "id" else trivial_operator(hgroup)
     i_rb = trivial_operator(igroup) if ri is None else RotaBaxterOperator(igroup, ri)
+    if ri_name == "inv":
+        i_rb = inversion_operator(igroup)
     assert rb_witness(igroup, i_rb.images) is None
     return h2_alpha(h_rb, i_rb, trivial_coupling(hgroup, igroup))
 
@@ -930,26 +936,78 @@ def _first_pairs_of_orbits(census):
     return firsts
 
 
+def _engine_runs(monkeypatch):
+    """Record each run of the search in the census as (mu, tau, leaves), the
+    pair read off the `_candidate_table` call just before it."""
+    runs, pairs = [], []
+    candidate_table, dfs = extensions._candidate_table, extensions._dfs
+
+    def table(h, i, mu, tau):
+        pairs.append((mu, tau))
+        return candidate_table(h, i, mu, tau)
+
+    def search(rows, table, values, done, gens, out, domains, limit):
+        dfs(rows, table, values, done, gens, out, domains, limit)
+        runs.append((*pairs[-1], list(out)))
+
+    monkeypatch.setattr(extensions, "_candidate_table", table)
+    monkeypatch.setattr(extensions, "_dfs", search)
+    return runs
+
+
 @pytest.mark.parametrize("pair", ["D4", "S3", "Q8", "D5", "Z3/S3"])
 @pytest.mark.parametrize("seed", [None, 1])
 def test_census_law_checks_match_the_scan_on_every_candidate(pair, seed, monkeypatch):
-    verdicts = []
-
-    def checked(e_group, images):
-        verdict = is_rb_operator(e_group, images)
-        want = scan_rb_witness(e_group, images)
-        assert rb_witness(e_group, images) == want and verdict == (want is None), images
-        verdicts.append(verdict)
-        return verdict
-
-    monkeypatch.setattr(extensions, "is_rb_operator", checked)
+    runs = _engine_runs(monkeypatch)
     census = _census(pair, seed=seed)
-    # the law is checked only at the first pair of each orbit; the other
+    h_rb, i_rb = census.h_rb, census.i_rb
+    h, i = h_rb.group, i_rb.group
+    # each run's leaves are exactly the operators of the g that the scan of
+    # every pair passes, out of all of I^(|H|-1), in increasing order
+    rejected = 0
+    for mu, tau, leaves in runs:
+        e_group = FiniteGroup(_candidate_table(h, i, mu, tau), check=False)
+        passed = []
+        for rest in itertools.product(i.elements(), repeat=h.order - 1):
+            images = _candidate_operator(h_rb, i_rb, mu, (0, *rest))
+            want = scan_rb_witness(e_group, images)
+            assert rb_witness(e_group, images) == want, images
+            if want is None:
+                passed.append(images)
+        assert leaves == sorted(passed)
+        rejected += i.order ** (h.order - 1) - len(passed)
+    # the search runs only at the first pair of each orbit; the other
     # triplets are shifts of the ones found there
     firsts = set(_first_pairs_of_orbits(census))
     at_firsts = sum((t.mu, t.tau) in firsts for t in census.triplets)
-    assert verdicts.count(True) == at_firsts > 0 and False in verdicts
+    assert {(mu, tau) for mu, tau, leaves in runs if leaves} == firsts
+    assert sum(len(leaves) for _, _, leaves in runs) == at_firsts > 0 and rejected > 0
     _assert_census_matches_oracle(census, g_loop_census)
+
+
+@pytest.mark.parametrize("pair", ["D4", "S3", "Q8", "D5", "Z3/S3", "Z2-RH-id/D4"])
+def test_census_builds_and_checks_operators_only_in_its_end_guard(pair, monkeypatch):
+    # the g are the search's leaves: no operator is built or law-checked per
+    # g, only the greatest triplet and the last one are, and R_H and R_I once
+    built, checked = [], []
+    candidate_operator, rb_law = extensions._candidate_operator, operators._rb_law
+
+    def counted_operator(*args):
+        built.append(args[-1])
+        return candidate_operator(*args)
+
+    def counted_law(table, inv, im):
+        checked.append(len(table))
+        return rb_law(table, inv, im)
+
+    monkeypatch.setattr(extensions, "_candidate_operator", counted_operator)
+    monkeypatch.setattr(operators, "_rb_law", counted_law)
+    census = _census(pair)
+    h, i, valid = census.h_rb.group, census.i_rb.group, census.triplets
+    guarded = list(dict.fromkeys((max(valid, key=Triplet.key).g, valid[-1].g)))
+    assert built == guarded
+    # `_census` checks R_I, the census R_H and R_I, then the end guard E
+    assert checked == [i.order, h.order, i.order] + [h.order * i.order] * len(guarded)
 
 
 @pytest.mark.parametrize("rh", [(0, 0, 0), (0, 1, 2)])
@@ -987,8 +1045,12 @@ def _z2_rh_on_s3():
     return RotaBaxterOperator(z2, (0, 1)), trivial_operator(s3), trivial_coupling(z2, s3)
 
 
+# R_I = inversion on a non-abelian kernel, with R_H = 0 and R_H = id
+INVERSION_CENSUSES = [f"{h}{i}-RI-inv" for h in ("", "Z2-RH-id/") for i in ("D4", "S3", "Q8", "D5")]
+
+
 @pytest.mark.parametrize("iname", ["D4", "S3", "Q8", "D5", "D6", "Q8xZ2", "D4xZ2",
-                                   "Z3/S3", "Z4/S3"])
+                                   "Z3/S3", "Z4/S3"] + INVERSION_CENSUSES)
 @pytest.mark.parametrize("seed", [None, 1])
 def test_census_matches_g_loop_oracle(iname, seed):
     census = _census(iname, seed=seed)
@@ -1058,17 +1120,34 @@ def test_census_guards_catch_a_wrong_shift(kind, setup, message, monkeypatch):
 
 def test_census_guard_catches_a_g_the_loop_missed(monkeypatch):
     # Z3 on Z2xZ2 has one class: its other members at the first pair are
-    # shifts of the first g, so a g the loop rejects shows up there
+    # shifts of the first g, so a g the search misses shows up there
     h_rb, i_rb, alpha = _z3_on_v4((0, 1, 2))
     missed = h2_alpha(h_rb, i_rb, alpha).triplets[1]
+    leaf, dfs = _candidate_operator(h_rb, i_rb, missed.mu, missed.g), extensions._dfs
 
-    def law(e_group, images):
-        rejected = images == _candidate_operator(h_rb, i_rb, missed.mu, missed.g)
-        return not rejected and is_rb_operator(e_group, images)
+    def search(rows, table, values, done, gens, out, domains, limit):
+        dfs(rows, table, values, done, gens, out, domains, limit)
+        if table == _candidate_table(h_rb.group, i_rb.group, missed.mu, missed.tau):
+            out.remove(leaf)  # the leaf of missed.g is dropped
 
-    monkeypatch.setattr(extensions, "is_rb_operator", law)
+    monkeypatch.setattr(extensions, "_dfs", search)
     with pytest.raises(AssertionError, match="classes disagree with the g loop"):
         h2_alpha(h_rb, i_rb, alpha)
+
+
+@pytest.mark.parametrize("hname,rh,iname,ri", [
+    ("Z2", (0, 0), "D4", tuple(range(8))), ("Z2", (0, 0), "S3", (0, 1, 1, 1, 1, 1)),
+    ("Z3", (0, 1, 1), "S3", (0,) * 6), ("Z2", (0, 1), "Z2xZ2", (0, 1, 1, 1)),
+])
+def test_census_over_a_non_operator_is_empty_as_the_g_loop_finds(hname, rh, iname, ri):
+    # the search's domains assume R_H and R_I are operators; where one is
+    # not, no g passes the g loop and the census is empty, not an error
+    h, i = make_group(hname), make_group(iname)
+    assert rb_witness(h, rh) is not None or rb_witness(i, ri) is not None
+    h_rb, i_rb = RotaBaxterOperator(h, rh), RotaBaxterOperator(i, ri)
+    census = h2_alpha(h_rb, i_rb, trivial_coupling(h, i))
+    assert census.triplets == census.classes == census.representatives == []
+    _assert_census_matches_oracle(census, g_loop_census)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import random
 import time
 
 import pytest
-from conftest import (check_generated, full_scan_witness, pairwise_perm_group,
-                      product_homomorphisms, relabelled)
+from conftest import (basis_listing_short_by_one, check_generated, full_scan_witness,
+                      pairwise_perm_group, product_homomorphisms, relabelled)
 
 from rbgroups import groups
 from rbgroups.groups import (
@@ -282,6 +282,14 @@ def test_endomorphisms_off_a_cyclic_basis_match_the_search(name):
         got = endomorphisms(g)
         assert got == enumerate_homomorphisms(g, g), g.name
         assert all(f.domain is g and f.codomain is g for f in got)
+
+
+def test_endomorphisms_guard_their_count(monkeypatch):
+    # the listing one table short, inside the function that lists it: the
+    # count check runs for every caller of the listing, not only the operators'
+    monkeypatch.setattr(groups, "basis_endomorphisms", basis_listing_short_by_one())
+    with pytest.raises(AssertionError, match="listed 31 endomorphisms, not 32"):
+        endomorphisms(make_group("Z2xZ4"))
 
 
 @pytest.mark.parametrize("name", ["Z2xZ4xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2", "Z3xZ3xZ6"])

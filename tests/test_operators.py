@@ -19,6 +19,7 @@ from rbgroups.groups import (
 )
 from conftest import (
     FIXTURES,
+    basis_listing_short_by_one,
     brute_force_operators,
     dfs_inducing_brace,
     fixpoint_operators,
@@ -346,7 +347,16 @@ def test_circle_rows_are_the_circle_products():
             [tuple(table[t][inv[r]] for t in table[x_row[r]]) for r in g.elements()]
             for x_row in table
         ]
-        assert _circle_rows(table, inv) == want
+        assert _circle_rows(table, inv, [range(g.order)] * g.order) == want
+        # restricted domains: the rows inside each domain are the full rows,
+        # and every entry outside it is None
+        for step in (2, 3, 5):
+            domains = [[v for v in g.elements() if (x + v) % step == 0] for x in g.elements()]
+            rows = _circle_rows(table, inv, domains)
+            assert [len(row) for row in rows] == [g.order] * g.order
+            for x, (row, domain) in enumerate(zip(rows, domains)):
+                assert [row[v] for v in domain] == [want[x][v] for v in domain]
+                assert all(row[v] is None for v in g.elements() if v not in domain)
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D6", "S4", "D4xZ2"])
@@ -452,8 +462,8 @@ def test_abelian_groups_without_a_basis_are_searched(monkeypatch):
 def test_abelian_listing_guards_its_count(monkeypatch):
     from rbgroups import operators
 
-    listing = operators.basis_endomorphisms
-    monkeypatch.setattr(operators, "basis_endomorphisms", lambda g, basis: listing(g, basis)[:-1])
+    # the listing one table short, inside the function that lists it
+    monkeypatch.setattr(operators, "basis_endomorphisms", basis_listing_short_by_one())
     # Z2xZ4: the gcd(m_i, m_j) over m = (4, 2) multiply to 4 * 2 * 2 * 2 = 32
     with pytest.raises(AssertionError, match="listed 31 endomorphisms, not 32"):
         enumerate_rb_operators(make_group("Z2xZ4"))

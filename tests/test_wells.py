@@ -116,6 +116,27 @@ def test_aut_HI_is_kernel_of_rho():
     assert kernel == {f.images for f in aut_HI(ext)}
 
 
+def test_lifts_of_the_lemma_are_checked_before_they_are_listed(monkeypatch):
+    # _gamma with two images swapped: on Z2 acting on Z4 at its greatest
+    # cocycle, rho and aut_I would list 4 maps and aut_HI 2 that are no
+    # automorphisms; the report flags the same fault at both of its joints
+    m = fixture_module()
+    ext = build_abelian_extension(m, z2_rbe(m)[-1])
+    real = wells._gamma
+
+    def swapped(ext, c, lam):
+        images = list(real(ext, c, lam))
+        images[1], images[2] = images[2], images[1]
+        return tuple(images)
+
+    monkeypatch.setattr(wells, "_gamma", swapped)
+    for listing in (rho, aut_I, aut_HI):
+        with pytest.raises(AssertionError, match=r"a lift built by the lemma is not in Aut_I\(E\)"):
+            listing(ext)
+    report = check_wells_exactness(ext)
+    assert [w["joint"] for w in report["witnesses"]] == ["autI", "cmu"]
+
+
 def test_c_mu_trivial_action_is_full_product():
     m = fixture_module()
     ah = rb_automorphisms(m.H, m.hop)
